@@ -60,6 +60,8 @@ class SimConfig:
             raise DomainError(f"unknown model {self.model!r}")
         if not 0.0 < self.beta < 1.0:
             raise DomainError("beta must be in (0, 1)")
+        if not math.isfinite(self.log_f):
+            raise DomainError("log_f must be finite")
         if self.t_max < 0:
             raise DomainError("t_max must be >= 0")
         if self.exact_event_cap <= 0 or self.mmm_poisson_threshold <= 0:
@@ -139,32 +141,36 @@ def _poisson(rng: np.random.Generator, lam) -> np.ndarray:
 
 
 def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
-    """Sort descending, merge duplicate keys, refresh totals."""
+    """Sort classes by log-fitness descending, merge duplicate keys, refresh totals.
+
+    Merge contract: one stable sort of the negated keys orders the classes
+    by descending log-fitness and keeps equal keys in input order; each run
+    of equal keys then folds left to right into one class (counts add in
+    exact mode, log-counts combine by ``logaddexp`` in logdet mode, and the
+    earliest birth is kept).  Float ``logaddexp`` is not associative, so the
+    input-order fold is what makes the merged log-counts, and every total
+    derived from them, bit-for-bit reproducible.  Keys must not be NaN.
+    """
     log_fit = np.asarray(log_fit, dtype=float)
-    count = np.asarray(count)
     birth = np.asarray(birth, dtype=np.int64)
-    if log_fit.size:
-        keys, inverse = np.unique(log_fit, return_inverse=True)
-        if keys.size != log_fit.size:
-            if mode == MODE_EXACT:
-                merged = np.zeros(keys.size, dtype=np.int64)
-                np.add.at(merged, inverse, count.astype(np.int64))
-            else:
-                merged = np.full(keys.size, -np.inf)
-                for pos, c in zip(inverse, count):
-                    merged[pos] = np.logaddexp(merged[pos], c)
-            first = np.full(keys.size, np.iinfo(np.int64).max, dtype=np.int64)
-            np.minimum.at(first, inverse, birth)
-            log_fit, count, birth = keys, merged, first
-        order = np.argsort(log_fit)[::-1]
-        log_fit, count, birth = log_fit[order], count[order], birth[order]
     if mode == MODE_EXACT:
-        count = count.astype(np.int64)
+        count = np.asarray(count).astype(np.int64)
+        fold = np.add
+    else:
+        count = np.asarray(count, dtype=float)
+        fold = np.logaddexp
+    if log_fit.size:
+        order = np.argsort(-log_fit, kind="stable")
+        log_fit = log_fit[order]
+        starts = np.flatnonzero(np.concatenate(([True], log_fit[1:] != log_fit[:-1])))
+        log_fit = log_fit[starts]
+        count = fold.reduceat(count[order], starts)
+        birth = np.minimum.reduceat(birth[order], starts)
+    if mode == MODE_EXACT:
         log_X = math.log(float(count.sum())) if count.size and count.sum() > 0 else -np.inf
         with np.errstate(divide="ignore"):
             log_counts = np.log(count.astype(float))
     else:
-        count = count.astype(float)
         log_X = _logsumexp(count)
         log_counts = count
     log_fitsum = _logsumexp(log_counts + log_fit) if count.size else -np.inf
@@ -238,22 +244,22 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     # most influential draws when fed per-generation substreams
     m = int(_poisson(rng, cfg.beta * events)[0])
     log_w = -np.inf
-    mutant_fit: list = []
+    mutant_fit = np.empty(0)
     if m >= 1:
         if cfg.model == "fmm":
             log_w = float(sample_max_of_n(cfg.tail, m, rng))
-            mutant_fit = [log_w]
+            mutant_fit = np.array([log_w])
         else:
-            ws = np.atleast_1d(sample_fitness(cfg.tail, rng, size=m))
-            log_w = float(ws.max())
-            mutant_fit = list(ws)
+            mutant_fit = np.atleast_1d(sample_fitness(cfg.tail, rng, size=m))
+            log_w = float(mutant_fit.max())
     lam = (1.0 - cfg.beta) * state.count.astype(float) * np.exp(state.log_fit)
     survivors = _poisson(rng, lam).astype(np.int64)
 
     keep = survivors > 0
-    log_fit = list(state.log_fit[keep]) + mutant_fit
-    count = list(survivors[keep]) + [1] * len(mutant_fit)
-    birth = list(state.birth[keep]) + [t_next] * len(mutant_fit)
+    n_new = mutant_fit.size
+    log_fit = np.concatenate((state.log_fit[keep], mutant_fit))
+    count = np.concatenate((survivors[keep], np.ones(n_new, dtype=np.int64)))
+    birth = np.concatenate((state.birth[keep], np.full(n_new, t_next, dtype=np.int64)))
     return _rebuild(t_next, log_fit, count, birth, MODE_EXACT), log_w
 
 
@@ -285,24 +291,24 @@ def mutant_spectrum(log_lambda: float, cfg: SimConfig, rng: np.random.Generator)
     if log_w == -np.inf:
         return np.empty(0), np.empty(0), -np.inf
     edges = _spectrum_edges(cfg.mmm_bins_per_decade, log_w)
-    fits = [log_w]
-    counts = [0.0]
-    if edges.size >= 2:
-        log_g = np.asarray(log_tail(cfg.tail, edges))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_mass = log_g[:-1] + np.log(-np.expm1(log_g[1:] - log_g[:-1]))
-        log_lam_bin = log_lambda + log_mass
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        det = log_lam_bin > math.log(cfg.mmm_poisson_threshold)
-        fits.extend(mids[det])
-        counts.extend(log_lam_bin[det])
-        stoch = ~det & np.isfinite(log_lam_bin)
-        if stoch.any():
-            draws = rng.poisson(np.exp(log_lam_bin[stoch]))
-            hit = draws > 0
-            fits.extend(mids[stoch][hit])
-            counts.extend(np.log(draws[hit].astype(float)))
-    return np.asarray(fits), np.asarray(counts), log_w
+    if edges.size < 2:
+        return np.array([log_w]), np.zeros(1), log_w
+    log_g = np.asarray(log_tail(cfg.tail, edges))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mass = log_g[:-1] + np.log(-np.expm1(log_g[1:] - log_g[:-1]))
+    log_lam_bin = log_lambda + log_mass
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    det = log_lam_bin > math.log(cfg.mmm_poisson_threshold)
+    stoch = ~det & np.isfinite(log_lam_bin)
+    hit_fit = hit_count = np.empty(0)
+    if stoch.any():
+        draws = rng.poisson(np.exp(log_lam_bin[stoch]))
+        hit = draws > 0
+        hit_fit = mids[stoch][hit]
+        hit_count = np.log(draws[hit].astype(float))
+    fits = np.concatenate(([log_w], mids[det], hit_fit))
+    counts = np.concatenate(([0.0], log_lam_bin[det], hit_count))
+    return fits, counts, log_w
 
 
 def step_logdet(state: PopulationState, cfg: SimConfig, rng: np.random.Generator):

@@ -221,3 +221,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert "--beta" in proc.stderr
+
+    @pytest.mark.parametrize("log_f", ["nan", "inf"])
+    def test_non_finite_log_f_is_a_typed_error(self, log_f):
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchlab.cli", "simulate", "--model",
+             "mmm", "--log-f", log_f, "--t-max", "2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "log_f" in lines[0] and "Traceback" not in proc.stderr

@@ -1,0 +1,80 @@
+"""Golden-output guard: sha256 of small CLI outputs for fixed argv and seeds.
+
+A change meant to alter no behaviour (a refactor or a speedup) must leave
+every digest here unchanged.  A change that alters output on purpose
+updates the digests and says why.  The digests were recorded on x86-64
+Linux with NumPy 2.4; another libm or NumPy build may round differently.
+
+The mmm cases cover the class merge in ``simulate._rebuild``: an exact phase
+of off-grid classes handed to logdet mode, an early switch
+(``--exact-event-cap 1000``) that merges spectrum bins every generation,
+and a run in logdet mode from the first generation.
+"""
+import hashlib
+
+import pytest
+
+from branchlab.cli import main
+
+CASES = {
+    "fmm_exact_restarts": (
+        ["simulate", "--model", "fmm", "--tail", "pareto:alpha=3", "--beta", "0.9",
+         "--log-f", "0.1823215567939546", "--t-max", "20", "--replicas", "3",
+         "--seed", "5"],
+        ["0d8850b017efad767b0f23dbae0df8edc3784fc9e6b70f08c52578fb9fe78cd1",
+         "79367db1abd8966e2d67543ab96e9d960045bb0e68cad059bbdbf6e26040c713"],
+    ),
+    "fmm_logdet": (
+        ["simulate", "--model", "fmm", "--beta", "0.2", "--log-f", "40",
+         "--t-max", "30", "--replicas", "2", "--seed", "9"],
+        ["2218b658fe04b85755244c07e9972fb5d38bbfa080a4ef4aa780ad577b101eaa",
+         "cee8ba3829816b3e0d02663c387e038e51a850546ae2ab5437c671303b56a72b"],
+    ),
+    "mmm_exact_handover": (
+        ["simulate", "--model", "mmm", "--log-f", "0.6931471805599453",
+         "--t-max", "12", "--replicas", "2", "--seed", "3"],
+        ["2934c16c8f828353f481f77ff94da3f8d5157cb3502745f20ce0a0624c048600",
+         "7ec7dcc62adad7fdfc309d628fb6749099877d5898633d09b9d4789a0a6cf4fa"],
+    ),
+    "mmm_logdet_early_switch": (
+        ["simulate", "--model", "mmm", "--tail", "pareto:alpha=2", "--beta", "0.3",
+         "--log-f", "1", "--t-max", "30", "--replicas", "2", "--seed", "4",
+         "--exact-event-cap", "1000"],
+        ["7e929891007bbf19cce894f1d80d95458ba5fe6558c855cd74c9b9ba7c6642c5",
+         "3e92b8356ef4ec92f74d1de4e3ff30802df59518a750bb3bb979af4a3493a5b8"],
+    ),
+    "mmm_logdet": (
+        ["simulate", "--model", "mmm", "--log-f", "50", "--t-max", "60",
+         "--replicas", "2", "--seed", "1"],
+        ["b059216049ee89a09cb21bbae747b57487ad510e8634a7f5bc274d411485795c",
+         "f250707b1d47af5e10e7a3d3ba58545c1ccc50dd4ee6cb52090996c26ce4d177"],
+    ),
+    "nu": (
+        ["nu", "--alpha-min", "0.05", "--alpha-max", "10", "--points", "20",
+         "--log-grid"],
+        ["5f3553cc3b1006c6800387efdaaefaa665d9ce37c08e964d5599b8c36c3766cb"],
+    ),
+    "recurse_period": (
+        ["recurse", "--alpha", "1", "--t-max", "200", "--detect-period"],
+        ["724138fe9342fe32dd615e1d218bfd1c9027445a94c4f828cb81f0bfaaea16d3",
+         "fab03abea8528b0f859b92d22dca17242ad5e60b667d93758d586fe6dc32c99e"],
+    ),
+    "seed_ctex": (
+        ["seed-ctex", "--alpha", "1", "--phis", "1.3333333333333333,1.5,1.5"],
+        ["e36269cba6a6d494ccb738fba10a980acdcbc4d4ee1fd393e852961d2d7e20a0"],
+    ),
+}
+
+# second output file per subcommand, written beside --out
+_SIDE_FILE = {"simulate": ".summary.json", "recurse": ".period.json"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_digests(tmp_path, name):
+    argv, digests = CASES[name]
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    paths = [out]
+    if argv[0] in _SIDE_FILE:
+        paths.append(tmp_path / (name + _SIDE_FILE[argv[0]]))
+    assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == digests

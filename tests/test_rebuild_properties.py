@@ -1,0 +1,97 @@
+"""Property tests for the class merge in ``simulate._rebuild``.
+
+Keys are drawn from a small pool so duplicates are forced; both engine
+modes are covered.  Besides the invariants (descending unique keys,
+conserved totals, earliest birth per key), the merge is compared bitwise
+with ``_reference_rebuild``: the earlier ``np.unique`` plus per-entry
+``logaddexp`` loop, kept here as an independent oracle.
+"""
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from branchlab.simulate import MODE_EXACT, MODE_LOGDET, _rebuild
+
+_FINITE = st.floats(min_value=-50.0, max_value=700.0, allow_nan=False,
+                    allow_infinity=False)
+# log-counts of similar size, so a change of fold order shows in the bits
+_LOG_COUNT = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False,
+                       allow_infinity=False)
+
+
+def _reference_rebuild(log_fit, count, birth, mode):
+    """Merge by ``np.unique`` and an input-order loop; returns sorted arrays."""
+    log_fit = np.asarray(log_fit, dtype=float)
+    count = np.asarray(count)
+    birth = np.asarray(birth, dtype=np.int64)
+    if log_fit.size:
+        keys, inverse = np.unique(log_fit, return_inverse=True)
+        if keys.size != log_fit.size:
+            if mode == MODE_EXACT:
+                merged = np.zeros(keys.size, dtype=np.int64)
+                np.add.at(merged, inverse, count.astype(np.int64))
+            else:
+                merged = np.full(keys.size, -np.inf)
+                for pos, c in zip(inverse, count):
+                    merged[pos] = np.logaddexp(merged[pos], c)
+            first = np.full(keys.size, np.iinfo(np.int64).max, dtype=np.int64)
+            np.minimum.at(first, inverse, birth)
+            log_fit, count, birth = keys, merged, first
+        order = np.argsort(log_fit)[::-1]
+        log_fit, count, birth = log_fit[order], count[order], birth[order]
+    count = count.astype(np.int64 if mode == MODE_EXACT else float)
+    return log_fit, count, birth
+
+
+@st.composite
+def _classes(draw, mode):
+    """(log_fit, count, birth) with every key drawn from a pool of <= 6."""
+    pool = draw(st.lists(_FINITE, min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(min_value=1, max_value=40))
+    keys = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    if mode == MODE_EXACT:
+        counts = draw(st.lists(st.integers(0, 10**12), min_size=n, max_size=n))
+    else:
+        counts = draw(st.lists(_LOG_COUNT, min_size=n, max_size=n))
+    births = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n))
+    return np.array(keys), np.array(counts), np.array(births, dtype=np.int64)
+
+
+def _assert_invariants(state, log_fit, count, birth):
+    assert np.all(np.diff(state.log_fit) < 0)  # strictly descending, unique
+    assert set(state.log_fit.tolist()) == set(log_fit.tolist())
+    for key, first in zip(state.log_fit, state.birth):
+        assert first == birth[log_fit == key].min()
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_classes(MODE_EXACT))
+def test_exact_merge(classes):
+    log_fit, count, birth = classes
+    state = _rebuild(5, log_fit, count, birth, MODE_EXACT)
+    _assert_invariants(state, log_fit, count, birth)
+    assert int(state.count.sum()) == int(count.sum())
+    for got, want in zip((state.log_fit, state.count, state.birth),
+                         _reference_rebuild(log_fit, count, birth, MODE_EXACT)):
+        _assert_bitwise_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_classes(MODE_LOGDET))
+def test_logdet_merge(classes):
+    log_fit, count, birth = classes
+    state = _rebuild(5, log_fit, count, birth, MODE_LOGDET)
+    _assert_invariants(state, log_fit, count, birth)
+    m = count.max()
+    want_log_X = m + math.log(math.fsum(math.exp(c - m) for c in count))
+    assert math.isclose(state.log_X, want_log_X, rel_tol=1e-12, abs_tol=1e-9)
+    for got, want in zip((state.log_fit, state.count, state.birth),
+                         _reference_rebuild(log_fit, count, birth, MODE_LOGDET)):
+        _assert_bitwise_equal(got, want)

@@ -56,6 +56,11 @@ class TestConfig:
         with pytest.raises(DomainError):
             _cfg(exact_event_cap=0.0)
 
+    @pytest.mark.parametrize("log_f", [math.nan, math.inf, -math.inf])
+    def test_non_finite_log_f_rejected(self, log_f):
+        with pytest.raises(DomainError, match="log_f"):
+            _cfg(log_f=log_f)
+
 
 class TestStateRebuild:
     def test_exact_mode_merges_and_sorts(self):
