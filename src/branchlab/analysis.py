@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientOverlap, MissingHistory
+from .errors import DomainError, InsufficientOverlap
 from .recursion import ChiSeries
 from .simulate import RunRecord
 
@@ -54,10 +54,7 @@ def freq_from_run(record: RunRecord, t: int) -> FreqSnapshot:
 
     J_i = log W_i / log W_t and R_i = ((t-i) log W_i - log X_t)/log X_t over
     the generations i <= t that produced a mutant; points are re-sorted by J.
-    Raises MissingHistory when the run did not retain per-generation W.
     """
-    if record.log_W is None:
-        raise MissingHistory("run was configured without keep_w_history")
     if not 1 <= t <= len(record.t) - 2:
         raise DomainError(f"t must be in [1, {len(record.t) - 2}]")
     log_w_t = record.log_W[t]

@@ -8,7 +8,7 @@ distances), ``verify-lemmas`` (Monte Carlo bound checks).
 Every command accepts ``--config PATH`` (a JSON object of parameter values,
 loaded first and overridden by explicit flags) and writes UTF-8 CSV/JSON.
 Identical argv + config + seed give byte-identical outputs.  Exit codes:
-0 success, 1 failed verification suite, 2 usage error.
+0 success, 1 failed verification suite or typed error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -286,7 +286,7 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -389,19 +389,15 @@ def _sim_config(p, seed: int) -> simulate.SimConfig:
     )
 
 
-def _run_one(cfg: simulate.SimConfig) -> simulate.RunRecord:
-    return simulate.run(cfg)
-
-
 def _cmd_simulate(p) -> int:
     configs = [
         _sim_config(p, replica_seed(p["seed"], k)) for k in range(p["replicas"])
     ]
     if p["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
-            records = list(pool.map(_run_one, configs))
+            records = list(pool.map(simulate.run, configs))
     else:
-        records = [_run_one(cfg) for cfg in configs]
+        records = [simulate.run(cfg) for cfg in configs]
 
     rows = []
     for k, rec in enumerate(records):

@@ -29,8 +29,8 @@ class TooManyRestarts(BranchlabError, RuntimeError):
     """Survival conditioning gave up after too many extinct attempts."""
 
 
-class MissingHistory(BranchlabError, ValueError):
-    """The run was not configured to retain the data being requested."""
+class HorizonOverflow(BranchlabError, ArithmeticError):
+    """A run's log-domain totals overflowed float64 before its horizon."""
 
 
 class InsufficientOverlap(BranchlabError, ValueError):

@@ -2,8 +2,9 @@
 
 The growth exponent is nu = (1/T) log(T/alpha) where the integer horizon T
 is pinned down by the bracket (T-1)**T / T**(T-1) < alpha <= T**(T+1)/(T+1)**T.
-All power comparisons run through logarithms: T**(T+1) overflows 64-bit
-floats near T = 130.
+All power comparisons run through logarithms (``_log_crit``): T**(T+1)
+overflows 64-bit floats near T = 130.  As T**(T+1)/(T+1)**T is close to
+(T + 1/2)/e, ``period_T`` searches from floor(e*alpha), not from T = 1.
 """
 from __future__ import annotations
 
@@ -29,27 +30,33 @@ class GrowthLaw:
     is_critical: bool
 
 
+def _log_crit(t: int) -> float:
+    """log alpha_critical(t) = (t+1) log t - t log(t+1)."""
+    return (t + 1) * math.log(t) - t * math.log(t + 1)
+
+
 def period_T(alpha: float) -> int:
     """Integer horizon T for the given tail index.
 
-    Found by walking T upward until alpha <= T**(T+1)/(T+1)**T; the brackets
-    tile (0, inf) so the loop terminates.  The right boundary is inclusive.
+    T is the smallest t >= 1 with alpha <= t**(t+1)/(t+1)**t (the right
+    boundary is inclusive).  The search starts at floor(e*alpha), steps down
+    while the bracket of t-1 holds, then up until the bracket of t holds:
+    a few steps for any alpha.
     """
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
     log_a = math.log(alpha)
-    t = 1
-    while True:
-        log_crit = (t + 1) * math.log(t) - t * math.log(t + 1)
-        if log_a <= log_crit + _BOUNDARY_RTOL:
-            return t
+    t = max(1, int(math.e * alpha))
+    while t > 1 and log_a <= _log_crit(t - 1) + _BOUNDARY_RTOL:
+        t -= 1
+    while not log_a <= _log_crit(t) + _BOUNDARY_RTOL:
         t += 1
+    return t
 
 
 def nu(alpha: float) -> float:
     """Growth exponent nu(alpha) = (1/T) log(T/alpha)."""
-    t = period_T(alpha)
-    return (math.log(t) - math.log(alpha)) / t
+    return growth_law(alpha).nu
 
 
 def nu_bruteforce(alpha: float, m_max: int) -> tuple[float, set[int]]:
@@ -73,7 +80,7 @@ def alpha_critical(T: int) -> float:
     """Critical tail index T**(T+1)/(T+1)**T, evaluated in log domain."""
     if T < 1:
         raise DomainError("T must be >= 1")
-    return math.exp((T + 1) * math.log(T) - T * math.log(T + 1))
+    return math.exp(_log_crit(T))
 
 
 def nu_continuous_approx(alpha: float) -> float:
@@ -88,9 +95,9 @@ def nu_continuous_approx(alpha: float) -> float:
 def growth_law(alpha: float) -> GrowthLaw:
     """Bundle T, nu, and the criticality flag for one tail index."""
     t = period_T(alpha)
-    log_crit = (t + 1) * math.log(t) - t * math.log(t + 1)
-    critical = abs(math.log(alpha) - log_crit) <= _BOUNDARY_RTOL
-    return GrowthLaw(alpha=alpha, T=t, nu=nu(alpha), is_critical=critical)
+    log_a = math.log(alpha)
+    critical = abs(log_a - _log_crit(t)) <= _BOUNDARY_RTOL
+    return GrowthLaw(alpha=alpha, T=t, nu=(math.log(t) - log_a) / t, is_critical=critical)
 
 
 def sweep(alpha_min: float, alpha_max: float, points: int, log_grid: bool = True):
@@ -107,8 +114,7 @@ def sweep(alpha_min: float, alpha_max: float, points: int, log_grid: bool = True
         grid = np.linspace(alpha_min, alpha_max, points)
     rows = []
     for a in grid:
-        a = float(a)
-        n = nu(a)
-        approx = nu_continuous_approx(a)
-        rows.append((a, period_T(a), n, approx, abs(approx / n - 1.0)))
+        law = growth_law(float(a))
+        approx = nu_continuous_approx(law.alpha)
+        rows.append((law.alpha, law.T, law.nu, approx, abs(approx / law.nu - 1.0)))
     return rows

@@ -63,18 +63,7 @@ class SeedSequence:
         """log a_t for a single generation t >= 1."""
         if t < 1:
             raise DomainError("seed index starts at 1")
-        if self.kind == "linear":
-            return math.log(t)
-        if self.kind == "half":
-            return math.log(t) - math.log(2.0)
-        if self.kind == "explicit":
-            if t <= len(self.values):
-                return math.log(self.values[t - 1])
-            return LOG_SEED_FLOOR
-        # ctex: a_t = max over 0 <= i < T of (T - i + t - 1)/alpha * psi_i
-        log_psi = np.concatenate(([0.0], np.cumsum(np.log(self.phi[:-1]))))
-        i = np.arange(len(self.phi))
-        return float(np.max(np.log(len(self.phi) - i + t - 1) - math.log(self.alpha) + log_psi))
+        return float(self.log_a_array(t)[t])
 
     def log_a_array(self, t_max: int) -> np.ndarray:
         """Padded array with entry t = log a_t for 1 <= t <= t_max."""
@@ -235,47 +224,44 @@ def detect_period(series: ChiSeries, tol: float = 1e-9) -> tuple[int, np.ndarray
     return t1, cycle
 
 
+def _check_multipliers(phi: np.ndarray, target: float, rtol: float) -> None:
+    """Raise ConstraintViolation unless all T = len(phi) multipliers lie in
+    [(T+1)/T, T/(T-1)] and their product equals target, both to relative rtol."""
+    T = len(phi)
+    lo = (T + 1) / T
+    hi = T / (T - 1) if T > 1 else math.inf
+    if np.any(phi < lo * (1 - rtol)) or np.any(phi > hi * (1 + rtol)):
+        raise ConstraintViolation(f"multipliers {phi} leave the admissible box [{lo}, {hi}]")
+    prod = float(np.prod(phi))
+    if abs(prod / target - 1.0) > rtol:
+        raise ConstraintViolation(
+            f"multiplier product {prod} differs from {target} beyond {rtol:g} relative")
+
+
 def extract_phi(cycle, nu: float, alpha: float | None = None) -> np.ndarray:
     """Cycle multipliers phi_k = C_k e^nu / C_{k-1}, validated.
 
     Each multiplier must lie in [(T+1)/T, T/(T-1)] and the product must equal
-    exp(nu*T) (equivalently T/alpha when alpha is supplied) to 1e-9 relative;
-    violations raise ConstraintViolation.
+    exp(nu*T) (equivalently T/alpha when alpha is supplied), both to 1e-9
+    relative; as the box ends are at most 2, the box slack is at most 2e-9
+    absolute.  Violations raise ConstraintViolation.
     """
     cycle = np.asarray(cycle, dtype=float)
     T = len(cycle)
     if T < 1:
         raise ConstraintViolation("cycle is empty")
     phi = np.exp(cycle + nu - np.roll(cycle, 1))
-    lo = (T + 1) / T
-    hi = T / (T - 1) if T > 1 else math.inf
-    if np.any(phi < lo - 1e-9) or np.any(phi > hi + 1e-9):
-        raise ConstraintViolation(
-            f"multipliers {phi} leave the admissible box [{lo}, {hi}]"
-        )
     target = T / alpha if alpha is not None else math.exp(nu * T)
-    prod = float(np.prod(phi))
-    if abs(prod / target - 1.0) > 1e-9:
-        raise ConstraintViolation(
-            f"multiplier product {prod} differs from {target} beyond 1e-9 relative"
-        )
+    _check_multipliers(phi, target, 1e-9)
     return phi
 
 
-def _validate_phi(alpha: float, phi, rtol: float = 1e-12) -> tuple[float, ...]:
+def _validate_phi(alpha: float, phi) -> tuple[float, ...]:
     T = period_T(alpha)
     phi = tuple(float(p) for p in phi)
     if len(phi) != T:
         raise ConstraintViolation(f"need exactly T={T} multipliers for alpha={alpha}")
-    lo = (T + 1) / T
-    hi = T / (T - 1) if T > 1 else math.inf
-    if any(p < lo * (1 - rtol) for p in phi) or any(p > hi * (1 + rtol) for p in phi):
-        raise ConstraintViolation(f"multipliers {phi} leave [{lo}, {hi}]")
-    prod = math.prod(phi)
-    if abs(prod / (T / alpha) - 1.0) > rtol:
-        raise ConstraintViolation(
-            f"multiplier product {prod} must equal T/alpha = {T / alpha}"
-        )
+    _check_multipliers(np.array(phi), T / alpha, 1e-12)
     return phi
 
 

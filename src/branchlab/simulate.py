@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, TooManyRestarts
+from .errors import CapExceeded, DomainError, HorizonOverflow, TooManyRestarts
 from .tails import TailModel, inverse_log_tail, log_tail, sample_fitness, sample_max_of_n
 
 MODE_EXACT = "exact"
@@ -53,7 +53,6 @@ class SimConfig:
     mmm_bins_per_decade: int = 8
     mmm_poisson_threshold: float = 1e4
     restart_on_extinction: bool = True
-    keep_w_history: bool = True
 
     def __post_init__(self):
         if self.model not in ("fmm", "mmm"):
@@ -109,7 +108,7 @@ class RunRecord:
     config: SimConfig
     t: np.ndarray
     log_X: np.ndarray
-    log_W: np.ndarray | None  # None when keep_w_history is off
+    log_W: np.ndarray
     n_classes: np.ndarray
     mode: np.ndarray  # 0 exact, 1 logdet
     dominant_age: np.ndarray
@@ -290,7 +289,8 @@ def mutant_spectrum(log_lambda: float, cfg: SimConfig, rng: np.random.Generator)
     log_w = sample_fittest_mutant(log_lambda, cfg.tail, rng)
     if log_w == -np.inf:
         return np.empty(0), np.empty(0), -np.inf
-    edges = _spectrum_edges(cfg.mmm_bins_per_decade, log_w)
+    # an overflowed top (+inf) enters alone; _attempt then reports the overflow
+    edges = _spectrum_edges(cfg.mmm_bins_per_decade, log_w) if log_w < np.inf else np.empty(0)
     if edges.size < 2:
         return np.array([log_w]), np.zeros(1), log_w
     log_g = np.asarray(log_tail(cfg.tail, edges))
@@ -352,23 +352,31 @@ def _generation_rng(base_seed: int, t: int) -> np.random.Generator:
 
 
 def _attempt(cfg: SimConfig, base_seed: int):
-    """One survival attempt; returns (rows, extinct_t)."""
+    """One survival attempt; returns (rows, extinct_t).
+
+    Raises HorizonOverflow when log X or the log fitness sum turns NaN or
+    +inf (-inf is extinction); numpy's overflow warnings are silenced.
+    """
     state = initial_state(cfg)
     rows = [(0, state.log_X, -np.inf, state.n_classes, 0, state.dominant_age())]
-    for _ in range(cfg.t_max):
-        rng = _generation_rng(base_seed, state.t + 1)
-        if state.mode == MODE_EXACT and state.log_fitsum > math.log(cfg.exact_event_cap):
-            state = to_logdet(state)
-        if state.mode == MODE_EXACT:
-            state, log_w = step_exact(state, cfg, rng)
-        else:
-            state, log_w = step_logdet(state, cfg, rng)
-        rows.append((
-            state.t, state.log_X, log_w, state.n_classes,
-            0 if state.mode == MODE_EXACT else 1, state.dominant_age(),
-        ))
-        if state.extinct:
-            return rows, state.t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.t_max):
+            rng = _generation_rng(base_seed, state.t + 1)
+            if state.mode == MODE_EXACT and state.log_fitsum > math.log(cfg.exact_event_cap):
+                state = to_logdet(state)
+            if state.mode == MODE_EXACT:
+                state, log_w = step_exact(state, cfg, rng)
+            else:
+                state, log_w = step_logdet(state, cfg, rng)
+            if not (state.log_X < math.inf and state.log_fitsum < math.inf):
+                raise HorizonOverflow(f"log-fitness overflows float64 at generation {state.t}; "
+                                      f"use t_max < {state.t}")
+            rows.append((
+                state.t, state.log_X, log_w, state.n_classes,
+                0 if state.mode == MODE_EXACT else 1, state.dominant_age(),
+            ))
+            if state.extinct:
+                return rows, state.t
     return rows, None
 
 
@@ -387,7 +395,7 @@ def run(cfg: SimConfig) -> RunRecord:
                 config=cfg,
                 t=np.array(cols[0], dtype=np.int64),
                 log_X=np.array(cols[1]),
-                log_W=np.array(cols[2]) if cfg.keep_w_history else None,
+                log_W=np.array(cols[2]),
                 n_classes=np.array(cols[3], dtype=np.int64),
                 mode=np.array(cols[4], dtype=np.int8),
                 dominant_age=np.array(cols[5], dtype=np.int64),

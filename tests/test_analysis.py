@@ -12,7 +12,7 @@ from branchlab.analysis import (
     homogeneous_curve,
     loglog_slope,
 )
-from branchlab.errors import DomainError, InsufficientOverlap, MissingHistory
+from branchlab.errors import DomainError, InsufficientOverlap
 from branchlab.growth import growth_law
 from branchlab.recursion import SeedSequence, build_ctex_seed, solve_chi
 from branchlab.simulate import SimConfig, run
@@ -72,12 +72,6 @@ class TestFreqFromRun:
         # simulated decomposition: the dominant class carries almost all
         # of X, so the largest R sits near 0 without being an identity
         assert abs(snap.R.max()) <= 0.01
-
-    def test_missing_history_raises(self):
-        rec = run(SimConfig(model="fmm", tail=PARETO1, beta=0.1, log_f=50.0,
-                            t_max=5, seed=5, keep_w_history=False))
-        with pytest.raises(MissingHistory):
-            freq_from_run(rec, 3)
 
     def test_matches_recursion_pointwise_by_birth_index(self):
         # large founder: simulated R per birth generation tracks the

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from branchlab.cli import Config, dispatch, main, parse_args, replica_seed, splitmix64
+from branchlab.cli import (
+    Config, _write_json, dispatch, main, parse_args, replica_seed, splitmix64,
+)
 from branchlab.errors import UsageError
 
 
@@ -75,6 +77,10 @@ class TestSeedDerivation:
 
 
 class TestOutputs:
+    def test_json_writer_refuses_non_finite_values(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(str(tmp_path / "x.json"), {"slope": math.nan})
+
     def test_nu_sweep_csv(self, tmp_path):
         out = tmp_path / "nu.csv"
         assert _run_main(["nu", "--alpha-min", "0.05", "--alpha-max", "10",
@@ -221,6 +227,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert "--beta" in proc.stderr
+
+    def test_horizon_overflow_is_a_typed_error(self, tmp_path):
+        out = tmp_path / "run.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchlab.cli", "simulate", "--model", "fmm",
+             "--tail", "pareto:alpha=0.3", "--log-f", "50", "--t-max", "700",
+             "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "generation" in lines[0] and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("log_f", ["nan", "inf"])
     def test_non_finite_log_f_is_a_typed_error(self, log_f):

@@ -8,7 +8,10 @@ Linux with NumPy 2.4; another libm or NumPy build may round differently.
 The mmm cases cover the class merge in ``simulate._rebuild``: an exact phase
 of off-grid classes handed to logdet mode, an early switch
 (``--exact-event-cap 1000``) that merges spectrum bins every generation,
-and a run in logdet mode from the first generation.
+and a run in logdet mode from the first generation.  ``fmm_logdet_jobs2``
+repeats ``fmm_logdet`` on two worker processes and must match it byte for
+byte.  ``nu_large_alpha`` reaches horizons T of about 54000, where the
+search in ``growth.period_T`` starts far from T = 1.
 """
 import hashlib
 
@@ -49,10 +52,35 @@ CASES = {
         ["b059216049ee89a09cb21bbae747b57487ad510e8634a7f5bc274d411485795c",
          "f250707b1d47af5e10e7a3d3ba58545c1ccc50dd4ee6cb52090996c26ce4d177"],
     ),
+    "fmm_logdet_jobs2": (
+        ["simulate", "--model", "fmm", "--beta", "0.2", "--log-f", "40",
+         "--t-max", "30", "--replicas", "2", "--seed", "9", "--jobs", "2"],
+        ["2218b658fe04b85755244c07e9972fb5d38bbfa080a4ef4aa780ad577b101eaa",
+         "cee8ba3829816b3e0d02663c387e038e51a850546ae2ab5437c671303b56a72b"],
+    ),
     "nu": (
         ["nu", "--alpha-min", "0.05", "--alpha-max", "10", "--points", "20",
          "--log-grid"],
         ["5f3553cc3b1006c6800387efdaaefaa665d9ce37c08e964d5599b8c36c3766cb"],
+    ),
+    "nu_large_alpha": (
+        ["nu", "--alpha-min", "0.05", "--alpha-max", "2e4", "--points", "40",
+         "--log-grid"],
+        ["f8e7f6461e2fda1b50128b54da6e4245bb4da100ffd0d8b4a69462c8b778c04c"],
+    ),
+    "freq_recursion": (
+        ["freq", "--from", "recursion", "--alpha", "1", "--t", "20,40,41"],
+        ["2206f372b05c9d9e088f275860f77c35f44234aa849f39875e1717fc7162d87b",
+         "6c1cba296667fb80061a76f2671deb52b211328a9d918859f3ba215d75f0d223"],
+    ),
+    "freq_run": (
+        ["freq", "--from", "run", "--t", "5,10", "--seed", "5"],
+        ["6ca0fedb4f31097c92e76d7304d52808218f12edfba4c4d0ffd29c0836ebc761",
+         "4ad7c5d0749e95489593bebedf5e40ab201a9d69183fafcabc5067d325a0b883"],
+    ),
+    "collapse": (
+        ["collapse", "--alpha", "1", "--t-pairs", "300:303,300:301"],
+        ["3a6b8b17a5e94a130b536ea02ecc18d3746dfb564825d34bdf854cc9696ba4c6"],
     ),
     "recurse_period": (
         ["recurse", "--alpha", "1", "--t-max", "200", "--detect-period"],
@@ -66,7 +94,7 @@ CASES = {
 }
 
 # second output file per subcommand, written beside --out
-_SIDE_FILE = {"simulate": ".summary.json", "recurse": ".period.json"}
+_SIDE_FILE = {"simulate": ".summary.json", "recurse": ".period.json", "freq": ".p.csv"}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -242,10 +242,15 @@ class TestCtexSeeds:
             build_ctex_seed(1.0, [1.4, 1.5, 1.5])  # wrong product
 
     def test_array_and_scalar_seed_values_agree(self):
-        seed = build_ctex_seed(1.0, [4.0 / 3.0, 1.5, 1.5])
+        # against the defining formula in linear domain:
+        # a_t = max over 0 <= i < T of (T - i + t - 1)/alpha * psi_i
+        alpha, phi = 1.0, [4.0 / 3.0, 1.5, 1.5]
+        seed = build_ctex_seed(alpha, phi)
         arr = seed.log_a_array(30)
         for t in range(1, 31):
-            assert arr[t] == pytest.approx(seed.log_a(t), rel=1e-14)
+            direct = max((3 - i + t - 1) / alpha * math.prod(phi[:i]) for i in range(3))
+            assert math.exp(arr[t]) == pytest.approx(direct, rel=1e-14)
+            assert seed.log_a(t) == arr[t]
 
 
 class TestVerifyIndu:

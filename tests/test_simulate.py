@@ -4,11 +4,12 @@ Statistical assertions use fixed seeds and three-sigma Monte Carlo margins;
 distributional laws are checked against closed-form CDFs by inversion.
 """
 import math
+import re
 
 import numpy as np
 import pytest
 
-from branchlab.errors import CapExceeded, DomainError, TooManyRestarts
+from branchlab.errors import CapExceeded, DomainError, HorizonOverflow, TooManyRestarts
 from branchlab.simulate import (
     MODE_EXACT,
     MODE_LOGDET,
@@ -279,9 +280,16 @@ class TestRun:
         assert np.array_equal(a.n_classes, b.n_classes)
         assert np.array_equal(a.dominant_age, b.dominant_age)
 
-    def test_w_history_can_be_dropped(self):
-        rec = run(_cfg(t_max=2, keep_w_history=False))
-        assert rec.log_W is None
+    @pytest.mark.parametrize("model", ["fmm", "mmm"])
+    def test_horizon_overflow_names_the_generation(self, model):
+        # nu(0.3) = -log 0.3, so log X passes float64 near t = 590; the run
+        # must stop there with a typed error, not carry NaN rows on
+        tail = TailModel("pareto", 0.3)
+        with pytest.raises(HorizonOverflow) as info:
+            run(_cfg(model=model, tail=tail, t_max=700))
+        bad_t = int(re.search(r"generation (\d+)", str(info.value)).group(1))
+        rec = run(_cfg(model=model, tail=tail, t_max=bad_t - 1))
+        assert np.all(np.isfinite(rec.log_X[1:]))
 
     def test_mode_switch_consistency(self):
         # same seed, hybrid vs pure exact: log X within 1 percent two
