@@ -42,6 +42,7 @@ from .simulate import (
     PopulationState,
     RunRecord,
     SimConfig,
+    fittest_mutant_ks,
     heuristic_wt,
     mc_verify_galton,
     mc_verify_tdg,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, growth, recursion, simulate
-from .errors import BranchlabError, UsageError
-from .tails import log_tail, parse_tail_model
+from .errors import BranchlabError, HorizonOverflow, UsageError
+from .tails import parse_tail_model
 
 _ENV_SEED = "BRANCHLAB_SEED"
 _MASK64 = (1 << 64) - 1
@@ -113,7 +113,8 @@ _SCHEMAS: dict[str, list[_Field]] = {
         _Field("seed", "int"),
         _Field("replicas", "int", default=1, check=_at_least("replicas", 1)),
         _Field("jobs", "int", default=1, check=_at_least("jobs", 1)),
-        _Field("exact_event_cap", "float", default=1e7, check=_positive("exact-event-cap")),
+        _Field("exact_event_cap", "float", default=1e7, check=_positive("exact-event-cap"),
+               help="expected events per generation before logdet mode (at most 1e18; mmm 1e8)"),
         _Field("mmm_bins_per_decade", "int", default=8,
                check=_at_least("mmm-bins-per-decade", 1)),
         _Field("mmm_poisson_threshold", "float", default=1e4,
@@ -359,6 +360,19 @@ def _cmd_recurse(p) -> int:
     return 0
 
 
+def _seed_values(seed: recursion.SeedSequence, t_show: int) -> list[float]:
+    """a_1 .. a_t_show in linear scale; HorizonOverflow names the first a_t past float64."""
+    values = []
+    for t in range(1, t_show + 1):
+        log_a = seed.log_a(t)
+        try:
+            values.append(math.exp(log_a))
+        except OverflowError:
+            raise HorizonOverflow(f"seed value a_{t} = exp({log_a:.6g}) overflows float64; "
+                                  f"use t_max < {t}") from None
+    return values
+
+
 def _cmd_seed_ctex(p) -> int:
     seed = recursion.build_ctex_seed(p["alpha"], p["phis"])
     check = recursion.verify_indu(p["alpha"], p["phis"], p["t_max"])
@@ -366,7 +380,7 @@ def _cmd_seed_ctex(p) -> int:
     payload = {
         "alpha": p["alpha"],
         "phi": [float(v) for v in seed.phi],
-        "a": [math.exp(seed.log_a(t)) for t in range(1, t_show + 1)],
+        "a": _seed_values(seed, t_show),
         "indu_ok": check.ok,
         "first_failing_t": check.first_failing_t,
     }
@@ -509,7 +523,7 @@ def _cmd_verify_lemmas(p) -> int:
     for alpha in (1.0, 2.0):
         model = parse_tail_model(f"pareto:alpha={alpha}")
         draws = simulate.sample_fittest_mutant(0.0, model, rng, size=replicas)
-        ks = _fittest_mutant_ks(np.atleast_1d(draws), model, 1.0)
+        ks = simulate.fittest_mutant_ks(np.atleast_1d(draws), model, 1.0)
         checks.append((f"fittest-mutant-law-ks-alpha-{alpha:g}", ks, ks_crit, ks <= ks_crit))
 
     width = max(len(name) for name, *_ in checks)
@@ -520,20 +534,6 @@ def _cmd_verify_lemmas(p) -> int:
         print(f"{name.ljust(width)}  {value:12.6f}  {target:12.6f}  "
               f"{'pass' if ok else 'FAIL'}")
     return 0 if ok_all else 1
-
-
-def _fittest_mutant_ks(log_w: np.ndarray, model, lam: float) -> float:
-    """One-sample KS against CDF exp(-lam*G), atom at -inf handled exactly."""
-    n = log_w.size
-    atoms = int(np.count_nonzero(~np.isfinite(log_w)))
-    d = abs(atoms / n - math.exp(-lam))
-    finite = np.sort(log_w[np.isfinite(log_w)])
-    cdf = np.exp(-lam * np.exp(np.asarray(log_tail(model, finite))))
-    hi = (atoms + np.arange(1, finite.size + 1)) / n
-    lo = (atoms + np.arange(0, finite.size)) / n
-    if finite.size:
-        d = max(d, float(np.max(np.abs(hi - cdf))), float(np.max(np.abs(lo - cdf))))
-    return d
 
 
 _DISPATCH = {

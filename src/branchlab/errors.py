@@ -30,7 +30,7 @@ class TooManyRestarts(BranchlabError, RuntimeError):
 
 
 class HorizonOverflow(BranchlabError, ArithmeticError):
-    """A run's log-domain totals overflowed float64 before its horizon."""
+    """A value overflowed float64 before the requested horizon."""
 
 
 class InsufficientOverlap(BranchlabError, ValueError):

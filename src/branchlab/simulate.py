@@ -33,6 +33,14 @@ MAX_RESTARTS = 10_000
 # correction; the error is invisible in log domain.
 _NORMAL_APPROX_MEAN = 1e9
 
+# Exact counts are int64.  An exact generation starts with at most
+# exact_event_cap expected events, so its survivors total about
+# (1-beta) * cap; 1e18 keeps that below 2**63 (about 9.2e18).
+MAX_EXACT_EVENT_CAP = 1e18
+# Exact MMM keeps one class per mutant, so one exact generation can add
+# about beta * exact_event_cap classes; this bound keeps that within memory.
+MMM_MAX_EXACT_EVENT_CAP = 1e8
+
 # logdet classes decayed below this count are dropped; a decaying class
 # (fitness below 1/(1-beta)) can never grow back.
 _COUNT_FLOOR = 1e-12
@@ -65,6 +73,10 @@ class SimConfig:
             raise DomainError("t_max must be >= 0")
         if self.exact_event_cap <= 0 or self.mmm_poisson_threshold <= 0:
             raise DomainError("caps must be positive")
+        cap_max = MMM_MAX_EXACT_EVENT_CAP if self.model == "mmm" else MAX_EXACT_EVENT_CAP
+        if not self.exact_event_cap <= cap_max:
+            raise DomainError(f"{self.model} exact_event_cap must be <= {cap_max:g}, "
+                              f"got {self.exact_event_cap:g}")
         if self.mmm_bins_per_decade < 1:
             raise DomainError("mmm_bins_per_decade must be >= 1")
 
@@ -98,7 +110,7 @@ class PopulationState:
         """Age of the largest class, -1 when the population is empty."""
         if self.n_classes == 0:
             return -1
-        return int(self.t - self.birth[int(np.argmax(self.count))])
+        return int(self.t - self.birth[self.count.argmax()])
 
 
 @dataclass
@@ -123,12 +135,21 @@ def _logsumexp(values: np.ndarray) -> float:
     m = float(values.max())
     if m == -np.inf:
         return -np.inf
-    return m + math.log(float(np.sum(np.exp(values - m))))
+    return m + math.log(float(np.exp(values - m).sum()))
 
 
 def _poisson(rng: np.random.Generator, lam) -> np.ndarray:
-    """Poisson draws as floats; normal approximation above 1e9 mean."""
+    """Poisson draws for an array of means, in the order given.
+
+    When no mean passes ``_NORMAL_APPROX_MEAN`` this is one ``rng.poisson``
+    call and returns int64.  Otherwise the means above it draw first, from a
+    rounded normal with continuity correction, the rest draw Poisson after
+    them, and the result is float.  A NaN mean takes the second path and
+    fails in ``rng.poisson``.
+    """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lam.size == 0 or lam.max() <= _NORMAL_APPROX_MEAN:
+        return rng.poisson(lam)
     out = np.empty(lam.shape)
     big = lam > _NORMAL_APPROX_MEAN
     if big.any():
@@ -153,12 +174,12 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
     log_fit = np.asarray(log_fit, dtype=float)
     birth = np.asarray(birth, dtype=np.int64)
     if mode == MODE_EXACT:
-        count = np.asarray(count).astype(np.int64)
+        count = np.asarray(count).astype(np.int64, copy=False)
         fold = np.add
     else:
         count = np.asarray(count, dtype=float)
         fold = np.logaddexp
-    if log_fit.size:
+    if log_fit.size > 1:
         order = np.argsort(-log_fit, kind="stable")
         log_fit = log_fit[order]
         starts = np.flatnonzero(np.concatenate(([True], log_fit[1:] != log_fit[:-1])))
@@ -166,7 +187,8 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
         count = fold.reduceat(count[order], starts)
         birth = np.minimum.reduceat(birth[order], starts)
     if mode == MODE_EXACT:
-        log_X = math.log(float(count.sum())) if count.size and count.sum() > 0 else -np.inf
+        total = count.sum()
+        log_X = math.log(float(total)) if total > 0 else -np.inf
         with np.errstate(divide="ignore"):
             log_counts = np.log(count.astype(float))
     else:
@@ -180,13 +202,20 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
 
 
 def initial_state(cfg: SimConfig) -> PopulationState:
-    """Single founder individual at the configured log-fitness."""
-    return _rebuild(
-        0,
-        np.array([cfg.log_f]),
-        np.array([1], dtype=np.int64),
-        np.array([0], dtype=np.int64),
-        MODE_EXACT,
+    """Single founder individual at the configured log-fitness.
+
+    Built directly, with the totals ``_rebuild`` gives one class of count 1:
+    log X = 0 and log fitness sum = log_f (``+ 0.0`` turns -0.0 into 0.0,
+    as its log-sum-exp does).
+    """
+    return PopulationState(
+        t=0,
+        log_fit=np.array([cfg.log_f], dtype=float),
+        count=np.ones(1, dtype=np.int64),
+        birth=np.zeros(1, dtype=np.int64),
+        mode=MODE_EXACT,
+        log_X=0.0,
+        log_fitsum=cfg.log_f + 0.0,
     )
 
 
@@ -219,6 +248,24 @@ def sample_fittest_mutant(log_lambda: float, tail: TailModel, rng: np.random.Gen
     return float(out[0]) if scalar else out
 
 
+def fittest_mutant_ks(log_w: np.ndarray, tail: TailModel, lam: float) -> float:
+    """One-sample KS distance of log W draws from the law exp(-lam*G).
+
+    Non-finite draws count toward the atom at -inf, whose mass is exp(-lam);
+    the finite draws are compared with the continuous part of the CDF.
+    """
+    n = log_w.size
+    atoms = int(np.count_nonzero(~np.isfinite(log_w)))
+    d = abs(atoms / n - math.exp(-lam))
+    finite = np.sort(log_w[np.isfinite(log_w)])
+    cdf = np.exp(-lam * np.exp(np.asarray(log_tail(tail, finite))))
+    hi = (atoms + np.arange(1, finite.size + 1)) / n
+    lo = (atoms + np.arange(0, finite.size)) / n
+    if finite.size:
+        d = max(d, float(np.max(np.abs(hi - cdf))), float(np.max(np.abs(lo - cdf))))
+    return d
+
+
 def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator):
     """One exact generation; returns (next_state, log_w_added).
 
@@ -241,7 +288,8 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     events = math.exp(state.log_fitsum)
     # mutants are drawn before survivors: paired runs then share the
     # most influential draws when fed per-generation substreams
-    m = int(_poisson(rng, cfg.beta * events)[0])
+    mean = cfg.beta * events
+    m = int(rng.poisson(mean) if mean <= _NORMAL_APPROX_MEAN else _poisson(rng, mean)[0])
     log_w = -np.inf
     mutant_fit = np.empty(0)
     if m >= 1:
@@ -251,8 +299,8 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
         else:
             mutant_fit = np.atleast_1d(sample_fitness(cfg.tail, rng, size=m))
             log_w = float(mutant_fit.max())
-    lam = (1.0 - cfg.beta) * state.count.astype(float) * np.exp(state.log_fit)
-    survivors = _poisson(rng, lam).astype(np.int64)
+    lam = (1.0 - cfg.beta) * state.count * np.exp(state.log_fit)
+    survivors = _poisson(rng, lam).astype(np.int64, copy=False)
 
     keep = survivors > 0
     n_new = mutant_fit.size
@@ -347,6 +395,9 @@ def _generation_rng(base_seed: int, t: int) -> np.random.Generator:
     Common-random-numbers discipline: paired runs with the same seed draw
     from identical substreams each generation, so their fittest-mutant
     uniforms coincide even after the streams would otherwise desynchronize.
+
+    Seeding a fresh ``SeedSequence`` per generation is the stream contract,
+    so this call is the cost floor of one exact generation.
     """
     return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(t,)))
 
@@ -357,12 +408,13 @@ def _attempt(cfg: SimConfig, base_seed: int):
     Raises HorizonOverflow when log X or the log fitness sum turns NaN or
     +inf (-inf is extinction); numpy's overflow warnings are silenced.
     """
+    log_cap = math.log(cfg.exact_event_cap)
     state = initial_state(cfg)
     rows = [(0, state.log_X, -np.inf, state.n_classes, 0, state.dominant_age())]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.t_max):
             rng = _generation_rng(base_seed, state.t + 1)
-            if state.mode == MODE_EXACT and state.log_fitsum > math.log(cfg.exact_event_cap):
+            if state.mode == MODE_EXACT and state.log_fitsum > log_cap:
                 state = to_logdet(state)
             if state.mode == MODE_EXACT:
                 state, log_w = step_exact(state, cfg, rng)

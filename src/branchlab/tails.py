@@ -23,6 +23,7 @@ FAMILIES = ("pareto", "paretolog")
 
 _NEWTON_MAX_ITER = 200
 _NEWTON_FAIL = 1e-10
+_POSITIVE_LOG_G = "log tail probability must be <= 0"
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,14 @@ def inverse_log_tail(model: TailModel, log_g) -> float | np.ndarray:
     Raises NonConvergence if the residual stays above the failure threshold,
     which signals a degenerate model parameterization.
     """
+    if model.family == "pareto" and isinstance(log_g, float):
+        # a float (np.float64 included) takes no array round trip
+        if log_g > 0:
+            raise DomainError(_POSITIVE_LOG_G)
+        return float(-log_g / model.alpha)
     log_g = _as_array(log_g)
     if np.any(log_g > 0):
-        raise DomainError("log tail probability must be <= 0")
+        raise DomainError(_POSITIVE_LOG_G)
     if model.family == "pareto":
         return _maybe_scalar(-log_g / model.alpha, log_g)
 
@@ -178,6 +184,11 @@ def sample_max_of_n(model: TailModel, n: int, rng: np.random.Generator, size=Non
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    if size is None:
+        # one float through the same ufuncs, without the array round trip
+        v = rng.random()
+        log_v = np.log(v) if v > 0.0 else -np.inf
+        return inverse_log_tail(model, min(np.log(-np.expm1(log_v / n)), 0.0))
     v = rng.random(size)
     with np.errstate(divide="ignore"):
         log_g = np.log(-np.expm1(np.log(v) / n))

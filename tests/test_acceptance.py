@@ -152,6 +152,8 @@ def test_criterion_08_sampler_law():
         model = TailModel("pareto", a)
         draws = np.asarray(bl.sample_fittest_mutant(0.0, model, rng, size=10**5))
         ks, atom = _ks_fittest_mutant(draws, model, 1.0)
+        # the library statistic behind verify-lemmas agrees with this oracle
+        ok &= math.isclose(bl.fittest_mutant_ks(draws, model, 1.0), ks, rel_tol=1e-12)
         sigma = math.sqrt(math.exp(-1.0) * (1 - math.exp(-1.0)) / 10**5)
         ok &= ks <= 0.01 and abs(atom - math.exp(-1.0)) <= 3 * sigma
         details.append(f"alpha={a:g}: KS={ks:.4f}, atom err={abs(atom - math.exp(-1.0)):.4f}")

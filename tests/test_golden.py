@@ -11,12 +11,18 @@ of off-grid classes handed to logdet mode, an early switch
 and a run in logdet mode from the first generation.  ``fmm_logdet_jobs2``
 repeats ``fmm_logdet`` on two worker processes and must match it byte for
 byte.  ``nu_large_alpha`` reaches horizons T of about 54000, where the
-search in ``growth.period_T`` starts far from T = 1.
+search in ``growth.period_T`` starts far from T = 1.  ``fmm_exact_big_means``
+raises the exact-mode cap to 1e18, so exact generations draw the mutant
+count and some survivor counts from Poisson means above 1e9, where
+``simulate._poisson`` falls back to its normal approximation.
 """
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
+from branchlab import simulate
 from branchlab.cli import main
 
 CASES = {
@@ -51,6 +57,12 @@ CASES = {
          "--replicas", "2", "--seed", "1"],
         ["b059216049ee89a09cb21bbae747b57487ad510e8634a7f5bc274d411485795c",
          "f250707b1d47af5e10e7a3d3ba58545c1ccc50dd4ee6cb52090996c26ce4d177"],
+    ),
+    "fmm_exact_big_means": (
+        ["simulate", "--model", "fmm", "--log-f", "2", "--t-max", "18",
+         "--replicas", "2", "--seed", "7", "--exact-event-cap", "1e18"],
+        ["2f6ff5c6672e3ed2c2a916def986c731f6cc850dfba771d45e6af5b64eb491ed",
+         "a575fecab60a60db94aa6ebb91289648fe6e39e9104c9ed06a83101e46bcd11a"],
     ),
     "fmm_logdet_jobs2": (
         ["simulate", "--model", "fmm", "--beta", "0.2", "--log-f", "40",
@@ -106,3 +118,22 @@ def test_output_digests(tmp_path, name):
     if argv[0] in _SIDE_FILE:
         paths.append(tmp_path / (name + _SIDE_FILE[argv[0]]))
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == digests
+
+
+def test_big_means_case_reaches_the_normal_approximation(tmp_path, monkeypatch):
+    """``fmm_exact_big_means`` draws above the cap for mutants and survivors."""
+    seen = {"mutant": 0.0, "survivor": 0.0}
+    step_exact = simulate.step_exact
+
+    def watched(state, cfg, rng):
+        if not state.extinct:
+            seen["mutant"] = max(seen["mutant"], cfg.beta * math.exp(state.log_fitsum))
+            lam = (1.0 - cfg.beta) * state.count * np.exp(state.log_fit)
+            seen["survivor"] = max(seen["survivor"], float(lam.max()))
+        return step_exact(state, cfg, rng)
+
+    monkeypatch.setattr(simulate, "step_exact", watched)
+    argv, _ = CASES["fmm_exact_big_means"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert seen["mutant"] > simulate._NORMAL_APPROX_MEAN
+    assert seen["survivor"] > simulate._NORMAL_APPROX_MEAN

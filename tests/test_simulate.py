@@ -11,11 +11,14 @@ import pytest
 
 from branchlab.errors import CapExceeded, DomainError, HorizonOverflow, TooManyRestarts
 from branchlab.simulate import (
+    MAX_EXACT_EVENT_CAP,
+    MMM_MAX_EXACT_EVENT_CAP,
     MODE_EXACT,
     MODE_LOGDET,
     SimConfig,
     _rebuild,
     _spectrum_edges,
+    fittest_mutant_ks,
     heuristic_wt,
     initial_state,
     mc_verify_galton,
@@ -56,6 +59,15 @@ class TestConfig:
             _cfg(model="other")
         with pytest.raises(DomainError):
             _cfg(exact_event_cap=0.0)
+
+    @pytest.mark.parametrize("model, cap_max", [
+        ("fmm", MAX_EXACT_EVENT_CAP), ("mmm", MMM_MAX_EXACT_EVENT_CAP),
+    ])
+    def test_exact_event_cap_is_bounded(self, model, cap_max):
+        assert _cfg(model=model, exact_event_cap=cap_max)
+        for cap in (math.nextafter(cap_max, math.inf), 1e30, math.nan):
+            with pytest.raises(DomainError, match="exact_event_cap"):
+                _cfg(model=model, exact_event_cap=cap)
 
     @pytest.mark.parametrize("log_f", [math.nan, math.inf, -math.inf])
     def test_non_finite_log_f_rejected(self, log_f):
@@ -106,17 +118,16 @@ class TestSampleFittestMutant:
         rng = np.random.default_rng(42)
         n = 10**5
         draws = np.asarray(sample_fittest_mutant(0.0, model, rng, size=n))
-        atoms = int(np.count_nonzero(draws == -np.inf))
-        finite = np.sort(draws[draws > -np.inf])
-        cdf = np.exp(-np.exp(np.asarray(log_tail(model, finite))))
-        hi = (atoms + np.arange(1, finite.size + 1)) / n
-        lo = (atoms + np.arange(0, finite.size)) / n
-        ks = max(
-            abs(atoms / n - math.exp(-1.0)),
-            float(np.max(np.abs(hi - cdf))),
-            float(np.max(np.abs(lo - cdf))),
-        )
+        ks = fittest_mutant_ks(draws, model, 1.0)
         assert ks <= 0.01
+
+    def test_ks_hand_values(self):
+        # one atom and one draw at W = 2: the atom is off by 1/2 - e^-1 and
+        # the jump at W = 2 reaches 1 - exp(-G(2)) = 1 - e^(-1/2)
+        ks = fittest_mutant_ks(np.array([-np.inf, math.log(2.0)]), PARETO1, 1.0)
+        assert ks == pytest.approx(1.0 - math.exp(-0.5), rel=1e-14)
+        assert fittest_mutant_ks(np.full(4, -np.inf), PARETO1, 1.0) == pytest.approx(
+            1.0 - math.exp(-1.0), rel=1e-14)
 
 
 class TestStepExact:
