@@ -185,7 +185,8 @@ def sample_max_of_n(model: TailModel, n: int, rng: np.random.Generator, size=Non
     if n < 1:
         raise DomainError("n must be >= 1")
     if size is None:
-        # one float through the same ufuncs, without the array round trip
+        # one float through the same ufuncs, without the array round trip;
+        # v = 0 maps to log 0 = -inf with no errstate needed
         v = rng.random()
         log_v = np.log(v) if v > 0.0 else -np.inf
         return inverse_log_tail(model, min(np.log(-np.expm1(log_v / n)), 0.0))
