@@ -1,14 +1,22 @@
 """Command-line front end tests: parsing, precedence, determinism, outputs."""
+import contextlib
+import csv
+import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchlab.cli import (
-    Config, _write_json, dispatch, main, parse_args, replica_seed, splitmix64,
+    Config, _write_csv, _write_json, dispatch, main, parse_args, replica_seed,
+    splitmix64,
 )
 from branchlab.errors import UsageError
 
@@ -74,6 +82,40 @@ class TestSeedDerivation:
     def test_replica_seeds_distinct(self):
         seeds = {replica_seed(42, k) for k in range(1000)}
         assert len(seeds) == 1000
+
+
+# CSV cells as the commands produce them: Python and NumPy floats (NaN, +-inf,
+# -0.0 and subnormals included) and Python and NumPy ints
+_CELL = st.one_of(
+    st.floats(allow_subnormal=True),
+    st.floats(allow_subnormal=True).map(np.float64),
+    st.integers(min_value=-2**63, max_value=2**63 - 1),
+    st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64),
+)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_CELL, min_size=1, max_size=6), max_size=12))
+def test_csv_writer_writes_floats_as_their_repr(rows):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _write_csv(None, ["c"], rows)
+    lines = buf.getvalue().split("\n")
+    assert lines[0] == "c" and lines[-1] == ""
+    assert len(lines) == len(rows) + 2
+    for row, fields in zip(rows, csv.reader(lines[1:-1])):
+        assert len(fields) == len(row)
+        for v, field in zip(row, fields):
+            if isinstance(v, float):
+                assert field == repr(float(v))
+                back = float(field)
+                assert math.isnan(back) if math.isnan(v) else _bits(back) == _bits(v)
+            else:
+                assert field == str(int(v))
 
 
 class TestOutputs:

@@ -15,6 +15,10 @@ search in ``growth.period_T`` starts far from T = 1.  ``fmm_exact_big_means``
 raises the exact-mode cap to 1e18, so exact generations draw the mutant
 count and some survivor counts from Poisson means above 1e9, where
 ``simulate._poisson`` falls back to its normal approximation.
+``recurse_short`` stops below the period T = 14 of alpha = 5, so its
+``nu_hat`` column is NaN throughout.  ``STDOUT_CASES`` pin what commands
+write to stdout when no ``--out`` is given: CSV, JSON, the simulate CSV
+followed by its summary JSON, and the ``verify-lemmas`` table.
 """
 import hashlib
 import math
@@ -99,9 +103,33 @@ CASES = {
         ["724138fe9342fe32dd615e1d218bfd1c9027445a94c4f828cb81f0bfaaea16d3",
          "fab03abea8528b0f859b92d22dca17242ad5e60b667d93758d586fe6dc32c99e"],
     ),
+    "recurse_short": (
+        ["recurse", "--alpha", "5", "--t-max", "10"],
+        ["a425d188950c44df1328a3955006a64eeab95be5e74c09242bfb7cd9264d3362"],
+    ),
     "seed_ctex": (
         ["seed-ctex", "--alpha", "1", "--phis", "1.3333333333333333,1.5,1.5"],
         ["e36269cba6a6d494ccb738fba10a980acdcbc4d4ee1fd393e852961d2d7e20a0"],
+    ),
+}
+
+# argv run without --out: (exit code, sha256 of everything written to stdout)
+STDOUT_CASES = {
+    "nu": (["nu", "--alpha", "1"], 0,
+           "164fe001468ebcf7436dab35a8f65a6ae1445c24a1e6e41c5144e1a57aa16614"),
+    "seed_ctex": (
+        ["seed-ctex", "--alpha", "1", "--phis", "1.3333333333333333,1.5,1.5",
+         "--t-max", "20"], 0,
+        "e36269cba6a6d494ccb738fba10a980acdcbc4d4ee1fd393e852961d2d7e20a0",
+    ),
+    "simulate_fmm": (
+        ["simulate", "--model", "fmm", "--beta", "0.2", "--log-f", "40",
+         "--t-max", "30", "--replicas", "2", "--seed", "9"], 0,
+        "ae86ef6672aa353b761ef90e2e0be72ac50b162f012daad1d0e248f5cf5f1443",
+    ),
+    "verify_lemmas": (
+        ["verify-lemmas", "--replicas", "200", "--seed", "1"], 0,
+        "25053f92598411b5bf4634695da15fc11442b0a5892432ec91eded8b6fa2c408",
     ),
 }
 
@@ -115,9 +143,17 @@ def test_output_digests(tmp_path, name):
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == 0
     paths = [out]
-    if argv[0] in _SIDE_FILE:
+    if len(digests) > 1:
         paths.append(tmp_path / (name + _SIDE_FILE[argv[0]]))
     assert [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths] == digests
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_stdout_digests(capsys, name):
+    argv, code, digest = STDOUT_CASES[name]
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_big_means_case_reaches_the_normal_approximation(tmp_path, monkeypatch):
