@@ -19,7 +19,9 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -118,7 +120,9 @@ _SCHEMAS: dict[str, list[_Field]] = {
         _Field("mmm_bins_per_decade", "int", default=8,
                check=_at_least("mmm-bins-per-decade", 1)),
         _Field("mmm_poisson_threshold", "float", default=1e4,
-               check=_positive("mmm-poisson-threshold")),
+               check=_positive("mmm-poisson-threshold"),
+               help="bin mean above which mmm spectrum bins enter deterministically "
+                    "(at most 1e18)"),
         _Field("restart_on_extinction", "bool", default=True),
         _Field("slope_lo", "int", help="log-log slope window start (default 5/8 of t-max)"),
         _Field("slope_hi", "int", help="log-log slope window end (default t-max)"),
@@ -268,31 +272,29 @@ def parse_args(argv) -> Config:
 
 
 def _open_out(path):
+    """The output file at path, or stdout (left open) when path is None."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _side_out(out, suffix):
+    """Path of a second output written beside --out; stdout without --out."""
+    return out + suffix if out else None
 
 
 def _write_csv(path, header, rows):
-    fh, close = _open_out(path)
-    try:
+    """Rows as given: csv writes any float with ``float.__repr__`` (exact round trip)."""
+    with _open_out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
-    finally:
-        if close:
-            fh.close()
+        writer.writerows(rows)
 
 
 def _write_json(path, payload):
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _open_out(path) as fh:
+        fh.write(text)
 
 
 def _resolve_seed(text: str, alpha: float) -> recursion.SeedSequence:
@@ -335,36 +337,34 @@ def _cmd_nu(p) -> int:
 def _cmd_recurse(p) -> int:
     seed = _resolve_seed(p["seed"], p["alpha"])
     series = recursion.solve_chi(p["alpha"], seed, p["t_max"])
-    lc = series.log_c_array()
-    rows = []
-    for t in range(1, series.t_max + 1):
-        nh = recursion.nu_hat(series, t) if t + series.T <= series.t_max else math.nan
-        rows.append((t, float(series.L[t]), int(series.I[t]), float(lc[t]), nh))
+    t_max = series.t_max
+    nu_hat = [recursion.nu_hat(series, t) if t + series.T <= t_max else math.nan
+              for t in range(1, t_max + 1)]
+    rows = zip(range(1, t_max + 1), series.L[1:].tolist(), series.I[1:].tolist(),
+               series.log_c_array()[1:].tolist(), nu_hat)
     _write_csv(p["out"], ["t", "log_chi", "I_t", "log_c_t", "nu_hat"], rows)
     if p["detect_period"]:
         t1, cycle = recursion.detect_period(series, tol=p["tol"])
         try:
-            phi = recursion.extract_phi(cycle, series.nu, series.alpha)
+            phi = recursion.extract_phi(cycle, series.nu, series.alpha).tolist()
             constraints_ok = True
-            phi_list = [float(v) for v in phi]
         except BranchlabError:
+            phi = None
             constraints_ok = False
-            phi_list = None
         payload = {
             "t1": t1,
-            "cycle": [float(v) for v in cycle],
-            "phi": phi_list,
+            "cycle": cycle.tolist(),
+            "phi": phi,
             "constraints_ok": constraints_ok,
         }
-        _write_json(p["out"] + ".period.json" if p["out"] else None, payload)
+        _write_json(_side_out(p["out"], ".period.json"), payload)
     return 0
 
 
 def _seed_values(seed: recursion.SeedSequence, t_show: int) -> list[float]:
     """a_1 .. a_t_show in linear scale; HorizonOverflow names the first a_t past float64."""
     values = []
-    for t in range(1, t_show + 1):
-        log_a = seed.log_a(t)
+    for t, log_a in enumerate(seed.log_a_array(t_show)[1:].tolist(), start=1):
         try:
             values.append(math.exp(log_a))
         except OverflowError:
@@ -379,7 +379,7 @@ def _cmd_seed_ctex(p) -> int:
     t_show = min(p["t_max"], 4 * len(seed.phi))
     payload = {
         "alpha": p["alpha"],
-        "phi": [float(v) for v in seed.phi],
+        "phi": seed.phi,
         "a": _seed_values(seed, t_show),
         "indu_ok": check.ok,
         "first_failing_t": check.first_failing_t,
@@ -413,15 +413,13 @@ def _cmd_simulate(p) -> int:
     else:
         records = [simulate.run(cfg) for cfg in configs]
 
-    rows = []
-    for k, rec in enumerate(records):
-        for j in range(len(rec.t)):
-            rows.append((
-                k, int(rec.t[j]), float(rec.log_X[j]), float(rec.log_W[j]),
-                int(rec.n_classes[j]),
-                "exact" if rec.mode[j] == 0 else "logdet",
-                int(rec.dominant_age[j]),
-            ))
+    rows = chain.from_iterable(
+        zip([k] * len(rec.t), rec.t.tolist(), rec.log_X.tolist(), rec.log_W.tolist(),
+            rec.n_classes.tolist(),
+            np.where(rec.mode == 0, simulate.MODE_EXACT, simulate.MODE_LOGDET).tolist(),
+            rec.dominant_age.tolist())
+        for k, rec in enumerate(records)
+    )
     _write_csv(
         p["out"],
         ["replica", "t", "log_X", "log_W", "n_classes", "mode", "dominant_age"],
@@ -445,26 +443,30 @@ def _cmd_simulate(p) -> int:
         "replicas": p["replicas"],
         "survived": survived,
         "survival_fraction": survived / p["replicas"],
-        "restarts_total": int(sum(rec.restarts for rec in records)),
+        "restarts_total": sum(rec.restarts for rec in records),
         "slope_window": [lo, hi],
-        "loglog_slopes": [float(s) for s in slopes],
+        "loglog_slopes": slopes,
         "loglog_slope_mean": float(np.mean(slopes)) if slopes else None,
     }
-    _write_json(p["out"] + ".summary.json" if p["out"] else None, summary)
+    _write_json(_side_out(p["out"], ".summary.json"), summary)
     return 0
+
+
+def _snapshot_series(p, t_top: int) -> recursion.ChiSeries:
+    """Recursion for snapshots up to t_top: solved to --t-max, or to t_top + 2."""
+    t_max = p["t_max"] if p["t_max"] is not None else t_top + 2
+    seed = _resolve_seed(p["seed_sequence"], p["alpha"])
+    return recursion.solve_chi(p["alpha"], seed, t_max)
 
 
 def _cmd_freq(p) -> int:
     ts = sorted(set(p["t"]))
     if not ts or ts[0] < 1:
         raise UsageError("--t needs generations >= 1")
-    snaps = []
     if p["source"] == "recursion":
         if p["alpha"] is None:
             raise UsageError("recursion source needs --alpha")
-        t_max = p["t_max"] if p["t_max"] is not None else ts[-1] + 2
-        seed = _resolve_seed(p["seed_sequence"], p["alpha"])
-        series = recursion.solve_chi(p["alpha"], seed, t_max)
+        series = _snapshot_series(p, ts[-1])
         snaps = [analysis.freq_from_chi(series, t) for t in ts]
     else:
         t_max = p["t_max"] if p["t_max"] is not None else ts[-1] + 1
@@ -474,14 +476,10 @@ def _cmd_freq(p) -> int:
         )
         record = simulate.run(cfg)
         snaps = [analysis.freq_from_run(record, t) for t in ts]
-    point_rows = []
-    p_rows = []
-    for snap in snaps:
-        p_rows.append((snap.t, snap.P))
-        for j, r in zip(snap.J, snap.R):
-            point_rows.append((snap.t, float(j), float(r)))
-    _write_csv(p["out"], ["t", "J", "R"], point_rows)
-    _write_csv(p["out"] + ".p.csv" if p["out"] else None, ["t", "P"], p_rows)
+    rows = chain.from_iterable(
+        zip([s.t] * s.J.size, s.J.tolist(), s.R.tolist()) for s in snaps)
+    _write_csv(p["out"], ["t", "J", "R"], rows)
+    _write_csv(_side_out(p["out"], ".p.csv"), ["t", "P"], [(s.t, s.P) for s in snaps])
     return 0
 
 
@@ -493,10 +491,7 @@ def _cmd_collapse(p) -> int:
             pairs.append((int(a), int(b)))
     except ValueError as exc:
         raise UsageError("--t-pairs wants pairs like 300:303,300:301") from exc
-    t_top = max(max(a, b) for a, b in pairs)
-    t_max = p["t_max"] if p["t_max"] is not None else t_top + 2
-    seed = _resolve_seed(p["seed_sequence"], p["alpha"])
-    series = recursion.solve_chi(p["alpha"], seed, t_max)
+    series = _snapshot_series(p, max(max(a, b) for a, b in pairs))
     rows = []
     for a, b in pairs:
         snap_a = analysis.freq_from_chi(series, a)
@@ -510,14 +505,14 @@ def _cmd_verify_lemmas(p) -> int:
     replicas = p["replicas"]
     rng = np.random.default_rng(p["seed"])
     checks = []
-
-    emp, bound = simulate.mc_verify_galton(101.0, 0.5, 5, replicas, rng)
-    sigma = math.sqrt(max(emp * (1 - emp), 1e-12) / replicas)
-    checks.append(("galton-lower-bound", emp, bound, emp >= bound - 3 * sigma))
-
-    emp, bound = simulate.mc_verify_tdg([2.0] * 5, 1, 10.0, 2.0, replicas, rng)
-    sigma = math.sqrt(max(emp * (1 - emp), 1e-12) / replicas)
-    checks.append(("generation-dependent-upper-bound", emp, bound, emp >= bound - 3 * sigma))
+    # both estimates are drawn, in this order, before either is checked
+    for name, (emp, bound) in (
+        ("galton-lower-bound", simulate.mc_verify_galton(101.0, 0.5, 5, replicas, rng)),
+        ("generation-dependent-upper-bound",
+         simulate.mc_verify_tdg([2.0] * 5, 1, 10.0, 2.0, replicas, rng)),
+    ):
+        sigma = math.sqrt(max(emp * (1 - emp), 1e-12) / replicas)
+        checks.append((name, emp, bound, emp >= bound - 3 * sigma))
 
     ks_crit = max(0.01, 1.63 / math.sqrt(replicas))
     for alpha in (1.0, 2.0):

@@ -81,10 +81,12 @@ class SeedSequence:
         else:
             T = len(self.phi)
             log_psi = np.concatenate(([0.0], np.cumsum(np.log(self.phi[:-1]))))
-            i = np.arange(T, dtype=float)
-            # rows t, columns i; T is small so the dense max is cheap
-            grid = np.log(T - i[None, :] + t[:, None] - 1.0) - math.log(self.alpha)
-            out[1:] = np.max(grid + log_psi[None, :], axis=1)
+            log_alpha = math.log(self.alpha)
+            # running max over the T cycle positions i keeps memory O(t_max)
+            best = out[1:]
+            best[:] = -np.inf
+            for i in range(T):
+                np.maximum(best, np.log(T - i + t - 1.0) - log_alpha + log_psi[i], out=best)
         return out
 
 

@@ -40,6 +40,9 @@ MAX_EXACT_EVENT_CAP = 1e18
 # Exact MMM keeps one class per mutant, so one exact generation can add
 # about beta * exact_event_cap classes; this bound keeps that within memory.
 MMM_MAX_EXACT_EVENT_CAP = 1e8
+# MMM spectrum bins with a mean up to mmm_poisson_threshold are drawn by
+# rng.poisson, which takes means only up to about 9.2e18 (int64).
+MMM_MAX_POISSON_THRESHOLD = 1e18
 
 # logdet classes decayed below this count are dropped; a decaying class
 # (fitness below 1/(1-beta)) can never grow back.
@@ -77,6 +80,9 @@ class SimConfig:
         if not self.exact_event_cap <= cap_max:
             raise DomainError(f"{self.model} exact_event_cap must be <= {cap_max:g}, "
                               f"got {self.exact_event_cap:g}")
+        if not self.mmm_poisson_threshold <= MMM_MAX_POISSON_THRESHOLD:
+            raise DomainError(f"mmm_poisson_threshold must be <= {MMM_MAX_POISSON_THRESHOLD:g}, "
+                              f"got {self.mmm_poisson_threshold:g}")
         if self.mmm_bins_per_decade < 1:
             raise DomainError("mmm_bins_per_decade must be >= 1")
 

@@ -290,7 +290,12 @@ class TestEntryPoint:
           "--exact-event-cap", "1e30"], "exact_event_cap"),
         (["simulate", "--model", "fmm", "--log-f", "1", "--t-max", "2",
           "--exact-event-cap", "1e30"], "exact_event_cap"),
-    ], ids=["seed_ctex_overflow", "mmm_event_cap", "fmm_event_cap"])
+        (["simulate", "--model", "mmm", "--log-f", "50", "--t-max", "40", "--seed", "1",
+          "--mmm-poisson-threshold", "1e30"], "mmm_poisson_threshold"),
+        (["simulate", "--model", "mmm", "--log-f", "50", "--t-max", "40", "--seed", "1",
+          "--mmm-poisson-threshold", "inf"], "mmm_poisson_threshold"),
+    ], ids=["seed_ctex_overflow", "mmm_event_cap", "fmm_event_cap",
+            "mmm_poisson_threshold_1e30", "mmm_poisson_threshold_inf"])
     def test_out_of_range_input_is_a_typed_error(self, tmp_path, argv, named):
         out = tmp_path / "out"
         proc = subprocess.run(

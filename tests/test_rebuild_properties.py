@@ -9,7 +9,7 @@ with ``_reference_rebuild``: the earlier ``np.unique`` plus per-entry
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchlab.simulate import MODE_EXACT, MODE_LOGDET, _rebuild
@@ -33,9 +33,14 @@ def _reference_rebuild(log_fit, count, birth, mode):
                 merged = np.zeros(keys.size, dtype=np.int64)
                 np.add.at(merged, inverse, count.astype(np.int64))
             else:
-                merged = np.full(keys.size, -np.inf)
+                # each key's fold starts at its first entry, as the merge
+                # contract says; starting at -inf would turn a lone log-count
+                # of -0.0 into +0.0, since logaddexp(-inf, -0.0) is +0.0
+                merged = np.empty(keys.size)
+                seen = np.zeros(keys.size, dtype=bool)
                 for pos, c in zip(inverse, count):
-                    merged[pos] = np.logaddexp(merged[pos], c)
+                    merged[pos] = np.logaddexp(merged[pos], c) if seen[pos] else c
+                    seen[pos] = True
             first = np.full(keys.size, np.iinfo(np.int64).max, dtype=np.int64)
             np.minimum.at(first, inverse, birth)
             log_fit, count, birth = keys, merged, first
@@ -85,6 +90,9 @@ def test_exact_merge(classes):
 
 @settings(max_examples=200, deadline=None)
 @given(_classes(MODE_LOGDET))
+# a lone key with log-count -0.0 next to a merged key: the sign must survive
+@example((np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -0.0]),
+          np.array([0, 0, 0], dtype=np.int64)))
 def test_logdet_merge(classes):
     log_fit, count, birth = classes
     state = _rebuild(5, log_fit, count, birth, MODE_LOGDET)

@@ -252,6 +252,22 @@ class TestCtexSeeds:
             assert math.exp(arr[t]) == pytest.approx(direct, rel=1e-14)
             assert seed.log_a(t) == arr[t]
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.0 / 3.0, 20.0, 100.0])
+    def test_ctex_seed_values_match_the_dense_grid(self, alpha):
+        # the running max over cycle positions against the t_max x T grid it
+        # replaced, bit for bit (max picks an element, so the order is free)
+        T = period_T(alpha)
+        seed = build_ctex_seed(alpha, [(T / alpha) ** (1.0 / T)] * T)
+        t_max = 500
+        t = np.arange(1, t_max + 1, dtype=float)
+        i = np.arange(T, dtype=float)
+        log_psi = np.concatenate(([0.0], np.cumsum(np.log(seed.phi[:-1]))))
+        grid = np.log(T - i[None, :] + t[:, None] - 1.0) - math.log(alpha)
+        want = np.max(grid + log_psi[None, :], axis=1)
+        got = seed.log_a_array(t_max)
+        assert math.isnan(got[0])
+        assert got[1:].tobytes() == want.tobytes()
+
 
 class TestVerifyIndu:
     def test_alpha_one_identity(self):

@@ -13,6 +13,7 @@ from branchlab.errors import CapExceeded, DomainError, HorizonOverflow, TooManyR
 from branchlab.simulate import (
     MAX_EXACT_EVENT_CAP,
     MMM_MAX_EXACT_EVENT_CAP,
+    MMM_MAX_POISSON_THRESHOLD,
     MODE_EXACT,
     MODE_LOGDET,
     SimConfig,
@@ -68,6 +69,14 @@ class TestConfig:
         for cap in (math.nextafter(cap_max, math.inf), 1e30, math.nan):
             with pytest.raises(DomainError, match="exact_event_cap"):
                 _cfg(model=model, exact_event_cap=cap)
+
+    def test_mmm_poisson_threshold_is_bounded(self):
+        # stochastic bin means stay within the int64 means rng.poisson accepts
+        assert _cfg(model="mmm", mmm_poisson_threshold=MMM_MAX_POISSON_THRESHOLD)
+        for threshold in (math.nextafter(MMM_MAX_POISSON_THRESHOLD, math.inf), 1e30,
+                          math.inf, math.nan):
+            with pytest.raises(DomainError, match="mmm_poisson_threshold"):
+                _cfg(model="mmm", mmm_poisson_threshold=threshold)
 
     @pytest.mark.parametrize("log_f", [math.nan, math.inf, -math.inf])
     def test_non_finite_log_f_rejected(self, log_f):
