@@ -8,9 +8,13 @@ Linux with NumPy 2.4; another libm or NumPy build may round differently.
 The mmm cases cover the class merge in ``simulate._rebuild``: an exact phase
 of off-grid classes handed to logdet mode, an early switch
 (``--exact-event-cap 1000``) that merges spectrum bins every generation,
-and a run in logdet mode from the first generation.  ``fmm_logdet_jobs2``
-repeats ``fmm_logdet`` on two worker processes and must match it byte for
-byte.  ``nu_large_alpha`` reaches horizons T of about 54000, where the
+and a run in logdet mode from the first generation.  ``mmm_logdet_paretolog``
+and ``mmm_logdet_bpd3`` run in logdet mode with a paretolog tail and with
+three bins per decade; their fittest mutant climbs from log-fitness about
+50 to about 1e11, so the spectrum bins reach ten more decades of the
+log-fitness grid as the run goes.  ``fmm_logdet_jobs2`` repeats
+``fmm_logdet`` on two worker processes and must match it byte for byte.
+``nu_large_alpha`` reaches horizons T of about 54000, where the
 search in ``growth.period_T`` starts far from T = 1.  ``fmm_exact_big_means``
 raises the exact-mode cap to 1e18, so exact generations draw the mutant
 count and some survivor counts from Poisson means above 1e9, where
@@ -61,6 +65,18 @@ CASES = {
          "--replicas", "2", "--seed", "1"],
         ["b059216049ee89a09cb21bbae747b57487ad510e8634a7f5bc274d411485795c",
          "f250707b1d47af5e10e7a3d3ba58545c1ccc50dd4ee6cb52090996c26ce4d177"],
+    ),
+    "mmm_logdet_paretolog": (
+        ["simulate", "--model", "mmm", "--tail", "paretolog:alpha=1,gamma=0.5",
+         "--log-f", "50", "--t-max", "60", "--replicas", "2", "--seed", "2"],
+        ["44baa825815da18123b11e507bf950f265d33d6604a8487298e48fd528a7210c",
+         "3087a3928cfe2f50ac50aae9abc049de9a43ecd68e1d2554d4948a796f7455ad"],
+    ),
+    "mmm_logdet_bpd3": (
+        ["simulate", "--model", "mmm", "--log-f", "50", "--t-max", "60",
+         "--replicas", "2", "--seed", "6", "--mmm-bins-per-decade", "3"],
+        ["ee6c0620c410bdec2447b97b5725b66fe7956fbf4830146489e304906f86ce61",
+         "a36e262a8bb0203c95d3527a740e6e0f45527196aca35f55d1f748aad493d77e"],
     ),
     "fmm_exact_big_means": (
         ["simulate", "--model", "fmm", "--log-f", "2", "--t-max", "18",
