@@ -159,19 +159,10 @@ _SCHEMAS: dict[str, list[_Field]] = {
 
 @dataclass(frozen=True)
 class Config:
-    """Validated parameters for one subcommand; JSON round-trips exactly."""
+    """Validated parameters for one subcommand."""
 
     command: str
     params: dict
-
-    def to_json(self) -> str:
-        return json.dumps({"command": self.command, "params": self.params},
-                          sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Config":
-        doc = json.loads(text)
-        return cls(command=doc["command"], params=doc["params"])
 
 
 def _flag(name: str) -> str:

@@ -11,8 +11,20 @@ each generation, ``mmm`` adds every mutant.  The engine runs in two modes:
            stochastic, and the MMM mutant spectrum is aggregated into
            geometric log-fitness bins topped by the exactly sampled maximum.
 
-Populations are class-aggregated (log-fitness, count) lists; totals carry
-as log X and log of the fitness-weighted sum, refreshed every step.
+Populations are class-aggregated (log-fitness, count) lists, sorted by
+log-fitness descending with unique keys; totals carry as log X and log of
+the fitness-weighted sum, refreshed every step.  Two merges keep classes
+that way, with one contract: equal keys fold left to right in input order
+(counts add, log-counts combine by ``logaddexp``, the earliest birth is
+kept), so every output is bit-for-bit reproducible.
+
+* ``_rebuild``       any list of classes: one stable sort, then a fold of
+                     each run of equal keys.  Exact steps and the switch to
+                     logdet mode use it.
+* ``_merge_logdet``  a logdet step: new classes, born this generation, are
+                     folded into the sorted survivors without a re-sort.
+                     It gives the bits ``_rebuild`` gives on the
+                     survivors followed by the new classes.
 """
 from __future__ import annotations
 
@@ -138,10 +150,11 @@ class RunRecord:
 def _logsumexp(values: np.ndarray) -> float:
     if values.size == 0:
         return -np.inf
-    m = float(values.max())
+    # the ufunc reductions are what .max() and .sum() call, minus a wrapper
+    m = float(np.maximum.reduce(values))
     if m == -np.inf:
         return -np.inf
-    return m + math.log(float(np.exp(values - m).sum()))
+    return m + math.log(float(np.add.reduce(np.exp(values - m))))
 
 
 def _poisson(rng: np.random.Generator, lam) -> np.ndarray:
@@ -166,6 +179,43 @@ def _poisson(rng: np.random.Generator, lam) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def _fold_runs(log_fit, count, birth, fold):
+    """Sort classes by log-fitness descending and fold each run of equal keys.
+
+    One stable sort of the negated keys keeps equal keys in input order;
+    each run then folds left to right with ``fold.reduceat`` (the earliest
+    birth is kept).  Strictly descending keys are returned as they are, and
+    when the sorted keys are unique nothing is folded.  Keys must not be NaN.
+    """
+    if log_fit.size > 1 and not (log_fit[1:] < log_fit[:-1]).all():
+        order = np.argsort(-log_fit, kind="stable")
+        log_fit, count, birth = log_fit[order], count[order], birth[order]
+        fresh = log_fit[1:] != log_fit[:-1]
+        if not fresh.all():
+            starts = np.flatnonzero(np.concatenate(([True], fresh)))
+            log_fit = log_fit[starts]
+            count = fold.reduceat(count, starts)
+            birth = np.minimum.reduceat(birth, starts)
+    return log_fit, count, birth
+
+
+def _with_totals(t, log_fit, count, birth, mode) -> PopulationState:
+    """State of merged classes, with log X and the log fitness sum."""
+    if mode == MODE_EXACT:
+        total = count.sum()
+        log_X = math.log(float(total)) if total > 0 else -np.inf
+        with np.errstate(divide="ignore"):
+            log_counts = np.log(count.astype(float))
+    else:
+        log_X = _logsumexp(count)
+        log_counts = count
+    log_fitsum = _logsumexp(log_counts + log_fit) if count.size else -np.inf
+    return PopulationState(
+        t=t, log_fit=log_fit, count=count, birth=birth, mode=mode,
+        log_X=log_X, log_fitsum=log_fitsum,
+    )
+
+
 def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
     """Sort classes by log-fitness descending, merge duplicate keys, refresh totals.
 
@@ -185,26 +235,55 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
     else:
         count = np.asarray(count, dtype=float)
         fold = np.logaddexp
-    if log_fit.size > 1:
-        order = np.argsort(-log_fit, kind="stable")
-        log_fit = log_fit[order]
-        starts = np.flatnonzero(np.concatenate(([True], log_fit[1:] != log_fit[:-1])))
-        log_fit = log_fit[starts]
-        count = fold.reduceat(count[order], starts)
-        birth = np.minimum.reduceat(birth[order], starts)
-    if mode == MODE_EXACT:
-        total = count.sum()
-        log_X = math.log(float(total)) if total > 0 else -np.inf
-        with np.errstate(divide="ignore"):
-            log_counts = np.log(count.astype(float))
-    else:
-        log_X = _logsumexp(count)
-        log_counts = count
-    log_fitsum = _logsumexp(log_counts + log_fit) if count.size else -np.inf
-    return PopulationState(
-        t=t, log_fit=log_fit, count=count, birth=birth, mode=mode,
-        log_X=log_X, log_fitsum=log_fitsum,
-    )
+    return _with_totals(t, *_fold_runs(log_fit, count, birth, fold), mode)
+
+
+def _interleave(a, b, a_at, b_at):
+    """One array holding a at positions a_at and b at positions b_at.
+
+    This is what np.insert does, without its argument handling, which
+    cost more than the rest of a logdet merge.
+    """
+    out = np.empty(a.size + b.size, dtype=a.dtype)
+    out[a_at] = a
+    out[b_at] = b
+    return out
+
+
+def _merge_logdet(t, log_fit, count, birth, new_fit, new_count) -> PopulationState:
+    """Fold logdet classes born at generation t into the survivors.
+
+    Merge contract: the result is bit for bit
+    ``_rebuild(t, log_fit + new_fit, count + new_count, birth + [t, ...])``
+    (concatenations), given survivors sorted descending with unique keys
+    and born before t, as every state is.  In that concatenation a new
+    class with a survivor's key sorts after it, so ``np.logaddexp.at``
+    folds it into the survivor's log-count in input order; the survivor
+    keeps its key and birth.  The other new classes fold among themselves
+    as in ``_rebuild`` and are inserted at their sorted positions.
+    ``count`` is updated in place.
+    """
+    if not log_fit.size:
+        return _rebuild(t, new_fit, new_count, np.full(new_fit.size, t), MODE_LOGDET)
+    if new_fit.size:
+        neg_fit = -log_fit  # ascending, for searchsorted
+        pos = neg_fit.searchsorted(-new_fit)
+        # a key below every survivor gets pos = n, clipped to a larger key
+        hit = log_fit.take(pos, mode="clip") == new_fit
+        np.logaddexp.at(count, pos[hit], new_count[hit])
+        if not hit.all():
+            miss = ~hit
+            fit, cnt, born = _fold_runs(new_fit[miss], new_count[miss],
+                                        np.full(int(miss.sum()), t, dtype=np.int64),
+                                        np.logaddexp)
+            # final positions of the inserted classes and of the survivors
+            new_at = neg_fit.searchsorted(-fit) + np.arange(fit.size)
+            old_at = np.ones(log_fit.size + fit.size, dtype=bool)
+            old_at[new_at] = False
+            old_at = np.flatnonzero(old_at)
+            log_fit, count, birth = (_interleave(a, b, old_at, new_at) for a, b in
+                                     ((log_fit, fit), (count, cnt), (birth, born)))
+    return _with_totals(t, log_fit, count, birth, MODE_LOGDET)
 
 
 def initial_state(cfg: SimConfig) -> PopulationState:
@@ -242,16 +321,22 @@ def sample_fittest_mutant(log_lambda: float, tail: TailModel, rng: np.random.Gen
     fitness-weighted population sum).  Returns -inf with probability
     exp(-lambda), the atom where no mutant clears the support minimum.
     """
+    if size is None:
+        # one float through the same ufuncs, without the array round trip;
+        # u = 0 gives s = +inf, which no rate exceeds, and a NaN rate none
+        u = rng.random()
+        if u == 0.0:
+            return -np.inf
+        s = np.log(-np.log(u))
+        return inverse_log_tail(tail, s - log_lambda) if s < log_lambda else -np.inf
     u = rng.random(size)
     with np.errstate(divide="ignore"):
         s = np.log(-np.log(u))
-    scalar = np.ndim(s) == 0
-    s = np.atleast_1d(s)
     out = np.full(s.shape, -np.inf)
     hit = s < log_lambda
     if hit.any():
         out[hit] = inverse_log_tail(tail, s[hit] - log_lambda)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def fittest_mutant_ks(log_w: np.ndarray, tail: TailModel, lam: float) -> float:
@@ -316,42 +401,67 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     return _rebuild(t_next, log_fit, count, birth, MODE_EXACT), log_w
 
 
-def _spectrum_edges(bins_per_decade: int, log_w_top: float) -> np.ndarray:
-    """Bin edges on the log-fitness axis: 0, then 10**(k/bpd) below the top.
+class _SpectrumTable:
+    """MMM spectrum bins of one run: log-masses and log-midpoints.
 
-    Edges are anchored at integer grid exponents (starting one decade below
-    log-fitness 1) so bin midpoints recur exactly across generations and
-    merge into existing classes.
+    Edges on the log-fitness axis are 0, then 10**(k/bpd) for integer k
+    from -bpd up (one decade below log-fitness 1).  Anchored at integer
+    grid exponents, bin midpoints recur exactly across generations and
+    merge into existing classes.  A bin's mass and midpoint depend only on
+    the tail, ``bins_per_decade`` and k, so they are computed once and the
+    table doubles whenever a top passes its last edge.
     """
-    k_lo = -bins_per_decade
-    if log_w_top <= 10.0 ** (k_lo / bins_per_decade):
-        return np.array([0.0])
-    k_hi = int(math.ceil(bins_per_decade * math.log10(log_w_top)))
-    grid = 10.0 ** (np.arange(k_lo, k_hi + 1) / bins_per_decade)
-    return np.concatenate(([0.0], grid[grid < log_w_top]))
+
+    def __init__(self, tail: TailModel, bins_per_decade: int):
+        self.tail = tail
+        self.bins_per_decade = bins_per_decade
+        self.grid = self.log_mass = self.mids = np.empty(0)
+
+    def _build(self, n_grid: int):
+        bpd = self.bins_per_decade
+        self.grid = 10.0 ** (np.arange(-bpd, n_grid - bpd) / bpd)
+        edges = np.concatenate(([0.0], self.grid))
+        log_g = np.asarray(log_tail(self.tail, edges))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.log_mass = log_g[:-1] + np.log(-np.expm1(log_g[1:] - log_g[:-1]))
+        self.mids = 0.5 * (edges[:-1] + edges[1:])
+
+    def below(self, log_w_top: float):
+        """(log_mass, mids) of the bins whose upper edge lies below the top.
+
+        A top at or below the first grid edge, or one that is not finite,
+        gets no bins.
+        """
+        if not log_w_top < np.inf:
+            return self.log_mass[:0], self.mids[:0]
+        while not (self.grid.size and log_w_top <= self.grid[-1]):
+            self._build(2 * (self.grid.size or self.bins_per_decade))
+        n = int(np.searchsorted(self.grid, log_w_top))
+        return self.log_mass[:n], self.mids[:n]
 
 
-def mutant_spectrum(log_lambda: float, cfg: SimConfig, rng: np.random.Generator):
+def mutant_spectrum(log_lambda: float, cfg: SimConfig, rng: np.random.Generator,
+                    table: _SpectrumTable | None = None):
     """MMM mutant classes for one generation; returns (log_fit, log_count, log_w).
 
     The log-fitness axis is split into geometric bins up to the exactly
     sampled fittest mutant; each bin's expected count is lambda * mu(bin).
     Bins above ``mmm_poisson_threshold`` enter deterministically at the bin
     log-midpoint, smaller bins are Poisson-sampled, and the open top bin is
-    represented by the sampled maximum itself with count 1.
+    represented by the sampled maximum itself with count 1.  ``table``
+    carries the bins of earlier generations of the run; without one the
+    bins are computed afresh.
     """
     log_w = sample_fittest_mutant(log_lambda, cfg.tail, rng)
     if log_w == -np.inf:
         return np.empty(0), np.empty(0), -np.inf
+    if table is None:
+        table = _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade)
     # an overflowed top (+inf) enters alone; _attempt then reports the overflow
-    edges = _spectrum_edges(cfg.mmm_bins_per_decade, log_w) if log_w < np.inf else np.empty(0)
-    if edges.size < 2:
+    log_mass, mids = table.below(log_w)
+    if not mids.size:
         return np.array([log_w]), np.zeros(1), log_w
-    log_g = np.asarray(log_tail(cfg.tail, edges))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_mass = log_g[:-1] + np.log(-np.expm1(log_g[1:] - log_g[:-1]))
     log_lam_bin = log_lambda + log_mass
-    mids = 0.5 * (edges[:-1] + edges[1:])
     det = log_lam_bin > math.log(cfg.mmm_poisson_threshold)
     stoch = ~det & np.isfinite(log_lam_bin)
     hit_fit = hit_count = np.empty(0)
@@ -365,34 +475,32 @@ def mutant_spectrum(log_lambda: float, cfg: SimConfig, rng: np.random.Generator)
     return fits, counts, log_w
 
 
-def step_logdet(state: PopulationState, cfg: SimConfig, rng: np.random.Generator):
+def step_logdet(state: PopulationState, cfg: SimConfig, rng: np.random.Generator,
+                table: _SpectrumTable | None = None):
     """One log-deterministic generation; returns (next_state, log_w_added).
 
     Class log-counts advance by their expectation, log(1-beta) + log F_i;
-    only the mutant input stays stochastic.
+    only the mutant input stays stochastic.  The new classes join the
+    survivors through ``_merge_logdet``; ``table`` is passed on to
+    ``mutant_spectrum``.
     """
     if state.mode != MODE_LOGDET:
         raise DomainError("step_logdet needs a logdet-mode state")
     t_next = state.t + 1
     log_counts = math.log1p(-cfg.beta) + state.count + state.log_fit
     keep = log_counts >= _LOG_COUNT_FLOOR
-    log_fit = state.log_fit[keep]
-    log_counts = log_counts[keep]
-    birth = state.birth[keep]
+    if keep.all():
+        keep = slice(None)  # survivors as they are, no copies
 
     log_lambda = math.log(cfg.beta) + state.log_fitsum
     if cfg.model == "fmm":
         log_w = sample_fittest_mutant(log_lambda, cfg.tail, rng)
-        if log_w > -np.inf:
-            log_fit = np.append(log_fit, log_w)
-            log_counts = np.append(log_counts, 0.0)
-            birth = np.append(birth, t_next)
+        new_fit = np.array([log_w] if log_w > -np.inf else [])
+        new_counts = np.zeros(new_fit.size)
     else:
-        new_fit, new_counts, log_w = mutant_spectrum(log_lambda, cfg, rng)
-        log_fit = np.concatenate((log_fit, new_fit))
-        log_counts = np.concatenate((log_counts, new_counts))
-        birth = np.concatenate((birth, np.full(new_fit.size, t_next, dtype=np.int64)))
-    return _rebuild(t_next, log_fit, log_counts, birth, MODE_LOGDET), log_w
+        new_fit, new_counts, log_w = mutant_spectrum(log_lambda, cfg, rng, table)
+    return _merge_logdet(t_next, state.log_fit[keep], log_counts[keep], state.birth[keep],
+                         new_fit, new_counts), log_w
 
 
 def _generation_rng(base_seed: int, t: int) -> np.random.Generator:
@@ -415,6 +523,7 @@ def _attempt(cfg: SimConfig, base_seed: int):
     +inf (-inf is extinction); numpy's overflow warnings are silenced.
     """
     log_cap = math.log(cfg.exact_event_cap)
+    table = _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade)
     state = initial_state(cfg)
     rows = [(0, state.log_X, -np.inf, state.n_classes, 0, state.dominant_age())]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -425,10 +534,11 @@ def _attempt(cfg: SimConfig, base_seed: int):
             if state.mode == MODE_EXACT:
                 state, log_w = step_exact(state, cfg, rng)
             else:
-                state, log_w = step_logdet(state, cfg, rng)
+                state, log_w = step_logdet(state, cfg, rng, table)
             if not (state.log_X < math.inf and state.log_fitsum < math.inf):
                 raise HorizonOverflow(f"log-fitness overflows float64 at generation {state.t}; "
-                                      f"use t_max < {state.t}")
+                                      f"use t_max < {state.t}, or `branchlab recurse` "
+                                      "for longer horizons")
             rows.append((
                 state.t, state.log_X, log_w, state.n_classes,
                 0 if state.mode == MODE_EXACT else 1, state.dominant_age(),

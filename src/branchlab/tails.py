@@ -48,10 +48,6 @@ class TailModel:
         if self.family == "paretolog" and abs(self.gamma) > self.alpha:
             raise DomainError("paretolog requires |gamma| <= alpha")
 
-    @property
-    def support_min(self) -> float:
-        return 1.0
-
 
 def parse_tail_model(text: str) -> TailModel:
     """Parse ``pareto:alpha=1.0`` or ``paretolog:alpha=1.0,gamma=0.5``."""

@@ -224,3 +224,30 @@ def test_criterion_12_model_ordering():
     ok = bool(np.all(mean >= 0.0))
     assert _report(12, f"paired mean log X (MMM - FMM) >= 0 for all t <= 25 "
                        f"(min {mean[1:].min():.4f} at t={int(np.argmin(mean[1:])) + 1})", ok)
+
+
+# first generation from which a logdet run (pareto tail, beta 0.1, log_f 50,
+# seed 1, t_max 400) is its own max-plus recursion to 1e-12 relative;
+# measured, and the same for fmm and mmm
+LOCK_IN = {1.0: 67, 3.0: 194}
+
+
+@pytest.mark.parametrize("model", ["fmm", "mmm"])
+@pytest.mark.parametrize("alpha", sorted(LOCK_IN))
+def test_criterion_13_run_locks_into_the_recursion(model, alpha):
+    # past the lock-in generation every draw's random term log(-log U) is
+    # below one ulp of log lambda, so log W_t = max_i (t-i)/alpha log W_i
+    rec = bl.run(bl.SimConfig(model=model, tail=TailModel("pareto", alpha), beta=0.1,
+                              log_f=50.0, t_max=400, seed=1))
+    log_w = rec.log_W
+    rel = np.full(log_w.size, np.inf)
+    for t in range(2, log_w.size):
+        past = log_w[1:t]
+        i = np.arange(1, t)[np.isfinite(past)]
+        recursion = np.max((t - i) / alpha * log_w[i])
+        rel[t] = abs(log_w[t] - recursion) / abs(log_w[t])
+    t0 = LOCK_IN[alpha]
+    ok = bool(np.all(rel[t0:] <= 1e-12) and rel[t0 - 1] > 1e-12)
+    assert _report(13, f"{model} alpha={alpha:g}: log W_t is the max-plus recursion of "
+                       f"its own past to 1e-12 from t={t0} on (worst "
+                       f"{rel[t0:].max():.1e}; {rel[t0 - 1]:.1e} at t={t0 - 1})", ok)

@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchlab.cli import (
-    Config, _write_csv, _write_json, dispatch, main, parse_args, replica_seed,
-    splitmix64,
+    _write_csv, _write_json, dispatch, main, parse_args, replica_seed, splitmix64,
 )
 from branchlab.errors import UsageError
 
@@ -64,12 +63,6 @@ class TestParseArgs:
         cfg = parse_args(["simulate", "--model", "fmm", "--log-f", "50",
                           "--no-restart-on-extinction"])
         assert cfg.params["restart_on_extinction"] is False
-
-    def test_config_round_trips_byte_identically(self):
-        cfg = parse_args(["simulate", "--model", "mmm", "--log-f", "50",
-                          "--beta", "0.25", "--seed", "7"])
-        text = cfg.to_json()
-        assert Config.from_json(text).to_json() == text
 
 
 class TestSeedDerivation:

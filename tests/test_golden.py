@@ -189,3 +189,19 @@ def test_big_means_case_reaches_the_normal_approximation(tmp_path, monkeypatch):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert seen["mutant"] > simulate._NORMAL_APPROX_MEAN
     assert seen["survivor"] > simulate._NORMAL_APPROX_MEAN
+
+
+@pytest.mark.parametrize("name", ["mmm_logdet_paretolog", "mmm_logdet_bpd3"])
+def test_table_cases_grow_the_spectrum_table(tmp_path, monkeypatch, name):
+    """Both cases extend the spectrum table well past its first size."""
+    sizes = []
+    build = simulate._SpectrumTable._build
+
+    def watched(self, n_grid):
+        sizes.append(n_grid)
+        build(self, n_grid)
+
+    monkeypatch.setattr(simulate._SpectrumTable, "_build", watched)
+    argv, _ = CASES[name]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert max(sizes) >= 8 * min(sizes)  # three doublings at least

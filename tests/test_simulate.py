@@ -18,7 +18,7 @@ from branchlab.simulate import (
     MODE_LOGDET,
     SimConfig,
     _rebuild,
-    _spectrum_edges,
+    _SpectrumTable,
     fittest_mutant_ks,
     heuristic_wt,
     initial_state,
@@ -230,23 +230,27 @@ class TestMutantSpectrum:
 
     def test_expected_masses_telescope_to_total_rate(self):
         log_lambda = 30.0
-        edges = _spectrum_edges(8, 25.0)
-        log_g = np.asarray(log_tail(PARETO1, edges))
-        with np.errstate(divide="ignore"):
-            masses = log_lambda + log_g[:-1] + np.log(-np.expm1(np.diff(log_g)))
-        top = log_lambda + log_g[-1]
-        total = np.logaddexp.reduce(np.append(masses, top))
+        table = _SpectrumTable(PARETO1, 8)
+        log_mass, _ = table.below(25.0)
+        # the open top bin starts at the last edge below the top
+        top = log_lambda + log_tail(PARETO1, table.grid[log_mass.size - 1])
+        total = np.logaddexp.reduce(np.append(log_lambda + log_mass, top))
         assert abs(total - log_lambda) <= 1e-9 * abs(log_lambda)
 
     def test_edges_are_anchored_and_bounded_by_top(self):
-        edges = _spectrum_edges(8, 12.0)
-        assert edges[0] == 0.0
-        assert edges[1] == pytest.approx(0.1, rel=1e-12)
-        assert np.all(edges < 12.0)
-        assert np.all(np.diff(edges) > 0)
-        # anchored grid: same exponent set regardless of the top value
-        again = _spectrum_edges(8, 30.0)
-        assert np.allclose(again[: edges.size], edges)
+        table = _SpectrumTable(PARETO1, 8)
+        log_mass, mids = table.below(12.0)
+        n = mids.size
+        assert table.grid[0] == pytest.approx(0.1, rel=1e-12)
+        assert mids[0] == pytest.approx(0.05, rel=1e-12)  # first bin is (0, 0.1]
+        assert np.all(table.grid[:n] < 12.0) and table.grid[n] >= 12.0
+        assert np.all(np.diff(table.grid) > 0)
+        # anchored grid: same bins regardless of the top value or of how
+        # far the table has grown
+        again = _SpectrumTable(PARETO1, 8)
+        assert again.below(30.0)[1][:n].tobytes() == mids.tobytes()
+        table.below(1e12)
+        assert table.below(12.0)[0].tobytes() == log_mass.tobytes()
 
     def test_top_class_is_exact_sample_with_count_one(self):
         cfg = _cfg(model="mmm")

@@ -184,4 +184,4 @@ class TestModelValidation:
             TailModel("pareto", 0.0)
         with pytest.raises(DomainError):
             TailModel("paretolog", 1.0, 1.5)  # |gamma| > alpha
-        assert TailModel("paretolog", 1.0, 1.0).support_min == 1.0
+        assert TailModel("paretolog", 1.0, 1.0).gamma == 1.0  # |gamma| = alpha is allowed
