@@ -13,18 +13,9 @@ each generation, ``mmm`` adds every mutant.  The engine runs in two modes:
 
 Populations are class-aggregated (log-fitness, count) lists, sorted by
 log-fitness descending with unique keys; totals carry as log X and log of
-the fitness-weighted sum, refreshed every step.  Two merges keep classes
-that way, with one contract: equal keys fold left to right in input order
-(counts add, log-counts combine by ``logaddexp``, the earliest birth is
-kept), so every output is bit-for-bit reproducible.
-
-* ``_rebuild``       any list of classes: one stable sort, then a fold of
-                     each run of equal keys.  Exact steps and the switch to
-                     logdet mode use it.
-* ``_merge_logdet``  a logdet step: new classes, born this generation, are
-                     folded into the sorted survivors without a re-sort.
-                     It gives the bits ``_rebuild`` gives on the
-                     survivors followed by the new classes.
+the fitness-weighted sum, refreshed every step.  Every step merges its
+classes in ``_rebuild``, whose contract (equal keys fold left to right in
+input order) makes every output bit-for-bit reproducible.
 """
 from __future__ import annotations
 
@@ -179,14 +170,27 @@ def _poisson(rng: np.random.Generator, lam) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _fold_runs(log_fit, count, birth, fold):
-    """Sort classes by log-fitness descending and fold each run of equal keys.
+def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
+    """Sort classes by log-fitness descending, merge duplicate keys, refresh totals.
 
-    One stable sort of the negated keys keeps equal keys in input order;
-    each run then folds left to right with ``fold.reduceat`` (the earliest
-    birth is kept).  Strictly descending keys are returned as they are, and
-    when the sorted keys are unique nothing is folded.  Keys must not be NaN.
+    Merge contract: one stable sort of the negated keys orders the classes
+    by descending log-fitness and keeps equal keys in input order; each run
+    of equal keys then folds left to right into one class (counts add in
+    exact mode, log-counts combine by ``logaddexp`` in logdet mode, and the
+    earliest birth is kept).  Float ``logaddexp`` is not associative, so the
+    input-order fold is what makes the merged log-counts, and every total
+    derived from them, bit-for-bit reproducible.  Strictly descending keys
+    skip the sort, and unique sorted keys skip the folds; neither skip
+    changes a bit.  Keys must not be NaN.
     """
+    log_fit = np.asarray(log_fit, dtype=float)
+    birth = np.asarray(birth, dtype=np.int64)
+    if mode == MODE_EXACT:
+        count = np.asarray(count).astype(np.int64, copy=False)
+        fold = np.add
+    else:
+        count = np.asarray(count, dtype=float)
+        fold = np.logaddexp
     if log_fit.size > 1 and not (log_fit[1:] < log_fit[:-1]).all():
         order = np.argsort(-log_fit, kind="stable")
         log_fit, count, birth = log_fit[order], count[order], birth[order]
@@ -196,11 +200,6 @@ def _fold_runs(log_fit, count, birth, fold):
             log_fit = log_fit[starts]
             count = fold.reduceat(count, starts)
             birth = np.minimum.reduceat(birth, starts)
-    return log_fit, count, birth
-
-
-def _with_totals(t, log_fit, count, birth, mode) -> PopulationState:
-    """State of merged classes, with log X and the log fitness sum."""
     if mode == MODE_EXACT:
         total = count.sum()
         log_X = math.log(float(total)) if total > 0 else -np.inf
@@ -214,76 +213,6 @@ def _with_totals(t, log_fit, count, birth, mode) -> PopulationState:
         t=t, log_fit=log_fit, count=count, birth=birth, mode=mode,
         log_X=log_X, log_fitsum=log_fitsum,
     )
-
-
-def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
-    """Sort classes by log-fitness descending, merge duplicate keys, refresh totals.
-
-    Merge contract: one stable sort of the negated keys orders the classes
-    by descending log-fitness and keeps equal keys in input order; each run
-    of equal keys then folds left to right into one class (counts add in
-    exact mode, log-counts combine by ``logaddexp`` in logdet mode, and the
-    earliest birth is kept).  Float ``logaddexp`` is not associative, so the
-    input-order fold is what makes the merged log-counts, and every total
-    derived from them, bit-for-bit reproducible.  Keys must not be NaN.
-    """
-    log_fit = np.asarray(log_fit, dtype=float)
-    birth = np.asarray(birth, dtype=np.int64)
-    if mode == MODE_EXACT:
-        count = np.asarray(count).astype(np.int64, copy=False)
-        fold = np.add
-    else:
-        count = np.asarray(count, dtype=float)
-        fold = np.logaddexp
-    return _with_totals(t, *_fold_runs(log_fit, count, birth, fold), mode)
-
-
-def _interleave(a, b, a_at, b_at):
-    """One array holding a at positions a_at and b at positions b_at.
-
-    This is what np.insert does, without its argument handling, which
-    cost more than the rest of a logdet merge.
-    """
-    out = np.empty(a.size + b.size, dtype=a.dtype)
-    out[a_at] = a
-    out[b_at] = b
-    return out
-
-
-def _merge_logdet(t, log_fit, count, birth, new_fit, new_count) -> PopulationState:
-    """Fold logdet classes born at generation t into the survivors.
-
-    Merge contract: the result is bit for bit
-    ``_rebuild(t, log_fit + new_fit, count + new_count, birth + [t, ...])``
-    (concatenations), given survivors sorted descending with unique keys
-    and born before t, as every state is.  In that concatenation a new
-    class with a survivor's key sorts after it, so ``np.logaddexp.at``
-    folds it into the survivor's log-count in input order; the survivor
-    keeps its key and birth.  The other new classes fold among themselves
-    as in ``_rebuild`` and are inserted at their sorted positions.
-    ``count`` is updated in place.
-    """
-    if not log_fit.size:
-        return _rebuild(t, new_fit, new_count, np.full(new_fit.size, t), MODE_LOGDET)
-    if new_fit.size:
-        neg_fit = -log_fit  # ascending, for searchsorted
-        pos = neg_fit.searchsorted(-new_fit)
-        # a key below every survivor gets pos = n, clipped to a larger key
-        hit = log_fit.take(pos, mode="clip") == new_fit
-        np.logaddexp.at(count, pos[hit], new_count[hit])
-        if not hit.all():
-            miss = ~hit
-            fit, cnt, born = _fold_runs(new_fit[miss], new_count[miss],
-                                        np.full(int(miss.sum()), t, dtype=np.int64),
-                                        np.logaddexp)
-            # final positions of the inserted classes and of the survivors
-            new_at = neg_fit.searchsorted(-fit) + np.arange(fit.size)
-            old_at = np.ones(log_fit.size + fit.size, dtype=bool)
-            old_at[new_at] = False
-            old_at = np.flatnonzero(old_at)
-            log_fit, count, birth = (_interleave(a, b, old_at, new_at) for a, b in
-                                     ((log_fit, fit), (count, cnt), (birth, born)))
-    return _with_totals(t, log_fit, count, birth, MODE_LOGDET)
 
 
 def initial_state(cfg: SimConfig) -> PopulationState:
@@ -441,7 +370,7 @@ class _SpectrumTable:
 
 
 def mutant_spectrum(log_lambda: float, cfg: SimConfig, rng: np.random.Generator,
-                    table: _SpectrumTable | None = None):
+                    table: _SpectrumTable):
     """MMM mutant classes for one generation; returns (log_fit, log_count, log_w).
 
     The log-fitness axis is split into geometric bins up to the exactly
@@ -449,14 +378,11 @@ def mutant_spectrum(log_lambda: float, cfg: SimConfig, rng: np.random.Generator,
     Bins above ``mmm_poisson_threshold`` enter deterministically at the bin
     log-midpoint, smaller bins are Poisson-sampled, and the open top bin is
     represented by the sampled maximum itself with count 1.  ``table``
-    carries the bins of earlier generations of the run; without one the
-    bins are computed afresh.
+    carries the bins of earlier generations of the run.
     """
     log_w = sample_fittest_mutant(log_lambda, cfg.tail, rng)
     if log_w == -np.inf:
         return np.empty(0), np.empty(0), -np.inf
-    if table is None:
-        table = _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade)
     # an overflowed top (+inf) enters alone; _attempt then reports the overflow
     log_mass, mids = table.below(log_w)
     if not mids.size:
@@ -476,12 +402,11 @@ def mutant_spectrum(log_lambda: float, cfg: SimConfig, rng: np.random.Generator,
 
 
 def step_logdet(state: PopulationState, cfg: SimConfig, rng: np.random.Generator,
-                table: _SpectrumTable | None = None):
+                table: _SpectrumTable):
     """One log-deterministic generation; returns (next_state, log_w_added).
 
     Class log-counts advance by their expectation, log(1-beta) + log F_i;
-    only the mutant input stays stochastic.  The new classes join the
-    survivors through ``_merge_logdet``; ``table`` is passed on to
+    only the mutant input stays stochastic.  ``table`` is passed on to
     ``mutant_spectrum``.
     """
     if state.mode != MODE_LOGDET:
@@ -499,8 +424,10 @@ def step_logdet(state: PopulationState, cfg: SimConfig, rng: np.random.Generator
         new_counts = np.zeros(new_fit.size)
     else:
         new_fit, new_counts, log_w = mutant_spectrum(log_lambda, cfg, rng, table)
-    return _merge_logdet(t_next, state.log_fit[keep], log_counts[keep], state.birth[keep],
-                         new_fit, new_counts), log_w
+    log_fit = np.concatenate((state.log_fit[keep], new_fit))
+    log_counts = np.concatenate((log_counts[keep], new_counts))
+    birth = np.concatenate((state.birth[keep], np.full(new_fit.size, t_next, dtype=np.int64)))
+    return _rebuild(t_next, log_fit, log_counts, birth, MODE_LOGDET), log_w
 
 
 def _generation_rng(base_seed: int, t: int) -> np.random.Generator:

@@ -1,28 +1,19 @@
-"""Property tests for the logdet generation: fittest-mutant draw, spectrum
-table and class merge, each compared bitwise with the computation it
-replaces.
+"""Property tests for the logdet generation: fittest-mutant draw and
+spectrum table, each compared bitwise with the computation it replaces.
 
 * The float draw of ``sample_fittest_mutant(size=None)`` against the array
   draw with ``size=1`` on a twin generator.
 * ``_SpectrumTable.below`` against ``_reference_bins``, the per-generation
   edge and bin-mass computation the table replaced, kept here as an
   independent oracle.
-* ``_merge_logdet`` against ``_rebuild`` of the survivors followed by the
-  new classes.
 """
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchlab.simulate import (
-    MODE_LOGDET,
-    _merge_logdet,
-    _rebuild,
-    _SpectrumTable,
-    sample_fittest_mutant,
-)
+from branchlab.simulate import _SpectrumTable, sample_fittest_mutant
 from branchlab.tails import TailModel, log_tail
 
 
@@ -112,51 +103,3 @@ def test_table_gives_no_bins_to_non_finite_tops():
     for top in (math.inf, math.nan):
         log_mass, mids = table.below(top)
         assert log_mass.size == 0 and mids.size == 0
-
-
-_KEY = st.floats(min_value=-50.0, max_value=700.0, allow_nan=False, allow_infinity=False)
-# log-counts of similar size, so a change of fold order shows in the bits;
-# -0.0 must keep its sign through a lone class and a fold
-_LOG_COUNT = st.one_of(st.floats(min_value=-5.0, max_value=5.0), st.just(-0.0))
-
-
-@st.composite
-def _generation(draw):
-    """Sorted unique survivors and the classes one generation adds."""
-    keys = np.array(draw(st.lists(_KEY, max_size=30, unique=True)), dtype=float)
-    log_fit = -np.sort(-keys)
-    n = log_fit.size
-    count = np.array(draw(st.lists(_LOG_COUNT, min_size=n, max_size=n)), dtype=float)
-    birth = np.array(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
-                     dtype=np.int64)
-    # new keys: some on survivors, some fresh, repeats among themselves
-    fresh = draw(st.lists(_KEY, min_size=1, max_size=4))
-    pool = st.sampled_from(fresh + log_fit.tolist())
-    m = draw(st.integers(0, 40))
-    new_fit = np.array(draw(st.lists(pool, min_size=m, max_size=m)), dtype=float)
-    new_count = np.array(draw(st.lists(_LOG_COUNT, min_size=m, max_size=m)), dtype=float)
-    return log_fit, count, birth, new_fit, new_count
-
-
-@settings(max_examples=200, deadline=None)
-@given(_generation())
-# a new -0.0 key folds into the survivor at 0.0, which keeps its key
-@example((np.array([1.0, 0.0]), np.array([0.5, -0.0]), np.array([0, 3]),
-          np.array([-0.0, 2.0, 2.0, -0.0]), np.array([-0.0, -0.0, 1.0, 0.25])))
-# one new class and no survivors
-@example((np.empty(0), np.empty(0), np.empty(0, np.int64),
-          np.array([3.0]), np.array([-0.0])))
-def test_merge_matches_rebuild_of_the_concatenation(gen):
-    log_fit, count, birth, new_fit, new_count = gen
-    t = 10
-    want = _rebuild(t, np.concatenate((log_fit, new_fit)),
-                    np.concatenate((count, new_count)),
-                    np.concatenate((birth, np.full(new_fit.size, t))), MODE_LOGDET)
-    got = _merge_logdet(t, log_fit, count.copy(), birth, new_fit, new_count)
-    assert got.mode == MODE_LOGDET and got.t == t
-    assert _bits(got.log_fit) == _bits(want.log_fit)
-    assert _bits(got.count) == _bits(want.count)
-    assert got.birth.dtype == want.birth.dtype
-    assert got.birth.tobytes() == want.birth.tobytes()
-    assert _bits(got.log_X) == _bits(want.log_X)
-    assert _bits(got.log_fitsum) == _bits(want.log_fitsum)

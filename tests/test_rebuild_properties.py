@@ -78,6 +78,9 @@ def _assert_bitwise_equal(a, b):
 
 @settings(max_examples=200, deadline=None)
 @given(_classes(MODE_EXACT))
+# strictly descending keys skip the sort; unique unsorted keys skip the folds
+@example((np.array([3.0, 1.0, -2.0]), np.array([4, 0, 7]), np.array([2, 0, 1], dtype=np.int64)))
+@example((np.array([1.0, 3.0, -2.0]), np.array([4, 0, 7]), np.array([2, 0, 1], dtype=np.int64)))
 def test_exact_merge(classes):
     log_fit, count, birth = classes
     state = _rebuild(5, log_fit, count, birth, MODE_EXACT)
@@ -93,6 +96,11 @@ def test_exact_merge(classes):
 # a lone key with log-count -0.0 next to a merged key: the sign must survive
 @example((np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -0.0]),
           np.array([0, 0, 0], dtype=np.int64)))
+# strictly descending keys skip the sort; unique unsorted keys skip the folds
+@example((np.array([3.0, 1.0, -2.0]), np.array([0.5, -0.0, 2.0]),
+          np.array([2, 0, 1], dtype=np.int64)))
+@example((np.array([1.0, 3.0, -2.0]), np.array([0.5, -0.0, 2.0]),
+          np.array([2, 0, 1], dtype=np.int64)))
 def test_logdet_merge(classes):
     log_fit, count, birth = classes
     state = _rebuild(5, log_fit, count, birth, MODE_LOGDET)

@@ -43,6 +43,10 @@ def _cfg(**kw):
     return SimConfig(**base)
 
 
+def _table(cfg):
+    return _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade)
+
+
 class _FixedUniform:
     def __init__(self, *values):
         self._values = list(values)
@@ -190,7 +194,7 @@ class TestLogdetStep:
     def test_single_class_expectation_update(self):
         cfg = _cfg(beta=0.1)
         state = to_logdet(initial_state(cfg))
-        nxt, _ = step_logdet(state, cfg, np.random.default_rng(0))
+        nxt, _ = step_logdet(state, cfg, np.random.default_rng(0), _table(cfg))
         keep = nxt.birth == 0
         assert nxt.count[keep][0] == pytest.approx(math.log(0.9) + 50.0, rel=1e-12)
 
@@ -198,8 +202,9 @@ class TestLogdetStep:
         cfg = _cfg(model="mmm", beta=0.2)
         state = to_logdet(initial_state(cfg))
         rng = np.random.default_rng(3)
+        table = _table(cfg)
         for _ in range(5):
-            state, _ = step_logdet(state, cfg, rng)
+            state, _ = step_logdet(state, cfg, rng, table)
         m = state.count.max()
         direct = m + math.log(np.sum(np.exp(state.count - m)))
         assert state.log_X == pytest.approx(direct, rel=1e-12)
@@ -208,7 +213,7 @@ class TestLogdetStep:
         cfg = _cfg(beta=0.1)
         state = to_logdet(initial_state(cfg))
         u = 0.37
-        nxt, log_w = step_logdet(state, cfg, _FixedUniform(u))
+        nxt, log_w = step_logdet(state, cfg, _FixedUniform(u), _table(cfg))
         lam_log = math.log(0.1) + state.log_fitsum
         want = -(math.log(-math.log(u)) - lam_log) / 1.0
         assert log_w == pytest.approx(want, rel=1e-12)
@@ -217,8 +222,9 @@ class TestLogdetStep:
 
 class TestMutantSpectrum:
     def test_zero_rate_gives_empty_spectrum(self):
-        fits, counts, log_w = mutant_spectrum(-np.inf, _cfg(model="mmm"),
-                                              np.random.default_rng(0))
+        cfg = _cfg(model="mmm")
+        fits, counts, log_w = mutant_spectrum(-np.inf, cfg, np.random.default_rng(0),
+                                              _table(cfg))
         assert fits.size == 0 and counts.size == 0 and log_w == -np.inf
 
     def test_bin_mass_formula(self):
@@ -254,7 +260,7 @@ class TestMutantSpectrum:
 
     def test_top_class_is_exact_sample_with_count_one(self):
         cfg = _cfg(model="mmm")
-        fits, counts, log_w = mutant_spectrum(40.0, cfg, np.random.default_rng(9))
+        fits, counts, log_w = mutant_spectrum(40.0, cfg, np.random.default_rng(9), _table(cfg))
         assert fits[0] == log_w and counts[0] == 0.0
         assert np.all(fits[1:] < log_w)
 
