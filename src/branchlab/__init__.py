@@ -39,17 +39,13 @@ from .recursion import (
     verify_indu,
 )
 from .simulate import (
-    PopulationState,
     RunRecord,
     SimConfig,
     fittest_mutant_ks,
-    heuristic_wt,
     mc_verify_galton,
     mc_verify_tdg,
     run,
     sample_fittest_mutant,
-    step_exact,
-    step_logdet,
 )
 from .tails import (
     TailModel,
@@ -65,7 +61,6 @@ __all__ = [
     "ChiSeries",
     "FreqSnapshot",
     "GrowthLaw",
-    "PopulationState",
     "RunRecord",
     "SeedSequence",
     "SimConfig",
@@ -80,7 +75,6 @@ __all__ = [
     "freq_from_chi",
     "freq_from_run",
     "growth_law",
-    "heuristic_wt",
     "homogeneous_curve",
     "inverse_log_tail",
     "log_tail",
@@ -98,8 +92,6 @@ __all__ = [
     "sample_fittest_mutant",
     "sample_max_of_n",
     "solve_chi",
-    "step_exact",
-    "step_logdet",
     "tail",
     "verify_indu",
 ]

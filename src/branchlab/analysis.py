@@ -16,10 +16,6 @@ from .errors import DomainError, InsufficientOverlap
 from .recursion import ChiSeries
 from .simulate import RunRecord
 
-SOURCE_RECURSION = "recursion"
-SOURCE_SIMULATION = "simulation"
-
-
 @dataclass(frozen=True)
 class FreqSnapshot:
     """(J, R) point cloud plus P for one generation, sorted by J ascending."""
@@ -28,11 +24,6 @@ class FreqSnapshot:
     J: np.ndarray
     R: np.ndarray
     P: float
-    source: str
-
-    @property
-    def points(self):
-        return list(zip(self.J.tolist(), self.R.tolist()))
 
 
 def freq_from_chi(series: ChiSeries, t: int) -> FreqSnapshot:
@@ -46,7 +37,7 @@ def freq_from_chi(series: ChiSeries, t: int) -> FreqSnapshot:
     J = np.exp(series.L[1:t] - series.L[t])
     R = (t - i) * J / series.alpha - 1.0
     P = series.alpha * math.expm1(series.L[t + 1] - series.L[t])
-    return FreqSnapshot(t=t, J=J, R=R, P=P, source=SOURCE_RECURSION)
+    return FreqSnapshot(t=t, J=J, R=R, P=P)
 
 
 def freq_from_run(record: RunRecord, t: int) -> FreqSnapshot:
@@ -69,7 +60,7 @@ def freq_from_run(record: RunRecord, t: int) -> FreqSnapshot:
     R = ((t - i) * log_w - log_x_t) / log_x_t
     order = np.argsort(J)
     P = (record.log_X[t + 1] - log_x_t) / log_w_t
-    return FreqSnapshot(t=t, J=J[order], R=R[order], P=float(P), source=SOURCE_SIMULATION)
+    return FreqSnapshot(t=t, J=J[order], R=R[order], P=float(P))
 
 
 def homogeneous_curve(J):

@@ -509,7 +509,7 @@ def _cmd_verify_lemmas(p) -> int:
     for alpha in (1.0, 2.0):
         model = parse_tail_model(f"pareto:alpha={alpha}")
         draws = simulate.sample_fittest_mutant(0.0, model, rng, size=replicas)
-        ks = simulate.fittest_mutant_ks(np.atleast_1d(draws), model, 1.0)
+        ks = simulate.fittest_mutant_ks(draws, model, 1.0)
         checks.append((f"fittest-mutant-law-ks-alpha-{alpha:g}", ks, ks_crit, ks <= ks_crit))
 
     width = max(len(name) for name, *_ in checks)

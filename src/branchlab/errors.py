@@ -21,10 +21,6 @@ class ConstraintViolation(BranchlabError, ValueError):
     """Cycle multipliers violate their admissibility constraints."""
 
 
-class CapExceeded(BranchlabError, RuntimeError):
-    """Expected event count exceeds the exact-mode cap; switch engines."""
-
-
 class TooManyRestarts(BranchlabError, RuntimeError):
     """Survival conditioning gave up after too many extinct attempts."""
 

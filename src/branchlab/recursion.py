@@ -59,12 +59,6 @@ class SeedSequence:
             raise DomainError("explicit seed needs a nonempty positive list")
         return cls(kind="explicit", values=values)
 
-    def log_a(self, t: int) -> float:
-        """log a_t for a single generation t >= 1."""
-        if t < 1:
-            raise DomainError("seed index starts at 1")
-        return float(self.log_a_array(t)[t])
-
     def log_a_array(self, t_max: int) -> np.ndarray:
         """Padded array with entry t = log a_t for 1 <= t <= t_max."""
         out = np.empty(t_max + 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, HorizonOverflow, TooManyRestarts
+from .errors import DomainError, HorizonOverflow, TooManyRestarts
 from .tails import TailModel, inverse_log_tail, log_tail, sample_fitness, sample_max_of_n
 
 MODE_EXACT = "exact"
@@ -126,7 +126,6 @@ class PopulationState:
 class RunRecord:
     """Per-generation time series of one (possibly restarted) run."""
 
-    config: SimConfig
     t: np.ndarray
     log_X: np.ndarray
     log_W: np.ndarray
@@ -134,7 +133,6 @@ class RunRecord:
     mode: np.ndarray  # 0 exact, 1 logdet
     dominant_age: np.ndarray
     outcome: str  # "survived" | "extinct"
-    extinct_t: int | None
     restarts: int
 
 
@@ -234,13 +232,13 @@ def initial_state(cfg: SimConfig) -> PopulationState:
 
 
 def to_logdet(state: PopulationState) -> PopulationState:
-    """Permanently switch a state to deterministic log-count bookkeeping."""
-    if state.mode == MODE_LOGDET:
-        return state
-    keep = state.count > 0
-    with np.errstate(divide="ignore"):
-        log_counts = np.log(state.count[keep].astype(float))
-    return _rebuild(state.t, state.log_fit[keep], log_counts, state.birth[keep], MODE_LOGDET)
+    """Permanently switch an exact state to deterministic log-count bookkeeping.
+
+    Every exact count is at least 1 (the founder, each mutant and each kept
+    survivor class), so every log-count is finite.
+    """
+    log_counts = np.log(state.count.astype(float))
+    return _rebuild(state.t, state.log_fit, log_counts, state.birth, MODE_LOGDET)
 
 
 def sample_fittest_mutant(log_lambda: float, tail: TailModel, rng: np.random.Generator, size=None):
@@ -293,18 +291,10 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     mutant count is Poisson(beta * sum n_i F_i).  FMM adds one class holding
     the largest of the mutant fitnesses, MMM adds every mutant.
 
-    Raises CapExceeded when the expected event count passes the cap, which
-    signals a mode switch rather than a failure.
+    The state must be exact, non-empty and at or below the cap (expected
+    events exp(log_fitsum) <= exact_event_cap); ``_attempt`` checks all three.
     """
-    if state.mode != MODE_EXACT:
-        raise DomainError("step_exact needs an exact-mode state")
     t_next = state.t + 1
-    if state.extinct:
-        return _rebuild(t_next, np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), MODE_EXACT), -np.inf
-    if state.log_fitsum > math.log(cfg.exact_event_cap):
-        raise CapExceeded(
-            f"expected events exp({state.log_fitsum:.3f}) exceed cap {cfg.exact_event_cap:g}"
-        )
     events = math.exp(state.log_fitsum)
     # mutants are drawn before survivors: paired runs then share the
     # most influential draws when fed per-generation substreams
@@ -314,10 +304,10 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     mutant_fit = np.empty(0)
     if m >= 1:
         if cfg.model == "fmm":
-            log_w = float(sample_max_of_n(cfg.tail, m, rng))
+            log_w = sample_max_of_n(cfg.tail, m, rng)
             mutant_fit = np.array([log_w])
         else:
-            mutant_fit = np.atleast_1d(sample_fitness(cfg.tail, rng, size=m))
+            mutant_fit = sample_fitness(cfg.tail, rng, size=m)
             log_w = float(mutant_fit.max())
     lam = (1.0 - cfg.beta) * state.count * np.exp(state.log_fit)
     survivors = _poisson(rng, lam).astype(np.int64, copy=False)
@@ -407,10 +397,9 @@ def step_logdet(state: PopulationState, cfg: SimConfig, rng: np.random.Generator
 
     Class log-counts advance by their expectation, log(1-beta) + log F_i;
     only the mutant input stays stochastic.  ``table`` is passed on to
-    ``mutant_spectrum``.
+    ``mutant_spectrum``.  The state must be in logdet mode; ``_attempt``
+    switches it.
     """
-    if state.mode != MODE_LOGDET:
-        raise DomainError("step_logdet needs a logdet-mode state")
     t_next = state.t + 1
     log_counts = math.log1p(-cfg.beta) + state.count + state.log_fit
     keep = log_counts >= _LOG_COUNT_FLOOR
@@ -445,6 +434,10 @@ def _generation_rng(base_seed: int, t: int) -> np.random.Generator:
 
 def _attempt(cfg: SimConfig, base_seed: int):
     """One survival attempt; returns (rows, extinct_t).
+
+    The one place that decides the engine: it switches to logdet once the
+    expected event count passes the cap, picks the step by mode, and stops
+    at extinction, so the steps never see a state they cannot take.
 
     Raises HorizonOverflow when log X or the log fitness sum turns NaN or
     +inf (-inf is extinction); numpy's overflow warnings are silenced.
@@ -487,7 +480,6 @@ def run(cfg: SimConfig) -> RunRecord:
         if extinct_t is None or not cfg.restart_on_extinction:
             cols = list(zip(*rows))
             return RunRecord(
-                config=cfg,
                 t=np.array(cols[0], dtype=np.int64),
                 log_X=np.array(cols[1]),
                 log_W=np.array(cols[2]),
@@ -495,28 +487,12 @@ def run(cfg: SimConfig) -> RunRecord:
                 mode=np.array(cols[4], dtype=np.int8),
                 dominant_age=np.array(cols[5], dtype=np.int64),
                 outcome="survived" if extinct_t is None else "extinct",
-                extinct_t=extinct_t,
                 restarts=attempt,
             )
     raise TooManyRestarts(
         f"no surviving run in {MAX_RESTARTS} attempts (seed {cfg.seed}); "
         "survival probability is negligible for these parameters"
     )
-
-
-def heuristic_wt(log_X: float, beta: float, alpha: float, rng: np.random.Generator, size=None):
-    """Approximate fittest-mutant draw for a Pareto tail, for cross-checks.
-
-    log W = (log X + log(beta/(1-beta)) - log(-log Z))/alpha with Z uniform;
-    this treats the mutant count as its expectation beta/(1-beta) * X.
-    """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("beta must be in (0, 1)")
-    z = rng.random(size)
-    with np.errstate(divide="ignore"):
-        tail_term = np.log(-np.log(z))
-    out = (log_X + math.log(beta) - math.log1p(-beta) - tail_term) / alpha
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def mc_verify_galton(theta: float, x: float, n: int, replicas: int, rng: np.random.Generator):

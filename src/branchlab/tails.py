@@ -109,7 +109,8 @@ def inverse_log_tail(model: TailModel, log_g) -> float | np.ndarray:
 
     Pareto has the closed form -log_g/alpha.  Paretolog is solved with a
     bracketed Newton iteration; the residual target is 1e-12 absolute with a
-    machine-precision relative floor for extreme log magnitudes.
+    machine-precision relative floor for extreme log magnitudes.  Where
+    -log_g/alpha overflows float64 both families return +inf.
 
     Raises NonConvergence if the residual stays above the failure threshold,
     which signals a degenerate model parameterization.
@@ -127,6 +128,9 @@ def inverse_log_tail(model: TailModel, log_g) -> float | np.ndarray:
 
     a, c = model.alpha, model.gamma
     g = np.atleast_1d(log_g).astype(float)
+    out = -g / a
+    solve = out < np.inf  # an overflowed entry keeps +inf, as for pareto
+    g = g[solve]
 
     def h(v):
         return -a * v + c * np.log1p(v)
@@ -161,7 +165,8 @@ def inverse_log_tail(model: TailModel, log_g) -> float | np.ndarray:
             f"tail inversion stalled for {model} (worst residual "
             f"{np.max(np.abs(h(x) - g)):.3e})"
         )
-    return _maybe_scalar(x.reshape(np.shape(log_g)), log_g)
+    out[solve] = x
+    return _maybe_scalar(out.reshape(np.shape(log_g)), log_g)
 
 
 def sample_fitness(model: TailModel, rng: np.random.Generator, size=None):

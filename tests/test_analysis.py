@@ -146,9 +146,9 @@ class TestCollapseDistance:
 
     def test_insufficient_overlap_raises(self):
         a = FreqSnapshot(t=1, J=np.array([0.1, 0.2, 0.3]),
-                         R=np.array([-0.5, -0.4, -0.3]), P=0.0, source="recursion")
+                         R=np.array([-0.5, -0.4, -0.3]), P=0.0)
         b = FreqSnapshot(t=2, J=np.array([0.8, 0.9]),
-                         R=np.array([-0.2, -0.1]), P=0.0, source="recursion")
+                         R=np.array([-0.2, -0.1]), P=0.0)
         with pytest.raises(InsufficientOverlap):
             collapse_distance(a, b)
 

@@ -217,13 +217,13 @@ class TestExtractPhi:
 class TestCtexSeeds:
     def test_hand_values_alpha_one(self):
         seed = build_ctex_seed(1.0, [4.0 / 3.0, 1.5, 1.5])
-        assert math.exp(seed.log_a(1)) == pytest.approx(3.0, rel=1e-12)
-        assert math.exp(seed.log_a(2)) == pytest.approx(4.0, rel=1e-12)
+        assert math.exp(seed.log_a_array(1)[1]) == pytest.approx(3.0, rel=1e-12)
+        assert math.exp(seed.log_a_array(2)[2]) == pytest.approx(4.0, rel=1e-12)
 
     def test_period_one_collapses_to_linear_over_alpha(self):
         seed = build_ctex_seed(0.4, [2.5])
         for t in (1, 2, 7):
-            assert math.exp(seed.log_a(t)) == pytest.approx(t / 0.4, rel=1e-12)
+            assert math.exp(seed.log_a_array(t)[t]) == pytest.approx(t / 0.4, rel=1e-12)
 
     def test_homogeneous_multipliers_reproduce_direct_formula(self):
         a = alpha_critical(2)
@@ -231,7 +231,7 @@ class TestCtexSeeds:
         seed = build_ctex_seed(a, [math.exp(n)] * 2)
         for t in (1, 2, 5, 9):
             direct = max((2 - i + t - 1) / a * math.exp(n) ** i for i in range(2))
-            assert math.exp(seed.log_a(t)) == pytest.approx(direct, rel=1e-12)
+            assert math.exp(seed.log_a_array(t)[t]) == pytest.approx(direct, rel=1e-12)
 
     def test_precondition_failures(self):
         with pytest.raises(ConstraintViolation):
@@ -250,7 +250,6 @@ class TestCtexSeeds:
         for t in range(1, 31):
             direct = max((3 - i + t - 1) / alpha * math.prod(phi[:i]) for i in range(3))
             assert math.exp(arr[t]) == pytest.approx(direct, rel=1e-14)
-            assert seed.log_a(t) == arr[t]
 
     @pytest.mark.parametrize("alpha", [1.0, 1.0 / 3.0, 20.0, 100.0])
     def test_ctex_seed_values_match_the_dense_grid(self, alpha):

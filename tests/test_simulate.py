@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from branchlab.errors import CapExceeded, DomainError, HorizonOverflow, TooManyRestarts
+from branchlab.errors import DomainError, HorizonOverflow, TooManyRestarts
 from branchlab.simulate import (
     MAX_EXACT_EVENT_CAP,
     MMM_MAX_EXACT_EVENT_CAP,
@@ -20,7 +20,6 @@ from branchlab.simulate import (
     _rebuild,
     _SpectrumTable,
     fittest_mutant_ks,
-    heuristic_wt,
     initial_state,
     mc_verify_galton,
     mc_verify_tdg,
@@ -144,20 +143,6 @@ class TestSampleFittestMutant:
 
 
 class TestStepExact:
-    def test_empty_population_is_absorbing(self):
-        state = initial_state(_cfg())
-        empty, _ = step_exact(
-            type(state)(t=3, log_fit=np.empty(0), count=np.empty(0, np.int64),
-                        birth=np.empty(0, np.int64), mode=MODE_EXACT),
-            _cfg(), np.random.default_rng(0),
-        )
-        assert empty.extinct and empty.t == 4
-
-    def test_cap_signals_mode_switch(self):
-        cfg = _cfg(exact_event_cap=10.0, log_f=math.log(100.0))
-        with pytest.raises(CapExceeded):
-            step_exact(initial_state(cfg), cfg, np.random.default_rng(0))
-
     def test_poisson_thinning_means(self):
         # single individual, F = 4, beta = 0.5: survivors and mutants both
         # Poisson(2); the MMM next generation has mean 4
@@ -287,7 +272,8 @@ class TestRun:
                    log_f=math.log(1.2), t_max=30, restart_on_extinction=False)
         rec = run(cfg)
         assert rec.outcome == "extinct"
-        assert rec.extinct_t == rec.t[-1]
+        # the record stops at the extinction generation
+        assert rec.n_classes[-1] == 0 and np.all(rec.n_classes[:-1] > 0)
         assert math.isinf(rec.log_X[-1])
 
     def test_restart_counter_increments(self):
@@ -314,12 +300,12 @@ class TestRun:
     def test_horizon_overflow_names_the_generation(self, model):
         # nu(0.3) = -log 0.3, so log X passes float64 near t = 590; the run
         # must stop there with a typed error, not carry NaN rows on
-        tail = TailModel("pareto", 0.3)
-        with pytest.raises(HorizonOverflow) as info:
-            run(_cfg(model=model, tail=tail, t_max=700))
-        bad_t = int(re.search(r"generation (\d+)", str(info.value)).group(1))
-        rec = run(_cfg(model=model, tail=tail, t_max=bad_t - 1))
-        assert np.all(np.isfinite(rec.log_X[1:]))
+        for tail in (TailModel("pareto", 0.3), TailModel("paretolog", 0.3, -0.3)):
+            with pytest.raises(HorizonOverflow) as info:
+                run(_cfg(model=model, tail=tail, t_max=700))
+            bad_t = int(re.search(r"generation (\d+)", str(info.value)).group(1))
+            rec = run(_cfg(model=model, tail=tail, t_max=bad_t - 1))
+            assert np.all(np.isfinite(rec.log_X[1:]))
 
     def test_mode_switch_consistency(self):
         # same seed, hybrid vs pure exact: log X within 1 percent two
@@ -366,36 +352,6 @@ class TestRun:
         diff = mmm.mean(axis=0) - fmm.mean(axis=0)
         assert np.all(diff[1:] > 0.0)
         assert np.all((mmm - fmm)[:, 1:] >= 0.0)
-
-
-class TestHeuristicWt:
-    def test_unit_quantile(self):
-        beta = 0.3
-        z = math.exp(-beta / (1.0 - beta))
-        got = heuristic_wt(20.0, beta, 2.0, _FixedUniform(z))
-        assert got == pytest.approx(10.0, rel=1e-12)
-
-    def test_matches_exact_sampler_in_distribution(self):
-        # single-class population, X = 1e6: expected mutant count is
-        # beta/(1-beta) * X, matching the exact law's rate
-        rng = np.random.default_rng(21)
-        beta, n = 0.5, 10**5
-        lam = beta * 1e6 / (1.0 - beta)
-        h = np.sort(heuristic_wt(math.log(1e6), beta, 1.0, rng, size=n))
-        e = np.asarray(sample_fittest_mutant(math.log(lam), PARETO1, rng, size=n))
-        e = np.sort(e[e > -np.inf])
-        grid = np.concatenate([h, e])
-        cdf_h = np.searchsorted(h, grid, side="right") / h.size
-        cdf_e = np.searchsorted(e, grid, side="right") / e.size
-        assert float(np.max(np.abs(cdf_h - cdf_e))) <= 0.02
-
-    def test_pareto_tail_index(self):
-        rng = np.random.default_rng(17)
-        draws = heuristic_wt(10.0, 0.5, 2.0, rng, size=10**5)
-        w = 10.0 / 2.0 + 2.0  # deep in the tail
-        p1 = np.mean(draws > w)
-        p2 = np.mean(draws > w + math.log(2.0))  # doubling fitness
-        assert p2 / p1 == pytest.approx(0.25, abs=0.05)  # index alpha = 2
 
 
 class TestGaltonWatsonBounds:
