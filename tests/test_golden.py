@@ -14,6 +14,9 @@ three bins per decade; their fittest mutant climbs from log-fitness about
 50 to about 1e11, so the spectrum bins reach ten more decades of the
 log-fitness grid as the run goes.  ``fmm_logdet_jobs2`` repeats
 ``fmm_logdet`` on two worker processes and must match it byte for byte.
+``fmm_restart_seed_wrap`` starts replica 0 at attempt seed 2**64 - 2 and
+restarts 54 times, so its attempt seeds wrap through 2**64 - 1 to 0, 1, ...:
+they cover seeds of two 32-bit words, of one word, and the seed 0.
 ``nu_large_alpha`` reaches horizons T of about 54000, where the
 search in ``growth.period_T`` starts far from T = 1.  ``fmm_exact_big_means``
 raises the exact-mode cap to 1e18, so exact generations draw the mutant
@@ -40,6 +43,13 @@ CASES = {
          "--seed", "5"],
         ["0d8850b017efad767b0f23dbae0df8edc3784fc9e6b70f08c52578fb9fe78cd1",
          "79367db1abd8966e2d67543ab96e9d960045bb0e68cad059bbdbf6e26040c713"],
+    ),
+    "fmm_restart_seed_wrap": (
+        ["simulate", "--model", "fmm", "--tail", "pareto:alpha=3", "--beta", "0.9",
+         "--log-f", "0.1823215567939546", "--t-max", "40", "--replicas", "1",
+         "--seed", "2152535657050944081"],
+        ["101e6afc2eb8e74d8085961639ecef0523bf8620fa4c41b59c848bc9d7d731a4",
+         "e7f45dc6e4630231b013ffbd721c153fceedddebb484c8c72ccb1e74c9fc4d1f"],
     ),
     "fmm_logdet": (
         ["simulate", "--model", "fmm", "--beta", "0.2", "--log-f", "40",
