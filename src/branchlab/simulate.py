@@ -16,6 +16,14 @@ log-fitness descending with unique keys; totals carry as log X and log of
 the fitness-weighted sum, refreshed every step.  Every step merges its
 classes in ``_rebuild``, whose contract (equal keys fold left to right in
 input order) makes every output bit-for-bit reproducible.
+
+Generation t of an attempt draws from the ``PCG64`` stream seeded by a
+``np.random.SeedSequence`` with entropy ``attempt_seed`` and
+``spawn_key=(t,)``.  ``_generation_rng`` computes that stream's state in
+plain integers, without constructing a ``SeedSequence`` or a ``PCG64``, and
+sets it on one generator reused for the whole run;
+``tests/test_substream_properties.py`` pins the two to the same state and
+the same draws.
 """
 from __future__ import annotations
 
@@ -419,21 +427,119 @@ def step_logdet(state: PopulationState, cfg: SimConfig, rng: np.random.Generator
     return _rebuild(t_next, log_fit, log_counts, birth, MODE_LOGDET), log_w
 
 
-def _generation_rng(base_seed: int, t: int) -> np.random.Generator:
-    """Fresh substream for generation t, derived from the attempt seed.
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx, after
+# O'Neill's seed_seq_fe) and PCG64's 128-bit multiplier
+# PCG_DEFAULT_MULTIPLIER_128 (numpy/random/src/pcg64/pcg64.h).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple:
+    """The n + 1 values init * mult**k (mod 2**32) a hash walks through."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(out)
+
+
+# Hashmix k xors with _HASH_A[k] and multiplies by _HASH_A[k + 1]: mixes 0-15
+# build the pool, then each 32-bit word of the spawn key takes four.
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 24)
+_SPAWN_HASH = _HASH_A[16:]
+# generate_state's output word i xors with _HASH_B[i], multiplies by _HASH_B[i + 1]
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: int, k: int) -> int:
+    value = (value ^ _HASH_A[k]) * _HASH_A[k + 1] & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _seed_pool(seed: int) -> tuple:
+    """Entropy pool of a ``SeedSequence`` of entropy ``seed`` before its spawn key.
+
+    ``seed`` is below 2**64: its little-endian 32-bit words, padded with zeros
+    to the pool size of 4 because the spawn key is not empty, are hashed in,
+    then every pool word is mixed into every other, as ``mix_entropy`` does.
+    """
+    pool = [_hashmix(w, k) for k, w in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], k))
+                k += 1
+    return tuple(pool)
+
+
+def _generation_rng(pool: tuple, t: int, rng: np.random.Generator) -> np.random.Generator:
+    """``rng`` reset to the substream of generation t of an attempt; returns it.
+
+    The substream is the ``PCG64`` stream seeded by a ``np.random.SeedSequence``
+    with entropy ``attempt_seed`` and ``spawn_key=(t,)``, where ``pool`` is
+    ``_seed_pool(attempt_seed)`` and 1 <= t < 2**64.  It is computed without
+    constructing either: the words of t are mixed into a copy of the pool,
+    ``generate_state(4, uint64)`` gives the seed and stream words, and PCG64's
+    ``srandom`` step, state = ((inc + initstate) * M + inc) mod 2**128 with
+    inc = 2 * initseq + 1, gives the state.  Setting ``bit_generator.state``
+    also drops any buffered 32-bit half.  ``tests/test_substream_properties.py``
+    checks state and draws against ``SeedSequence``.
 
     Common-random-numbers discipline: paired runs with the same seed draw
     from identical substreams each generation, so their fittest-mutant
     uniforms coincide even after the streams would otherwise desynchronize.
-
-    Seeding a fresh ``SeedSequence`` per generation is the stream contract,
-    so this call is the cost floor of one exact generation.
     """
-    return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(t,)))
+    a, b, c, d = pool
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = _SPAWN_HASH
+    L, R, M = _MIX_MULT_L, _MIX_MULT_R, _MASK32
+    # mix_entropy on the spawn key: each word of t is hashed into each pool word
+    w = t & M
+    h = (w ^ x0) * x1 & M; a = (L * a - R * (h ^ h >> 16)) & M; a ^= a >> 16
+    h = (w ^ x1) * x2 & M; b = (L * b - R * (h ^ h >> 16)) & M; b ^= b >> 16
+    h = (w ^ x2) * x3 & M; c = (L * c - R * (h ^ h >> 16)) & M; c ^= c >> 16
+    h = (w ^ x3) * x4 & M; d = (L * d - R * (h ^ h >> 16)) & M; d ^= d >> 16
+    w = t >> 32
+    if w:
+        h = (w ^ x4) * x5 & M; a = (L * a - R * (h ^ h >> 16)) & M; a ^= a >> 16
+        h = (w ^ x5) * x6 & M; b = (L * b - R * (h ^ h >> 16)) & M; b ^= b >> 16
+        h = (w ^ x6) * x7 & M; c = (L * c - R * (h ^ h >> 16)) & M; c ^= c >> 16
+        h = (w ^ x7) * x8 & M; d = (L * d - R * (h ^ h >> 16)) & M; d ^= d >> 16
+    # generate_state: eight 32-bit words from the pool cycled twice, paired
+    # little-endian into four uint64 (initstate high, low; initseq high, low)
+    y0, y1, y2, y3, y4, y5, y6, y7, y8 = _HASH_B
+    s0 = (a ^ y0) * y1 & M; s1 = (b ^ y1) * y2 & M
+    s2 = (c ^ y2) * y3 & M; s3 = (d ^ y3) * y4 & M
+    s4 = (a ^ y4) * y5 & M; s5 = (b ^ y5) * y6 & M
+    s6 = (c ^ y6) * y7 & M; s7 = (d ^ y7) * y8 & M
+    initstate = ((s1 ^ s1 >> 16) << 96 | (s0 ^ s0 >> 16) << 64
+                 | (s3 ^ s3 >> 16) << 32 | s2 ^ s2 >> 16)
+    inc = ((s5 ^ s5 >> 16) << 97 | (s4 ^ s4 >> 16) << 65
+           | (s7 ^ s7 >> 16) << 33 | (s6 ^ s6 >> 16) << 1 | 1) & _MASK128
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
-def _attempt(cfg: SimConfig, base_seed: int):
+def _attempt(cfg: SimConfig, base_seed: int, rng: np.random.Generator):
     """One survival attempt; returns (rows, extinct_t).
+
+    Each generation resets the run's ``rng`` to its substream of ``base_seed``.
 
     The one place that decides the engine: it switches to logdet once the
     expected event count passes the cap, picks the step by mode, and stops
@@ -443,12 +549,13 @@ def _attempt(cfg: SimConfig, base_seed: int):
     +inf (-inf is extinction); numpy's overflow warnings are silenced.
     """
     log_cap = math.log(cfg.exact_event_cap)
+    pool = _seed_pool(base_seed)
     table = _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade)
     state = initial_state(cfg)
     rows = [(0, state.log_X, -np.inf, state.n_classes, 0, state.dominant_age())]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.t_max):
-            rng = _generation_rng(base_seed, state.t + 1)
+            _generation_rng(pool, state.t + 1, rng)
             if state.mode == MODE_EXACT and state.log_fitsum > log_cap:
                 state = to_logdet(state)
             if state.mode == MODE_EXACT:
@@ -475,8 +582,10 @@ def run(cfg: SimConfig) -> RunRecord:
     survival conditioning.  Raises TooManyRestarts after 10^4 extinct
     attempts, which signals negligible survival probability.
     """
+    # one generator for every attempt; each generation sets its whole state
+    rng = np.random.Generator(np.random.PCG64(0))
     for attempt in range(MAX_RESTARTS + 1):
-        rows, extinct_t = _attempt(cfg, (cfg.seed + attempt) % (1 << 64))
+        rows, extinct_t = _attempt(cfg, (cfg.seed + attempt) % (1 << 64), rng)
         if extinct_t is None or not cfg.restart_on_extinction:
             cols = list(zip(*rows))
             return RunRecord(

@@ -100,7 +100,10 @@ def log_tail(model: TailModel, log_x) -> float | np.ndarray:
     if model.family == "pareto":
         out = -model.alpha * pos
     else:
-        out = -model.alpha * pos + model.gamma * np.log1p(pos)
+        # at log_x = +inf the sum is inf - inf (0 * inf at gamma 0); G is 0 there
+        with np.errstate(invalid="ignore"):
+            out = -model.alpha * pos + model.gamma * np.log1p(pos)
+        out = np.where(pos == np.inf, -np.inf, out)
     return _maybe_scalar(out, log_x)
 
 

@@ -281,6 +281,29 @@ class TestRun:
         rec = run(cfg)
         assert rec.outcome == "survived" and rec.restarts > 0
 
+    def test_runs_seed_no_generator_per_generation(self, monkeypatch):
+        # every substream is set on the run's one generator, so neither a
+        # restarting fmm run nor an mmm run through the handover to logdet
+        # may build a SeedSequence, call default_rng or make a second PCG64
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was seeded per generation")
+
+        made = []
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return pcg64(*args, **kwargs)
+
+        pcg64 = np.random.PCG64
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "PCG64", counted)
+        fmm = run(_cfg(beta=0.9, log_f=math.log(1.5), t_max=25, seed=3))
+        assert fmm.restarts > 0
+        mmm = run(_cfg(model="mmm", log_f=math.log(2.0), t_max=12, seed=3))
+        assert mmm.mode[1] == 0 and mmm.mode[-1] == 1
+        assert len(made) == 2
+
     def test_too_many_restarts(self):
         # weak mutants (alpha 5) cannot rescue a strongly subcritical run
         cfg = _cfg(tail=TailModel("pareto", 5.0), beta=0.99,

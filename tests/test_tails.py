@@ -5,6 +5,7 @@ closed-form tails, brute-force quantiles of the max law, and Monte Carlo
 comparisons against exact CDFs.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ class TestLogTail:
 
     def test_below_support_is_zero(self):
         assert log_tail(PARETO2, -5.0) == 0.0
+
+    @pytest.mark.parametrize("model", [PARETO1, PLOG11, PLOG1M1, TailModel("paretolog", 1.0, 0.5),
+                                       TailModel("paretolog", 1.0, -0.5),
+                                       TailModel("paretolog", 2.0, 0.0)])
+    def test_tail_is_zero_at_infinity(self, model):
+        # inf - inf must not leak out as NaN, for a scalar or an array entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_tail(model, math.inf) == -math.inf
+            assert tail(model, math.inf) == 0.0
+            out = log_tail(model, np.array([math.inf, 0.0, 1.0, math.inf]))
+            assert np.array_equal(tail(model, np.array([math.inf, 1.0])), [0.0, 1.0])
+        assert out[0] == out[3] == -math.inf and out[1] == 0.0
+        assert out[2] == log_tail(model, 1.0)
 
 
 class TestInverseLogTail:
