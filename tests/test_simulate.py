@@ -289,12 +289,12 @@ class TestRun:
             raise AssertionError("a generator was seeded per generation")
 
         made = []
+        pcg64 = np.random.PCG64
 
         def counted(*args, **kwargs):
             made.append(args)
             return pcg64(*args, **kwargs)
 
-        pcg64 = np.random.PCG64
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         monkeypatch.setattr(np.random, "PCG64", counted)

@@ -75,9 +75,10 @@ class TestLogTail:
     def test_below_support_is_zero(self):
         assert log_tail(PARETO2, -5.0) == 0.0
 
-    @pytest.mark.parametrize("model", [PARETO1, PLOG11, PLOG1M1, TailModel("paretolog", 1.0, 0.5),
-                                       TailModel("paretolog", 1.0, -0.5),
-                                       TailModel("paretolog", 2.0, 0.0)])
+    @pytest.mark.parametrize("model", [
+        PARETO1, PLOG11, PLOG1M1, TailModel("paretolog", 1.0, 0.5),
+        TailModel("paretolog", 1.0, -0.5), TailModel("paretolog", 2.0, 0.0),
+    ])
     def test_tail_is_zero_at_infinity(self, model):
         # inf - inf must not leak out as NaN, for a scalar or an array entry
         with warnings.catch_warnings():
