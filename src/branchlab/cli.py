@@ -328,13 +328,9 @@ def _cmd_nu(p) -> int:
 def _cmd_recurse(p) -> int:
     seed = _resolve_seed(p["seed"], p["alpha"])
     series = recursion.solve_chi(p["alpha"], seed, p["t_max"])
-    t_max = series.t_max
-    nu_hat = [recursion.nu_hat(series, t) if t + series.T <= t_max else math.nan
-              for t in range(1, t_max + 1)]
-    rows = zip(range(1, t_max + 1), series.L[1:].tolist(), series.I[1:].tolist(),
-               series.log_c_array()[1:].tolist(), nu_hat)
-    _write_csv(p["out"], ["t", "log_chi", "I_t", "log_c_t", "nu_hat"], rows)
+    payload = None
     if p["detect_period"]:
+        # before any output, so a failed period check leaves no file behind
         t1, cycle = recursion.detect_period(series, tol=p["tol"])
         try:
             phi = recursion.extract_phi(cycle, series.nu, series.alpha).tolist()
@@ -348,6 +344,13 @@ def _cmd_recurse(p) -> int:
             "phi": phi,
             "constraints_ok": constraints_ok,
         }
+    t_max = series.t_max
+    nu_hat = [recursion.nu_hat(series, t) if t + series.T <= t_max else math.nan
+              for t in range(1, t_max + 1)]
+    rows = zip(range(1, t_max + 1), series.L[1:].tolist(), series.I[1:].tolist(),
+               series.log_c_array()[1:].tolist(), nu_hat)
+    _write_csv(p["out"], ["t", "log_chi", "I_t", "log_c_t", "nu_hat"], rows)
+    if payload is not None:
         _write_json(_side_out(p["out"], ".period.json"), payload)
     return 0
 
@@ -394,7 +397,19 @@ def _sim_config(p, seed: int) -> simulate.SimConfig:
     )
 
 
+def _slope_window(p) -> tuple[int, int]:
+    """The log-log slope window; one given by the caller must lie in [0, t_max]."""
+    t_max = p["t_max"]
+    lo = p["slope_lo"] if p["slope_lo"] is not None else (5 * t_max) // 8
+    hi = p["slope_hi"] if p["slope_hi"] is not None else t_max
+    if (p["slope_lo"] is not None or p["slope_hi"] is not None) and not 0 <= lo < hi <= t_max:
+        raise UsageError(f"slope window needs 0 <= --slope-lo < --slope-hi <= --t-max "
+                         f"({t_max}), got [{lo}, {hi}]")
+    return lo, hi
+
+
 def _cmd_simulate(p) -> int:
+    lo, hi = _slope_window(p)
     configs = [
         _sim_config(p, replica_seed(p["seed"], k)) for k in range(p["replicas"])
     ]
@@ -417,9 +432,6 @@ def _cmd_simulate(p) -> int:
         rows,
     )
 
-    t_max = p["t_max"]
-    lo = p["slope_lo"] if p["slope_lo"] is not None else (5 * t_max) // 8
-    hi = p["slope_hi"] if p["slope_hi"] is not None else t_max
     slopes = []
     survived = 0
     for rec in records:

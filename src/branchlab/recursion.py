@@ -234,21 +234,20 @@ def _check_multipliers(phi: np.ndarray, target: float, rtol: float) -> None:
             f"multiplier product {prod} differs from {target} beyond {rtol:g} relative")
 
 
-def extract_phi(cycle, nu: float, alpha: float | None = None) -> np.ndarray:
+def extract_phi(cycle, nu: float, alpha: float) -> np.ndarray:
     """Cycle multipliers phi_k = C_k e^nu / C_{k-1}, validated.
 
     Each multiplier must lie in [(T+1)/T, T/(T-1)] and the product must equal
-    exp(nu*T) (equivalently T/alpha when alpha is supplied), both to 1e-9
-    relative; as the box ends are at most 2, the box slack is at most 2e-9
-    absolute.  Violations raise ConstraintViolation.
+    T/alpha (that is exp(nu*T)), both to 1e-9 relative; as the box ends are at
+    most 2, the box slack is at most 2e-9 absolute.  Violations raise
+    ConstraintViolation.
     """
     cycle = np.asarray(cycle, dtype=float)
     T = len(cycle)
     if T < 1:
         raise ConstraintViolation("cycle is empty")
     phi = np.exp(cycle + nu - np.roll(cycle, 1))
-    target = T / alpha if alpha is not None else math.exp(nu * T)
-    _check_multipliers(phi, target, 1e-9)
+    _check_multipliers(phi, T / alpha, 1e-9)
     return phi
 
 

@@ -19,11 +19,12 @@ input order) makes every output bit-for-bit reproducible.
 
 Generation t of an attempt draws from the ``PCG64`` stream seeded by a
 ``np.random.SeedSequence`` with entropy ``attempt_seed`` and
-``spawn_key=(t,)``.  ``_generation_rng`` computes that stream's state in
-plain integers, without constructing a ``SeedSequence`` or a ``PCG64``, and
-sets it on one generator reused for the whole run;
-``tests/test_substream_properties.py`` pins the two to the same state and
-the same draws.
+``spawn_key=(t,)``.  NumPy hashes the attempt seed into its entropy pool
+once per attempt; ``_generation_rng`` mixes t into that pool by hand and
+computes the stream's state in plain integers, without constructing a
+``SeedSequence`` or a ``PCG64`` per generation, and sets it on one generator
+reused for the whole run; ``tests/test_substream_properties.py`` pins the
+two to the same state and the same draws.
 """
 from __future__ import annotations
 
@@ -449,48 +450,23 @@ def _hash_consts(init: int, mult: int, n: int) -> tuple:
     return tuple(out)
 
 
-# Hashmix k xors with _HASH_A[k] and multiplies by _HASH_A[k + 1]: mixes 0-15
-# build the pool, then each 32-bit word of the spawn key takes four.
+# Hashmix k xors with _HASH_A[k] and multiplies by _HASH_A[k + 1].  The first
+# 16 constants are the ones NumPy's pool mixing uses (4 entropy words, then 12
+# cross-mixes); each 32-bit word of the spawn key then takes four more.
 _HASH_A = _hash_consts(_INIT_A, _MULT_A, 24)
 _SPAWN_HASH = _HASH_A[16:]
 # generate_state's output word i xors with _HASH_B[i], multiplies by _HASH_B[i + 1]
 _HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
 
 
-def _hashmix(value: int, k: int) -> int:
-    value = (value ^ _HASH_A[k]) * _HASH_A[k + 1] & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
-def _seed_pool(seed: int) -> tuple:
-    """Entropy pool of a ``SeedSequence`` of entropy ``seed`` before its spawn key.
-
-    ``seed`` is below 2**64: its little-endian 32-bit words, padded with zeros
-    to the pool size of 4 because the spawn key is not empty, are hashed in,
-    then every pool word is mixed into every other, as ``mix_entropy`` does.
-    """
-    pool = [_hashmix(w, k) for k, w in enumerate((seed & _MASK32, seed >> 32, 0, 0))]
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], k))
-                k += 1
-    return tuple(pool)
-
-
-def _generation_rng(pool: tuple, t: int, rng: np.random.Generator) -> np.random.Generator:
+def _generation_rng(pool: list, t: int, rng: np.random.Generator) -> np.random.Generator:
     """``rng`` reset to the substream of generation t of an attempt; returns it.
 
     The substream is the ``PCG64`` stream seeded by a ``np.random.SeedSequence``
     with entropy ``attempt_seed`` and ``spawn_key=(t,)``, where ``pool`` is
-    ``_seed_pool(attempt_seed)`` and 1 <= t < 2**64.  It is computed without
-    constructing either: the words of t are mixed into a copy of the pool,
+    ``np.random.SeedSequence(attempt_seed).pool.tolist()`` (NumPy's hash of the
+    seed, as Python ints) and 1 <= t < 2**64.  The rest is hand-written and
+    constructs neither: the words of t are mixed into a copy of the pool,
     ``generate_state(4, uint64)`` gives the seed and stream words, and PCG64's
     ``srandom`` step, state = ((inc + initstate) * M + inc) mod 2**128 with
     inc = 2 * initseq + 1, gives the state.  Setting ``bit_generator.state``
@@ -549,7 +525,10 @@ def _attempt(cfg: SimConfig, base_seed: int, rng: np.random.Generator):
     +inf (-inf is extinction); numpy's overflow warnings are silenced.
     """
     log_cap = math.log(cfg.exact_event_cap)
-    pool = _seed_pool(base_seed)
+    # mix_entropy hashes a 0 for each pool word past the entropy, so this pool
+    # is the zero-padded one spawn_key=(t,) builds on; tolist() keeps the
+    # words Python ints for _generation_rng's arithmetic
+    pool = np.random.SeedSequence(base_seed).pool.tolist()
     table = _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade)
     state = initial_state(cfg)
     rows = [(0, state.log_X, -np.inf, state.n_classes, 0, state.dominant_age())]

@@ -180,21 +180,15 @@ def sample_fitness(model: TailModel, rng: np.random.Generator, size=None):
     return inverse_log_tail(model, log_u)
 
 
-def sample_max_of_n(model: TailModel, n: int, rng: np.random.Generator, size=None):
+def sample_max_of_n(model: TailModel, n: int, rng: np.random.Generator) -> float:
     """Draw log of the largest of n i.i.d. fitnesses.
 
     Inverts P(max <= x) = (1 - G(x))**n via V uniform: G = 1 - V**(1/n),
-    computed as -expm1(log(V)/n) so huge n stays accurate.
+    computed as -expm1(log(V)/n) so huge n stays accurate.  One float goes
+    through the ufuncs; v = 0 maps to log 0 = -inf with no errstate needed.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if size is None:
-        # one float through the same ufuncs, without the array round trip;
-        # v = 0 maps to log 0 = -inf with no errstate needed
-        v = rng.random()
-        log_v = np.log(v) if v > 0.0 else -np.inf
-        return inverse_log_tail(model, min(np.log(-np.expm1(log_v / n)), 0.0))
-    v = rng.random(size)
-    with np.errstate(divide="ignore"):
-        log_g = np.log(-np.expm1(np.log(v) / n))
-    return inverse_log_tail(model, np.minimum(log_g, 0.0))
+    v = rng.random()
+    log_v = np.log(v) if v > 0.0 else -np.inf
+    return inverse_log_tail(model, min(np.log(-np.expm1(log_v / n)), 0.0))

@@ -312,3 +312,51 @@ class TestEntryPoint:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "log_f" in lines[0] and "Traceback" not in proc.stderr
+
+    def test_recurse_failed_period_check_writes_nothing(self, tmp_path):
+        out = tmp_path / "r.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchlab.cli", "recurse", "--alpha", "1",
+             "--t-max", "5", "--detect-period", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "too short for period 3" in lines[0]
+        assert proc.stdout == "" and not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("window", [
+        ["--slope-lo", "30", "--slope-hi", "10"],
+        ["--slope-hi", "100"],
+        ["--slope-lo", "-3"],
+        ["--slope-lo", "40"],
+        {"slope_lo": 41},
+    ], ids=["reversed", "hi_past_t_max", "negative_lo", "empty", "config_key"])
+    def test_bad_slope_window_is_a_usage_error(self, tmp_path, monkeypatch, capsys, window):
+        def refuse(cfg):
+            raise AssertionError("a replica ran before the window was checked")
+
+        monkeypatch.setattr("branchlab.simulate.run", refuse)
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--model", "fmm", "--log-f", "2", "--t-max", "40",
+                "--seed", "1", "--out", str(out)]
+        if isinstance(window, dict):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(window))
+            argv += ["--config", str(config)]
+        else:
+            argv += window
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:")
+        assert "slope window" in lines[0]
+        assert not out.exists() and not list(tmp_path.glob("s.csv*"))
+
+    def test_given_slope_window_inside_horizon_is_used(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--model", "fmm", "--log-f", "50", "--t-max", "40",
+                     "--seed", "1", "--slope-lo", "0", "--slope-hi", "40",
+                     "--out", str(out)]) == 0
+        doc = json.loads((tmp_path / "s.csv.summary.json").read_text())
+        assert doc["slope_window"] == [0, 40]

@@ -2,8 +2,9 @@
 
 Each path must draw the same numbers from the same generator state as the
 array code it replaces.  ``_reference_poisson`` is the earlier masked
-Poisson sampler, kept here as an independent oracle; the other checks
-compare a float call with a one-element array call on cloned generators.
+Poisson sampler and ``_reference_max_of_n`` the earlier array max-of-n
+sampler, kept here as independent oracles; the other checks compare a float
+call with a one-element array call on cloned generators.
 """
 import math
 
@@ -35,6 +36,14 @@ def _reference_poisson(rng, lam):
     if small.any():
         out[small] = rng.poisson(lam[small])
     return np.maximum(out, 0.0)
+
+
+def _reference_max_of_n(model, n, rng, size):
+    """The earlier array sampler of the largest of n fitnesses."""
+    v = rng.random(size)
+    with np.errstate(divide="ignore"):
+        log_g = np.log(-np.expm1(np.log(v) / n))
+    return inverse_log_tail(model, np.minimum(log_g, 0.0))
 
 
 def _twins(seed):
@@ -103,7 +112,7 @@ def _tails(draw):
 def test_sample_max_of_n_float_path_matches_array_path(model, n, seed):
     rng, ref = _twins(seed)
     got = sample_max_of_n(model, n, rng)
-    want = sample_max_of_n(model, n, ref, size=1)[0]
+    want = _reference_max_of_n(model, n, ref, size=1)[0]
     assert type(got) is float
     assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
     assert rng.bit_generator.state == ref.bit_generator.state

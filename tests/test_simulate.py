@@ -282,26 +282,35 @@ class TestRun:
         assert rec.outcome == "survived" and rec.restarts > 0
 
     def test_runs_seed_no_generator_per_generation(self, monkeypatch):
-        # every substream is set on the run's one generator, so neither a
-        # restarting fmm run nor an mmm run through the handover to logdet
-        # may build a SeedSequence, call default_rng or make a second PCG64
+        # every substream is set on the run's one generator: a restarting fmm
+        # run and an mmm run through the handover to logdet each build one
+        # SeedSequence per attempt (its seed's pool, no spawn key), one PCG64
+        # per run and never call default_rng
         def refuse(*args, **kwargs):
             raise AssertionError("a generator was seeded per generation")
 
-        made = []
-        pcg64 = np.random.PCG64
+        made, seeded = [], []
+        pcg64, seed_sequence = np.random.PCG64, np.random.SeedSequence
 
         def counted(*args, **kwargs):
             made.append(args)
             return pcg64(*args, **kwargs)
 
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        def counted_seed_sequence(*args, **kwargs):
+            seeded.append((args, kwargs))
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         monkeypatch.setattr(np.random, "PCG64", counted)
         fmm = run(_cfg(beta=0.9, log_f=math.log(1.5), t_max=25, seed=3))
         assert fmm.restarts > 0
+        assert seeded == [((3 + k,), {}) for k in range(fmm.restarts + 1)]
+        assert len(made) == 1
+        seeded.clear()
         mmm = run(_cfg(model="mmm", log_f=math.log(2.0), t_max=12, seed=3))
         assert mmm.mode[1] == 0 and mmm.mode[-1] == 1
+        assert seeded == [((3 + k,), {}) for k in range(mmm.restarts + 1)]
         assert len(made) == 2
 
     def test_too_many_restarts(self):

@@ -1,8 +1,9 @@
 """Property tests for the per-generation substreams of ``simulate``.
 
-``simulate._generation_rng`` computes, in plain integers, the ``PCG64`` state
-that ``np.random.SeedSequence(seed, spawn_key=(t,))`` seeds, and sets it on
-one generator reused across generations and attempts.  NumPy's own seeding is
+``simulate._generation_rng`` mixes t into the attempt's pool, NumPy's
+``np.random.SeedSequence(seed).pool``, and computes in plain integers the
+``PCG64`` state that ``np.random.SeedSequence(seed, spawn_key=(t,))`` seeds,
+then sets it on one generator reused across generations and attempts.  NumPy's own seeding is
 the oracle: the state and the first draws must match bit for bit, also when
 the reused generator was left mid-stream, with a buffered 32-bit half, by the
 generation before.
@@ -28,7 +29,8 @@ def _oracle(seed, t):
 
 
 def _mirror(seed, t, rng):
-    return simulate._generation_rng(simulate._seed_pool(seed), t, rng)
+    # the attempt pool as simulate._attempt builds it
+    return simulate._generation_rng(np.random.SeedSequence(seed).pool.tolist(), t, rng)
 
 
 def _draws(rng):
