@@ -23,7 +23,14 @@ raises the exact-mode cap to 1e18, so exact generations draw the mutant
 count and some survivor counts from Poisson means above 1e9, where
 ``simulate._poisson`` falls back to its normal approximation.
 ``recurse_short`` stops below the period T = 14 of alpha = 5, so its
-``nu_hat`` column is NaN throughout.  ``STDOUT_CASES`` pin what commands
+``nu_hat`` column is NaN throughout.  ``recurse_alpha100`` and
+``recurse_half_alpha20`` run far past the solver's old trailing window of
+max(4T, 64) steps (T = 272 and T = 54), where the dominant index lags t by
+up to about T; at alpha 100 the cycle has not locked in to 1e-9 by t = 3000,
+which ``test_alpha100_period_not_detected`` pins.  ``recurse_file_seed``
+reads a seed file whose values span 1e-304 to 1e304 and outgrow the
+recursion for 305 steps, so the seed term wins most steps of a long
+transient.  ``STDOUT_CASES`` pin what commands
 write to stdout when no ``--out`` is given: CSV, JSON, the simulate CSV
 followed by its summary JSON, and the ``verify-lemmas`` table.
 """
@@ -133,6 +140,14 @@ CASES = {
         ["recurse", "--alpha", "5", "--t-max", "10"],
         ["a425d188950c44df1328a3955006a64eeab95be5e74c09242bfb7cd9264d3362"],
     ),
+    "recurse_alpha100": (
+        ["recurse", "--alpha", "100", "--t-max", "3000"],
+        ["b9a351cc9ea74a5b86ba1f5915cb717a17f508f2ffb4867a25297e083eb1a320"],
+    ),
+    "recurse_half_alpha20": (
+        ["recurse", "--alpha", "20", "--seed", "half", "--t-max", "2000"],
+        ["5367b2278857f3703baeed0648aa4cde0e1a04fbac63ea1d53653f2939303f5d"],
+    ),
     "seed_ctex": (
         ["seed-ctex", "--alpha", "1", "--phis", "1.3333333333333333,1.5,1.5"],
         ["e36269cba6a6d494ccb738fba10a980acdcbc4d4ee1fd393e852961d2d7e20a0"],
@@ -180,6 +195,27 @@ def test_stdout_digests(capsys, name):
     argv, code, digest = STDOUT_CASES[name]
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_alpha100_period_not_detected(tmp_path, capsys):
+    """The cycle test fails at the same t1 and leaves no file behind."""
+    argv = ["recurse", "--alpha", "100", "--t-max", "3000", "--detect-period"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: no stationary cycle within horizon 3000 (first candidate t1=2710)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_recurse_file_seed_digest(tmp_path):
+    # every third value drops to 1e-304, where the recursion wins
+    ks = [-304 if i % 3 == 2 else -304 + 2 * i for i in range(305)]
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text("".join(f"1e{k}\n" for k in ks))
+    out = tmp_path / "out"
+    argv = ["recurse", "--alpha", "0.3", "--seed", f"file:{seed_file}", "--t-max", "1000"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f906eb67bca3fc2db6e962760e40b034b901dce7f015cce4714a941089169075")
 
 
 def test_big_means_case_reaches_the_normal_approximation(tmp_path, monkeypatch):
