@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class BranchlabError(Exception):
@@ -35,7 +35,3 @@ class InsufficientOverlap(BranchlabError, ValueError):
 
 class UsageError(BranchlabError, ValueError):
     """Bad command line or configuration input (exit code 2)."""
-
-
-class WindowViolation(UserWarning):
-    """The recursion audit found a maximizer outside the active window."""

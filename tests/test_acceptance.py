@@ -123,24 +123,25 @@ def test_criterion_06_constructive_seeds():
                       "homogeneous set at critical alpha", ok)
 
 
-def test_criterion_07_window_boundedness():
-    violations = 0
-    # the criteria-3..6 style series, audited at every step
-    for a, seed in [(1.0, SeedSequence.linear()), (0.3, SeedSequence.linear()),
-                    (2.0, SeedSequence.half()), (3.0, SeedSequence.linear()),
-                    (5.0, SeedSequence.half())]:
-        series = bl.solve_chi(a, seed, 400, audit_every=1)
-        violations += series.audit_violations
+def test_criterion_07_window_boundedness(full_scan_chi):
+    mismatches = 0
+    # the criteria-3..6 style series against a scan of every past index
+    cases = [(a, seed, 400) for a, seed in [
+        (1.0, SeedSequence.linear()), (0.3, SeedSequence.linear()),
+        (2.0, SeedSequence.half()), (3.0, SeedSequence.linear()),
+        (5.0, SeedSequence.half())]]
     for T in (2, 3, 4):
         a_crit = bl.alpha_critical(T)
-        seed = bl.build_ctex_seed(a_crit, [math.exp(bl.nu(a_crit))] * T)
-        series = bl.solve_chi(a_crit, seed, 200, audit_every=1)
-        violations += series.audit_violations
+        cases.append((a_crit, bl.build_ctex_seed(a_crit, [math.exp(bl.nu(a_crit))] * T), 200))
+    for a, seed, t_max in cases:
+        series = bl.solve_chi(a, seed, t_max)
+        L, I = full_scan_chi(a, seed, t_max)
+        mismatches += series.L.tobytes() != L.tobytes() or series.I.tobytes() != I.tobytes()
     series = bl.solve_chi(1.0, SeedSequence.linear(), 300)
     lags = {int(t - series.I[t]) for t in range(200, 301)}
-    ok = violations == 0 and lags == {2, 3}
-    assert _report(7, f"no maximizer ever outside the window ({violations} "
-                      f"violations); t - I_t in {{2,3}} for alpha=1 (got {sorted(lags)})", ok)
+    ok = mismatches == 0 and lags == {2, 3}
+    assert _report(7, f"solver equals the full-scan oracle bit for bit ({mismatches} "
+                      f"mismatches); t - I_t in {{2,3}} for alpha=1 (got {sorted(lags)})", ok)
 
 
 def test_criterion_08_sampler_law():

@@ -287,8 +287,13 @@ class TestEntryPoint:
           "--mmm-poisson-threshold", "1e30"], "mmm_poisson_threshold"),
         (["simulate", "--model", "mmm", "--log-f", "50", "--t-max", "40", "--seed", "1",
           "--mmm-poisson-threshold", "inf"], "mmm_poisson_threshold"),
+        (["seed-ctex", "--alpha", "1", "--phis", "nan,1.5,1.5", "--t-max", "12"],
+         "multipliers"),
+        (["recurse", "--alpha", "1", "--seed", "ctex:phis=nan,1.5,1.5", "--t-max", "8"],
+         "multipliers"),
     ], ids=["seed_ctex_overflow", "mmm_event_cap", "fmm_event_cap",
-            "mmm_poisson_threshold_1e30", "mmm_poisson_threshold_inf"])
+            "mmm_poisson_threshold_1e30", "mmm_poisson_threshold_inf",
+            "seed_ctex_nan_phi", "recurse_ctex_nan_phi"])
     def test_out_of_range_input_is_a_typed_error(self, tmp_path, argv, named):
         out = tmp_path / "out"
         proc = subprocess.run(
@@ -312,6 +317,22 @@ class TestEntryPoint:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "log_f" in lines[0] and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite_seed_file_value_is_a_typed_error(self, tmp_path, value):
+        seed_file = tmp_path / "seed.txt"
+        seed_file.write_text(f"5.0\n{value}\n")
+        out = tmp_path / "r.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchlab.cli", "recurse", "--alpha", "1",
+             "--seed", f"file:{seed_file}", "--t-max", "4", "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "explicit seed" in lines[0] and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_recurse_failed_period_check_writes_nothing(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -24,10 +24,11 @@ count and some survivor counts from Poisson means above 1e9, where
 ``simulate._poisson`` falls back to its normal approximation.
 ``recurse_short`` stops below the period T = 14 of alpha = 5, so its
 ``nu_hat`` column is NaN throughout.  ``recurse_alpha100`` and
-``recurse_half_alpha20`` run far past the solver's old trailing window of
-max(4T, 64) steps (T = 272 and T = 54), where the dominant index lags t by
-up to about T; at alpha 100 the cycle has not locked in to 1e-9 by t = 3000,
-which ``test_alpha100_period_not_detected`` pins.  ``recurse_file_seed``
+``recurse_half_alpha20`` run for many periods (T = 272 and T = 54) with the
+dominant index up to about T behind t, so each step of the solver compares
+up to about T past indices and drops the rest; at alpha 100 the cycle
+has not locked in to 1e-9 by t = 3000, which
+``test_alpha100_period_not_detected`` pins.  ``test_recurse_file_seed_digest``
 reads a seed file whose values span 1e-304 to 1e304 and outgrow the
 recursion for 305 steps, so the seed term wins most steps of a long
 transient.  ``STDOUT_CASES`` pin what commands

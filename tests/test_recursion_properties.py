@@ -1,32 +1,29 @@
-"""Property test for the trailing window of ``recursion.solve_chi``.
+"""Property test for ``recursion.solve_chi`` against a full-scan oracle.
 
-A full scan (``window=t_max``) is the oracle: every past index competes at
-every step.  With its default window, the solver must give the same ``L``
-and ``I`` bit for bit on arbitrary explicit seeds, whose early values can
-put the maximizer far behind the current generation.
+The solver compares only the past indices from the previous step's first
+near-tie on.  The oracle compares every past index at every step.  Both must
+give the same ``L`` and ``I`` bit for bit on explicit seeds whose values span
+the float64 range, which can let the seed term win for long stretches or put
+the maximizer far behind the current generation.
 """
-import warnings
-
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from branchlab.errors import WindowViolation
 from branchlab.recursion import SeedSequence, solve_chi
 
-# seed values from e^-700 to e^700, the range exp keeps finite
-_SEED = st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=30).map(
+# seed values from e^-745 (subnormal) to e^709, the range exp keeps positive and finite
+_SEED = st.lists(st.floats(-745.0, 709.0), min_size=1, max_size=30).map(
     lambda logs: SeedSequence.explicit(np.exp(logs)))
-_ALPHA = st.floats(-1.0, 1.5).map(lambda e: 10.0**e)
+_ALPHA = st.floats(-2.0, 3.0).map(lambda e: 10.0**e)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_ALPHA, _SEED, st.integers(min_value=1, max_value=600))
-def test_default_window_matches_full_scan(alpha, seed, t_max):
-    with warnings.catch_warnings():
-        # a failed audit warns and re-solves; the answer is what counts here
-        warnings.simplefilter("ignore", WindowViolation)
-        got = solve_chi(alpha, seed, t_max)
-    full = solve_chi(alpha, seed, t_max, window=t_max)
-    assert got.L.tobytes() == full.L.tobytes()
-    assert got.I.tobytes() == full.I.tobytes()
+@given(alpha=_ALPHA, seed=_SEED, t_max=st.integers(min_value=1, max_value=600))
+# the maximizer lags t by up to 79 steps; a trailing window of 67 once missed it
+@example(alpha=20.0, seed=SeedSequence.explicit([2.0, 1.0]), t_max=296)
+def test_scan_matches_full_scan(full_scan_chi, alpha, seed, t_max):
+    got = solve_chi(alpha, seed, t_max)
+    L, I = full_scan_chi(alpha, seed, t_max)
+    assert got.L.tobytes() == L.tobytes()
+    assert got.I.tobytes() == I.tobytes()
