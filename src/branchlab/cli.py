@@ -398,12 +398,12 @@ def _sim_config(p, seed: int) -> simulate.SimConfig:
 
 
 def _slope_window(p) -> tuple[int, int]:
-    """The log-log slope window; one given by the caller must lie in [0, t_max]."""
+    """The log-log slope window; a caller's must lie in [1, t_max] (log X_0 = 0)."""
     t_max = p["t_max"]
     lo = p["slope_lo"] if p["slope_lo"] is not None else (5 * t_max) // 8
     hi = p["slope_hi"] if p["slope_hi"] is not None else t_max
-    if (p["slope_lo"] is not None or p["slope_hi"] is not None) and not 0 <= lo < hi <= t_max:
-        raise UsageError(f"slope window needs 0 <= --slope-lo < --slope-hi <= --t-max "
+    if (p["slope_lo"] is not None or p["slope_hi"] is not None) and not 1 <= lo < hi <= t_max:
+        raise UsageError(f"slope window needs 1 <= --slope-lo < --slope-hi <= --t-max "
                          f"({t_max}), got [{lo}, {hi}]")
     return lo, hi
 

@@ -3,7 +3,8 @@
 The recursion chi_t = max(a_t, max over 1 <= i < t of (t-i)/alpha * chi_i)
 is solved as L_t = log chi_t.  Dominant indices I_t record the largest
 maximizing i (0 when the seed term a_t wins).  The compensated values
-c_t = chi_t * exp(-nu t) eventually lock into an exact cycle of length T;
+c_t = chi_t * exp(-nu t) eventually lock into an exact cycle of length T,
+after a transient of up to about T**2 steps (acceptance criterion 14);
 the cycle and its multipliers phi_k = C_k e^nu / C_{k-1} are extracted here,
 and arbitrary admissible multiplier sets can be realized through a
 constructive seed.

@@ -17,6 +17,11 @@ the fitness-weighted sum, refreshed every step.  Every step merges its
 classes in ``_rebuild``, whose contract (equal keys fold left to right in
 input order) makes every output bit-for-bit reproducible.
 
+Exact generations of fewer than ``_SMALL_STATE_CLASSES`` (8) classes, the
+bulk of a restart-heavy run founded below criticality, run on Python scalars
+in ``_step_small`` with the array path's bits; the cutoff is where
+``np.add.reduce`` stops summing left to right and sums in blocks of 8.
+
 Generation t of an attempt draws from the ``PCG64`` stream seeded by a
 ``np.random.SeedSequence`` with entropy ``attempt_seed`` and
 ``spawn_key=(t,)``.  NumPy hashes the attempt seed into its entropy pool
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,6 +50,10 @@ MAX_RESTARTS = 10_000
 # Poisson means above this use a normal approximation with continuity
 # correction; the error is invisible in log domain.
 _NORMAL_APPROX_MEAN = 1e9
+
+# Exact generations with fewer classes than this, survivors and mutants
+# together, take ``_step_small`` (see the module docstring for why 8).
+_SMALL_STATE_CLASSES = 8
 
 # Exact counts are int64.  An exact generation starts with at most
 # exact_event_cap expected events, so its survivors total about
@@ -318,15 +328,61 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
         else:
             mutant_fit = sample_fitness(cfg.tail, rng, size=m)
             log_w = float(mutant_fit.max())
+    n_new = mutant_fit.size
+    if state.n_classes + n_new < _SMALL_STATE_CLASSES:
+        lam = [(1.0 - cfg.beta) * n * np.exp(f)
+               for n, f in zip(state.count.tolist(), state.log_fit.tolist())]
+        # a NaN mean fails this too and raises in the array path's draw
+        if all(mean <= _NORMAL_APPROX_MEAN for mean in lam):
+            return _step_small(state, lam, mutant_fit, rng), log_w
     lam = (1.0 - cfg.beta) * state.count * np.exp(state.log_fit)
     survivors = _poisson(rng, lam).astype(np.int64, copy=False)
 
     keep = survivors > 0
-    n_new = mutant_fit.size
     log_fit = np.concatenate((state.log_fit[keep], mutant_fit))
     count = np.concatenate((survivors[keep], np.ones(n_new, dtype=np.int64)))
     birth = np.concatenate((state.birth[keep], np.full(n_new, t_next, dtype=np.int64)))
     return _rebuild(t_next, log_fit, count, birth, MODE_EXACT), log_w
+
+
+def _step_small(state: PopulationState, lam: list, mutant_fit: np.ndarray,
+                rng: np.random.Generator) -> PopulationState:
+    """``step_exact``'s survivor draw and merge on Python scalars, same bits.
+
+    Scalar ``rng.poisson`` draws of the means ``lam`` (none above
+    ``_NORMAL_APPROX_MEAN``), in class order, equal one array draw.  Survivors,
+    then mutants, merge as ``_rebuild``'s merge contract says; the totals take
+    its NumPy ufuncs on floats (``math.exp`` rounds differently), summed left
+    to right.
+    """
+    t_next = state.t + 1
+    draws = zip(state.log_fit.tolist(), map(rng.poisson, lam), state.birth.tolist())
+    rows = [(f, n, b) for f, n, b in draws if n > 0]
+    rows += [(f, 1, t_next) for f in mutant_fit.tolist()]
+    rows.sort(key=itemgetter(0), reverse=True)  # stable: equal keys keep input order
+    merged = []
+    for f, n, b in rows:
+        if merged and merged[-1][0] == f:
+            last = merged[-1]
+            last[1] += n
+            last[2] = min(last[2], b)
+        else:
+            merged.append([f, n, b])
+    log_fit, count, birth = zip(*merged) if merged else ((), (), ())
+    log_X = log_fitsum = -np.inf
+    if merged:
+        log_X = math.log(float(sum(count)))
+        terms = [np.log(float(n)) + f for f, n in zip(log_fit, count)]
+        top = max(terms)
+        total = 0.0
+        for v in terms:
+            total += np.exp(v - top)
+        log_fitsum = top + math.log(total)
+    return PopulationState(
+        t=t_next, log_fit=np.array(log_fit, dtype=float),
+        count=np.array(count, dtype=np.int64), birth=np.array(birth, dtype=np.int64),
+        mode=MODE_EXACT, log_X=log_X, log_fitsum=log_fitsum,
+    )
 
 
 class _SpectrumTable:

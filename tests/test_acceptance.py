@@ -123,7 +123,7 @@ def test_criterion_06_constructive_seeds():
                       "homogeneous set at critical alpha", ok)
 
 
-def test_criterion_07_window_boundedness(full_scan_chi):
+def test_criterion_07_solver_matches_full_scan(full_scan_chi):
     mismatches = 0
     # the criteria-3..6 style series against a scan of every past index
     cases = [(a, seed, 400) for a, seed in [
@@ -252,3 +252,26 @@ def test_criterion_13_run_locks_into_the_recursion(model, alpha):
     assert _report(13, f"{model} alpha={alpha:g}: log W_t is the max-plus recursion of "
                        f"its own past to 1e-12 from t={t0} on (worst "
                        f"{rel[t0:].max():.1e}; {rel[t0 - 1]:.1e} at t={t0 - 1})", ok)
+
+
+# generation t1 from which detect_period finds the recursion repeating its
+# T-cycle to 1e-9 (T = 54 at alpha 20, T = 272 at alpha 100); measured.  The
+# transient lasts about T**2 steps: trading two T-steps of the cycle for a
+# (T-1)-step and a (T+1)-step costs only about 1/T**2 in log chi, so rival
+# paths die out slowly.
+CYCLE_LOCK_IN = {(20.0, "linear", 6000): 2532, (20.0, "half", 6000): 2532,
+                 (100.0, "linear", 52224): 49051}
+
+
+def test_criterion_14_max_plus_cycle_locks_in_after_a_long_transient():
+    found = {}
+    for (alpha, kind, t_max), want in CYCLE_LOCK_IN.items():
+        series = bl.solve_chi(alpha, getattr(SeedSequence, kind)(), t_max)
+        t1, cycle = bl.detect_period(series)
+        bl.extract_phi(cycle, series.nu, alpha)  # raises outside the multiplier box
+        found[(alpha, kind)] = (t1, t1 / series.T**2)
+    ok = [t1 for t1, _ in found.values()] == list(CYCLE_LOCK_IN.values())
+    detail = ", ".join(f"alpha={a:g} {kind} t1={t1} ({r:.2f} T^2)"
+                       for (a, kind), (t1, r) in found.items())
+    assert _report(14, f"max-plus cycle locks in after a transient of order T^2 "
+                       f"with multipliers in the box: {detail}", ok)

@@ -351,9 +351,10 @@ class TestEntryPoint:
         ["--slope-lo", "30", "--slope-hi", "10"],
         ["--slope-hi", "100"],
         ["--slope-lo", "-3"],
+        ["--slope-lo", "0"],
         ["--slope-lo", "40"],
         {"slope_lo": 41},
-    ], ids=["reversed", "hi_past_t_max", "negative_lo", "empty", "config_key"])
+    ], ids=["reversed", "hi_past_t_max", "negative_lo", "zero_lo", "empty", "config_key"])
     def test_bad_slope_window_is_a_usage_error(self, tmp_path, monkeypatch, capsys, window):
         def refuse(cfg):
             raise AssertionError("a replica ran before the window was checked")
@@ -377,7 +378,8 @@ class TestEntryPoint:
     def test_given_slope_window_inside_horizon_is_used(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["simulate", "--model", "fmm", "--log-f", "50", "--t-max", "40",
-                     "--seed", "1", "--slope-lo", "0", "--slope-hi", "40",
+                     "--seed", "1", "--slope-lo", "1", "--slope-hi", "40",
                      "--out", str(out)]) == 0
         doc = json.loads((tmp_path / "s.csv.summary.json").read_text())
-        assert doc["slope_window"] == [0, 40]
+        assert doc["slope_window"] == [1, 40]
+        assert doc["loglog_slopes"]

@@ -4,25 +4,31 @@ Each path must draw the same numbers from the same generator state as the
 array code it replaces.  ``_reference_poisson`` is the earlier masked
 Poisson sampler and ``_reference_max_of_n`` the earlier array max-of-n
 sampler, kept here as independent oracles; the other checks compare a float
-call with a one-element array call on cloned generators.
+call with a one-element array call on cloned generators.  The small-state
+step of ``step_exact`` is compared with its array path, which the same call
+takes when ``_SMALL_STATE_CLASSES`` is patched to 0.
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from branchlab import simulate
 from branchlab.errors import DomainError
 from branchlab.simulate import (
     _NORMAL_APPROX_MEAN,
     MODE_EXACT,
+    PopulationState,
     SimConfig,
     _poisson,
     _rebuild,
     initial_state,
+    step_exact,
 )
-from branchlab.tails import TailModel, inverse_log_tail, sample_max_of_n
+from branchlab.tails import TailModel, inverse_log_tail, sample_fitness, sample_max_of_n
 
 
 def _reference_poisson(rng, lam):
@@ -150,3 +156,133 @@ def test_initial_state_matches_rebuild_of_the_founder(log_f):
         a, b = getattr(got, name), getattr(want, name)
         assert np.array([a]).tobytes() == np.array([b]).tobytes()
     assert (got.t, got.mode) == (want.t, want.mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=2, max_size=7))
+@example([1.0, 1e-16, 1e-16])
+@example([1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+@example([0.1, 0.2, 0.3, 1e-17, 1e-17, 1e-17, 1e-17])
+def test_add_reduce_sums_fewer_than_8_doubles_left_to_right(values):
+    # _step_small sums its totals left to right and relies on np.add.reduce
+    # (in _logsumexp) doing the same below _SMALL_STATE_CLASSES terms
+    fold = 0.0
+    for v in values:
+        fold += v
+    assert np.array([np.add.reduce(np.array(values))]).tobytes() == np.array([fold]).tobytes()
+
+
+def _exact_case(model, beta, t, means, terms, births, picks):
+    """Case tuple with survivor i's mean about means[i] and its log-fitness-sum
+    term, log(count) + log-fitness after the draw, about terms[i].
+
+    Terms near 0 keep log_fitsum about as small as the log of its sum, so
+    the last bit of that sum shows in log_fitsum.  Counts are clamped to
+    [1, 10**12], which moves the term of a large mean up.
+    """
+    counts = [min(max(round(m * m * math.exp(-u) / (1.0 - beta)), 1), 10**12)
+              for m, u in zip(means, terms)]
+    log_fit = [math.log(m / ((1.0 - beta) * c)) for m, c in zip(means, counts)]
+    return model, beta, t, log_fit, counts, births, picks
+
+
+@st.composite
+def _exact_cases(draw):
+    """(model, beta, t, log_fit, count, birth, picks) for one exact step.
+
+    fmm states reach survivor means near and just above the normal
+    approximation cap; mmm states keep means small, so their mutant count
+    stays near the class cutoff.  ``picks`` gives mutant i the key of the
+    survivor at index picks[i % len(picks)], or keeps its drawn key for None.
+    """
+    model = draw(st.sampled_from(["fmm", "mmm"]))
+    n = draw(st.integers(min_value=1, max_value=9))
+    if model == "fmm":
+        beta = draw(st.floats(min_value=0.001, max_value=0.95))
+        mean = st.one_of(
+            st.floats(min_value=1e-6, max_value=50.0),
+            st.floats(min_value=1e8, max_value=_NORMAL_APPROX_MEAN),
+            st.just(_NORMAL_APPROX_MEAN),
+            st.floats(min_value=_NORMAL_APPROX_MEAN, max_value=1.1e9, exclude_min=True),
+        )
+    else:
+        beta = draw(st.floats(min_value=0.05, max_value=0.5))
+        mean = st.floats(min_value=1e-6, max_value=2.0)
+    t = draw(st.integers(min_value=0, max_value=50))
+    means = draw(st.lists(mean, min_size=n, max_size=n))
+    terms = draw(st.lists(st.floats(min_value=-3.0, max_value=1.0), min_size=n, max_size=n))
+    births = draw(st.lists(st.integers(min_value=0, max_value=t), min_size=n, max_size=n))
+    picks = draw(st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1)),
+                          min_size=1, max_size=4))
+    return _exact_case(model, beta, t, means, terms, births, picks)
+
+
+def _picked_mutants(keys, picks, sizes):
+    """Patch the mutant samplers to draw as usual, then apply ``picks``.
+
+    Each call appends its mutant count to ``sizes``.
+    """
+    def pick(i, drawn):
+        p = picks[i % len(picks)]
+        return drawn if p is None else keys[p % len(keys)]
+
+    def max_of_n(model, n, rng):
+        sizes.append(1)
+        return pick(0, sample_max_of_n(model, n, rng))
+
+    def fitness(model, rng, size=None):
+        drawn = sample_fitness(model, rng, size=size)
+        sizes.append(drawn.size)
+        return np.array([pick(i, v) for i, v in enumerate(drawn.tolist())])
+
+    return mock.patch.multiple(simulate, sample_max_of_n=max_of_n, sample_fitness=fitness)
+
+
+def _bits(x) -> bytes:
+    return np.array([x]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_cases(), _SEED)
+# 7 classes that all survive and one fittest mutant: 8 classes take the array
+# path, whose pairwise sum here differs in the last bit from a left fold
+@example(_exact_case("fmm", 0.05, 20, [10.0] * 7, [-2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5],
+                     [0, 2, 4, 8, 12, 16, 20], [None]), 1)
+# two survivors and a mutant whose exp(term - top) math.exp rounds differently
+@example(_exact_case("fmm", 0.05, 10, [10.0, 10.0], [-1.5, 0.5], [0, 3], [None]), 0)
+# one founder with a mean of 1e-6: no survivor, no mutant
+@example(_exact_case("fmm", 0.1, 0, [1e-6], [1], [0], [None]), 0)
+def test_small_step_matches_array_step(case, seed):
+    model, beta, t, log_fit, count, birth, picks = case
+    cfg = SimConfig(model=model, tail=TailModel("pareto", 1.5), beta=beta, log_f=0.0,
+                    t_max=1, seed=0)
+    state = _rebuild(t, np.array(log_fit), np.array(count), np.array(birth), MODE_EXACT)
+    lam = (1.0 - beta) * state.count * np.exp(state.log_fit)
+    rng, ref = _twins(seed)
+    sizes = []
+    with _picked_mutants(state.log_fit.tolist(), picks, sizes):
+        with mock.patch.object(simulate, "_step_small", wraps=simulate._step_small) as small:
+            got, got_w = step_exact(state, cfg, rng)
+        with mock.patch.object(simulate, "_SMALL_STATE_CLASSES", 0):
+            want, want_w = step_exact(state, cfg, ref)
+    n_new = sizes[0] if sizes else 0
+    assert small.call_count == (state.n_classes + n_new < simulate._SMALL_STATE_CLASSES
+                                and lam.max() <= _NORMAL_APPROX_MEAN)
+    for name in ("log_fit", "count", "birth"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for a, b in ((got.log_X, want.log_X), (got.log_fitsum, want.log_fitsum), (got_w, want_w)):
+        assert _bits(a) == _bits(b)
+    assert (got.t, got.mode) == (want.t, want.mode)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_nan_survivor_mean_fails_in_the_array_draw():
+    cfg = SimConfig(model="fmm", tail=TailModel("pareto", 1.5), beta=0.1, log_f=0.0,
+                    t_max=1, seed=0)
+    state = PopulationState(t=0, log_fit=np.array([math.nan]), count=np.ones(1, dtype=np.int64),
+                            birth=np.zeros(1, dtype=np.int64), mode=MODE_EXACT,
+                            log_X=0.0, log_fitsum=0.0)
+    with mock.patch.object(simulate, "_step_small", side_effect=AssertionError):
+        with pytest.raises(ValueError):
+            step_exact(state, cfg, np.random.default_rng(0))
