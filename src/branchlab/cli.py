@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -152,7 +152,9 @@ _SCHEMAS: dict[str, list[_Field]] = {
     ],
     "verify-lemmas": [
         _Field("replicas", "int", default=10000, check=_at_least("replicas", 100)),
-        _Field("seed", "int"),
+        # NumPy seeds a generator only from non-negative integers
+        _Field("seed", "int",
+               check=lambda v: v >= 0 or f"--seed (or {_ENV_SEED}) must be >= 0"),
     ],
 }
 
@@ -223,6 +225,8 @@ def parse_args(argv) -> Config:
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
+        if exc.code == 0:  # --help, already printed
+            raise
         raise UsageError("bad command line") from exc
     if ns.command is None:
         raise UsageError("missing subcommand")
@@ -246,6 +250,8 @@ def parse_args(argv) -> Config:
         given = getattr(ns, f.name)
         if given is not None:
             params[f.name] = _convert(f, given, "flag")
+    if "seed" in params and params["seed"] is None:
+        params["seed"] = _default_seed()
 
     for f in fields:
         value = params[f.name]
@@ -257,8 +263,6 @@ def parse_args(argv) -> Config:
             verdict = f.check(value)
             if verdict is not True:
                 raise UsageError(str(verdict))
-    if "seed" in params and params["seed"] is None:
-        params["seed"] = _default_seed()
     return Config(command=ns.command, params=params)
 
 
@@ -344,11 +348,10 @@ def _cmd_recurse(p) -> int:
             "phi": phi,
             "constraints_ok": constraints_ok,
         }
-    t_max = series.t_max
-    nu_hat = [recursion.nu_hat(series, t) if t + series.T <= t_max else math.nan
-              for t in range(1, t_max + 1)]
-    rows = zip(range(1, t_max + 1), series.L[1:].tolist(), series.I[1:].tolist(),
-               series.log_c_array()[1:].tolist(), nu_hat)
+    # nu_hat stops T rows short of t_max; zip stops at t_max
+    nu_hat = chain(recursion.nu_hat(series).tolist(), repeat(math.nan))
+    rows = zip(range(1, series.t_max + 1), series.L[1:].tolist(), series.I[1:].tolist(),
+               series.log_c[1:].tolist(), nu_hat)
     _write_csv(p["out"], ["t", "log_chi", "I_t", "log_c_t", "nu_hat"], rows)
     if payload is not None:
         _write_json(_side_out(p["out"], ".period.json"), payload)
@@ -520,7 +523,8 @@ def _cmd_verify_lemmas(p) -> int:
     ks_crit = max(0.01, 1.63 / math.sqrt(replicas))
     for alpha in (1.0, 2.0):
         model = parse_tail_model(f"pareto:alpha={alpha}")
-        draws = simulate.sample_fittest_mutant(0.0, model, rng, size=replicas)
+        draws = np.array([simulate.sample_fittest_mutant(0.0, model, rng)
+                          for _ in range(replicas)])
         ks = simulate.fittest_mutant_ks(draws, model, 1.0)
         checks.append((f"fittest-mutant-law-ks-alpha-{alpha:g}", ks, ks_crit, ks <= ks_crit))
 

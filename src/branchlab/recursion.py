@@ -3,11 +3,13 @@
 The recursion chi_t = max(a_t, max over 1 <= i < t of (t-i)/alpha * chi_i)
 is solved as L_t = log chi_t.  Dominant indices I_t record the largest
 maximizing i (0 when the seed term a_t wins).  The compensated values
-c_t = chi_t * exp(-nu t) eventually lock into an exact cycle of length T,
-after a transient of up to about T**2 steps (acceptance criterion 14);
+c_t = chi_t * exp(-nu t), kept as the column ``ChiSeries.log_c`` that
+``solve_chi`` computes once, eventually lock into an exact cycle of length
+T, after a transient of up to about T**2 steps (acceptance criterion 14);
 the cycle and its multipliers phi_k = C_k e^nu / C_{k-1} are extracted here,
 and arbitrary admissible multiplier sets can be realized through a
-constructive seed.
+constructive seed.  ``nu_hat`` gives the finite-horizon growth estimates as
+one column.
 
 Each step scans only the past indices from the last step's first near-tie
 on; see :func:`_solve_pass` for why that is exact.
@@ -15,7 +17,7 @@ on; see :func:`_solve_pass` for why that is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,14 +96,7 @@ class ChiSeries:
     I: np.ndarray  # I[t] = largest maximizing index, 0 when a_t won
     nu: float
     T: int
-    _log_c: np.ndarray | None = field(default=None, repr=False)
-
-    def log_c_array(self) -> np.ndarray:
-        """Padded array with entry t = log c_t = L_t - nu*t."""
-        if self._log_c is None:
-            t = np.arange(self.t_max + 1, dtype=float)
-            self._log_c = self.L - self.nu * t
-        return self._log_c
+    log_c: np.ndarray  # log_c[t] = log c_t = L_t - nu*t, entry 0 unused
 
 
 def _solve_pass(alpha, la, t_max):
@@ -156,21 +151,25 @@ def solve_chi(alpha: float, seed: SeedSequence, t_max: int) -> ChiSeries:
         raise DomainError("t_max must be >= 1")
     law = growth_law(alpha)
     L, I, _ = _solve_pass(alpha, seed.log_a_array(t_max), t_max)
-    return ChiSeries(alpha=alpha, t_max=t_max, L=L, I=I, nu=law.nu, T=law.T)
+    log_c = L - law.nu * np.arange(t_max + 1, dtype=float)
+    return ChiSeries(alpha=alpha, t_max=t_max, L=L, I=I, nu=law.nu, T=law.T, log_c=log_c)
 
 
 def c_of_t(series: ChiSeries, t: int) -> float:
     """log c_t = log chi_t - nu*t."""
     if not 1 <= t <= series.t_max:
         raise DomainError(f"t must be in [1, {series.t_max}]")
-    return float(series.L[t] - series.nu * t)
+    return float(series.log_c[t])
 
 
-def nu_hat(series: ChiSeries, t: int) -> float:
-    """Finite-horizon growth estimate (log chi_{t+T} - log chi_t)/T."""
-    if not 1 <= t <= series.t_max - series.T:
-        raise DomainError(f"t must be in [1, {series.t_max - series.T}]")
-    return float((series.L[t + series.T] - series.L[t]) / series.T)
+def nu_hat(series: ChiSeries) -> np.ndarray:
+    """Finite-horizon growth estimates (log chi_{t+T} - log chi_t)/T.
+
+    Entry t-1 holds t, for t = 1 .. t_max - T; empty when t_max <= T.
+    """
+    T = series.T
+    n = max(series.t_max - T, 0)
+    return (series.L[1 + T : 1 + T + n] - series.L[1 : 1 + n]) / T
 
 
 def detect_period(series: ChiSeries, tol: float = 1e-9) -> tuple[int, np.ndarray]:
@@ -184,7 +183,7 @@ def detect_period(series: ChiSeries, tol: float = 1e-9) -> tuple[int, np.ndarray
     signals a too-short horizon or a sensitive boundary alpha.
     """
     T, t_max = series.T, series.t_max
-    lc = series.log_c_array()
+    lc = series.log_c
     if t_max < 3 * T:
         raise NoPeriodDetected(f"horizon {t_max} too short for period {T}")
     diffs = np.abs(lc[1 + T : t_max + 1] - lc[1 : t_max + 1 - T])
@@ -283,5 +282,5 @@ def verify_indu(alpha: float, phi, t_max: int) -> InduCheck:
 
 def check_bounds(series: ChiSeries) -> tuple[float, float]:
     """Min and max of log c_t over the whole series (both finite)."""
-    lc = series.log_c_array()[1:]
+    lc = series.log_c[1:]
     return float(lc.min()), float(lc.max())

@@ -8,8 +8,9 @@ each generation, ``mmm`` adds every mutant.  The engine runs in two modes:
            per-offspring marking, O(classes) instead of O(population)).
 * logdet   log-domain deterministic class counts once the expected event
            count passes ``exact_event_cap``; the fittest mutant stays
-           stochastic, and the MMM mutant spectrum is aggregated into
-           geometric log-fitness bins topped by the exactly sampled maximum.
+           stochastic (one float draw of ``sample_fittest_mutant``), FMM
+           adds it alone, and the MMM mutant spectrum is aggregated into
+           geometric log-fitness bins topped by that exactly sampled maximum.
 
 Populations are class-aggregated (log-fitness, count) lists, sorted by
 log-fitness descending with unique keys; totals carry as log X and log of
@@ -225,7 +226,7 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
     else:
         log_X = _logsumexp(count)
         log_counts = count
-    log_fitsum = _logsumexp(log_counts + log_fit) if count.size else -np.inf
+    log_fitsum = _logsumexp(log_counts + log_fit)
     return PopulationState(
         t=t, log_fit=log_fit, count=count, birth=birth, mode=mode,
         log_X=log_X, log_fitsum=log_fitsum,
@@ -260,29 +261,20 @@ def to_logdet(state: PopulationState) -> PopulationState:
     return _rebuild(state.t, state.log_fit, log_counts, state.birth, MODE_LOGDET)
 
 
-def sample_fittest_mutant(log_lambda: float, tail: TailModel, rng: np.random.Generator, size=None):
+def sample_fittest_mutant(log_lambda: float, tail: TailModel, rng: np.random.Generator) -> float:
     """Draw log W from the fittest-mutant law P(W <= x) = exp(-lambda*G(x)).
 
     ``log_lambda`` is log of the expected mutant count (beta times the
     fitness-weighted population sum).  Returns -inf with probability
     exp(-lambda), the atom where no mutant clears the support minimum.
+    One uniform per draw, on floats through NumPy's ufuncs.
     """
-    if size is None:
-        # one float through the same ufuncs, without the array round trip;
-        # u = 0 gives s = +inf, which no rate exceeds, and a NaN rate none
-        u = rng.random()
-        if u == 0.0:
-            return -np.inf
-        s = np.log(-np.log(u))
-        return inverse_log_tail(tail, s - log_lambda) if s < log_lambda else -np.inf
-    u = rng.random(size)
-    with np.errstate(divide="ignore"):
-        s = np.log(-np.log(u))
-    out = np.full(s.shape, -np.inf)
-    hit = s < log_lambda
-    if hit.any():
-        out[hit] = inverse_log_tail(tail, s[hit] - log_lambda)
-    return out
+    # u = 0 gives s = +inf, which no rate exceeds, and a NaN rate none
+    u = rng.random()
+    if u == 0.0:
+        return -np.inf
+    s = np.log(-np.log(u))
+    return inverse_log_tail(tail, s - log_lambda) if s < log_lambda else -np.inf
 
 
 def fittest_mutant_ks(log_w: np.ndarray, tail: TailModel, lam: float) -> float:
@@ -425,21 +417,22 @@ class _SpectrumTable:
 
 
 def mutant_spectrum(log_lambda: float, cfg: SimConfig, rng: np.random.Generator,
-                    table: _SpectrumTable):
-    """MMM mutant classes for one generation; returns (log_fit, log_count, log_w).
+                    table: _SpectrumTable | None):
+    """Mutant classes for one logdet generation; returns (log_fit, log_count, log_w).
 
-    The log-fitness axis is split into geometric bins up to the exactly
-    sampled fittest mutant; each bin's expected count is lambda * mu(bin).
-    Bins above ``mmm_poisson_threshold`` enter deterministically at the bin
-    log-midpoint, smaller bins are Poisson-sampled, and the open top bin is
-    represented by the sampled maximum itself with count 1.  ``table``
-    carries the bins of earlier generations of the run.
+    The exactly sampled fittest mutant enters with count 1.  FMM passes no
+    ``table`` and adds it alone.  For MMM, ``table`` carries the run's bins:
+    the log-fitness axis is split into geometric bins up to the sampled
+    maximum, which stands for the open top bin; each bin's expected count is
+    lambda * mu(bin).  Bins above ``mmm_poisson_threshold`` enter
+    deterministically at the bin log-midpoint, smaller bins are
+    Poisson-sampled.
     """
     log_w = sample_fittest_mutant(log_lambda, cfg.tail, rng)
     if log_w == -np.inf:
         return np.empty(0), np.empty(0), -np.inf
-    # an overflowed top (+inf) enters alone; _attempt then reports the overflow
-    log_mass, mids = table.below(log_w)
+    # an overflowed top (+inf) gets no bins either; _attempt then reports the overflow
+    log_mass, mids = table.below(log_w) if table is not None else (None, np.empty(0))
     if not mids.size:
         return np.array([log_w]), np.zeros(1), log_w
     log_lam_bin = log_lambda + log_mass
@@ -457,7 +450,7 @@ def mutant_spectrum(log_lambda: float, cfg: SimConfig, rng: np.random.Generator,
 
 
 def step_logdet(state: PopulationState, cfg: SimConfig, rng: np.random.Generator,
-                table: _SpectrumTable):
+                table: _SpectrumTable | None):
     """One log-deterministic generation; returns (next_state, log_w_added).
 
     Class log-counts advance by their expectation, log(1-beta) + log F_i;
@@ -472,12 +465,7 @@ def step_logdet(state: PopulationState, cfg: SimConfig, rng: np.random.Generator
         keep = slice(None)  # survivors as they are, no copies
 
     log_lambda = math.log(cfg.beta) + state.log_fitsum
-    if cfg.model == "fmm":
-        log_w = sample_fittest_mutant(log_lambda, cfg.tail, rng)
-        new_fit = np.array([log_w] if log_w > -np.inf else [])
-        new_counts = np.zeros(new_fit.size)
-    else:
-        new_fit, new_counts, log_w = mutant_spectrum(log_lambda, cfg, rng, table)
+    new_fit, new_counts, log_w = mutant_spectrum(log_lambda, cfg, rng, table)
     log_fit = np.concatenate((state.log_fit[keep], new_fit))
     log_counts = np.concatenate((log_counts[keep], new_counts))
     birth = np.concatenate((state.birth[keep], np.full(new_fit.size, t_next, dtype=np.int64)))
@@ -585,7 +573,8 @@ def _attempt(cfg: SimConfig, base_seed: int, rng: np.random.Generator):
     # is the zero-padded one spawn_key=(t,) builds on; tolist() keeps the
     # words Python ints for _generation_rng's arithmetic
     pool = np.random.SeedSequence(base_seed).pool.tolist()
-    table = _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade)
+    # fmm adds only the fittest mutant, so it has no spectrum to bin
+    table = _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade) if cfg.model == "mmm" else None
     state = initial_state(cfg)
     rows = [(0, state.log_X, -np.inf, state.n_classes, 0, state.dominant_age())]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -141,6 +141,19 @@ class TestOutputs:
         assert doc["t1"] <= 4 and doc["constraints_ok"]
         assert sorted(round(p, 6) for p in doc["phi"]) == [1.333333, 1.5, 1.5]
 
+    @pytest.mark.parametrize("t_max, finite", [(3, 0), (4, 1)])
+    def test_recurse_nu_hat_column_at_the_period(self, tmp_path, t_max, finite):
+        # alpha = 1 has T = 3: nu_hat needs t + T <= t_max
+        out = tmp_path / "chi.csv"
+        assert _run_main(["recurse", "--alpha", "1", "--t-max", str(t_max),
+                          "--out", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            nu_hat = [float(row["nu_hat"]) for row in csv.DictReader(fh)]
+        assert len(nu_hat) == t_max
+        assert [math.isfinite(v) for v in nu_hat] == [True] * finite + [False] * (t_max - finite)
+        if finite:
+            assert nu_hat[0] == pytest.approx(math.log(4.0) / 3.0, rel=1e-15)
+
     def test_simulate_csv_and_summary(self, tmp_path):
         out = tmp_path / "runs.csv"
         argv = ["simulate", "--model", "mmm", "--tail", "pareto:alpha=1",
@@ -254,6 +267,25 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "alpha,T,nu,nu_approx,rel_err"
 
+    @pytest.mark.parametrize("argv", [["--help"], ["recurse", "--help"]],
+                             ids=["top", "recurse"])
+    def test_help_exits_zero(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchlab.cli", *argv], capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: branchlab") and proc.stderr == ""
+
+    def test_unknown_flag_is_a_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchlab.cli", "recurse", "--bogus"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert [line for line in lines if line.startswith("usage error:")] == [lines[-1]]
+        assert "--bogus" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_bad_flag_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "branchlab.cli", "simulate", "--model",
@@ -333,6 +365,24 @@ class TestEntryPoint:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "explicit seed" in lines[0] and "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-5"], None), ([], "-3")],
+                             ids=["flag", "env"])
+    def test_negative_verify_lemmas_seed_is_a_usage_error(self, flag, env):
+        environ = dict(os.environ)
+        environ.pop("BRANCHLAB_SEED", None)
+        if env is not None:
+            environ["BRANCHLAB_SEED"] = env
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchlab.cli", "verify-lemmas", "--replicas", "100",
+             *flag],
+            capture_output=True, text=True, env=environ,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error:")
+        assert "--seed" in lines[0] and "BRANCHLAB_SEED" in lines[0]
+        assert proc.stdout == ""
 
     def test_recurse_failed_period_check_writes_nothing(self, tmp_path):
         out = tmp_path / "r.csv"

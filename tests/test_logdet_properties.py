@@ -1,8 +1,9 @@
 """Property tests for the logdet generation: fittest-mutant draw and
 spectrum table, each compared bitwise with the computation it replaces.
 
-* The float draw of ``sample_fittest_mutant(size=None)`` against the array
-  draw with ``size=1`` on a twin generator.
+* The float draw of ``sample_fittest_mutant`` against
+  ``_reference_fittest_mutant``, the array draw it replaced, kept here as an
+  independent oracle and run with ``size=1`` on a twin generator.
 * ``_SpectrumTable.below`` against ``_reference_bins``, the per-generation
   edge and bin-mass computation the table replaced, kept here as an
   independent oracle.
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchlab.simulate import _SpectrumTable, sample_fittest_mutant
-from branchlab.tails import TailModel, log_tail
+from branchlab.tails import TailModel, inverse_log_tail, log_tail
 
 
 def _bits(x):
@@ -27,6 +28,18 @@ def _tails(draw):
     if draw(st.booleans()):
         return TailModel("pareto", alpha)
     return TailModel("paretolog", alpha, draw(st.floats(min_value=-alpha, max_value=alpha)))
+
+
+def _reference_fittest_mutant(log_lambda, tail, rng, size):
+    """The earlier array draw of log W from the law exp(-lambda*G)."""
+    u = rng.random(size)
+    with np.errstate(divide="ignore"):
+        s = np.log(-np.log(u))
+    out = np.full(s.shape, -np.inf)
+    hit = s < log_lambda
+    if hit.any():
+        out[hit] = inverse_log_tail(tail, s[hit] - log_lambda)
+    return out
 
 
 class _FixedUniform:
@@ -48,9 +61,22 @@ def test_float_draw_matches_size_one(tail, seed, log_lambda):
     # silenced as the run loop silences it
     with np.errstate(invalid="ignore"):
         got = sample_fittest_mutant(log_lambda, tail, one)
-        want = sample_fittest_mutant(log_lambda, tail, arr, size=1)
+        want = _reference_fittest_mutant(log_lambda, tail, arr, size=1)
     assert isinstance(got, float)
     assert _bits(got) == _bits(want[0])
+    assert one.bit_generator.state == arr.bit_generator.state
+
+
+@settings(max_examples=50, deadline=None)
+@given(_tails(), st.integers(0, 2**64 - 1), st.floats(min_value=-2.0, max_value=5.0),
+       st.integers(2, 300))
+def test_float_draws_match_one_array_draw(tail, seed, log_lambda, n):
+    # verify-lemmas draws its KS sample one float at a time
+    one = np.random.default_rng(seed)
+    arr = np.random.default_rng(seed)
+    got = [sample_fittest_mutant(log_lambda, tail, one) for _ in range(n)]
+    want = _reference_fittest_mutant(log_lambda, tail, arr, size=n)
+    assert _bits(got) == _bits(want)
     assert one.bit_generator.state == arr.bit_generator.state
 
 

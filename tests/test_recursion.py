@@ -1,9 +1,11 @@
 """Recursion-solver tests against a direct quadratic-time oracle."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from branchlab import recursion
 from branchlab.errors import ConstraintViolation, DomainError, NoPeriodDetected
 from branchlab.growth import alpha_critical, nu as nu_of, period_T
 from branchlab.recursion import (
@@ -112,20 +114,20 @@ class TestCompensatedValues:
 
     def test_nu_hat_hand_values(self):
         series = solve_chi(1.0, SeedSequence.linear(), 50)
-        assert nu_hat(series, 3) == pytest.approx(math.log(3.0) / 3.0, abs=1e-14)
-        assert nu_hat(series, 6) == pytest.approx(math.log(3.0) / 3.0, abs=1e-14)
+        assert nu_hat(series)[3 - 1] == pytest.approx(math.log(3.0) / 3.0, abs=1e-14)
+        assert nu_hat(series)[6 - 1] == pytest.approx(math.log(3.0) / 3.0, abs=1e-14)
 
     def test_nu_hat_converges(self):
         for alpha in (0.3, 1.0, 2.0, 5.0):
             series = solve_chi(alpha, SeedSequence.linear(), 320)
-            assert abs(nu_hat(series, 300) - nu_of(alpha)) <= 1e-9
+            assert abs(nu_hat(series)[300 - 1] - nu_of(alpha)) <= 1e-9
 
     def test_residues_monotone_and_step_inequality(self):
         for alpha, seed in ((0.3, SeedSequence.linear()), (1.0, SeedSequence.half()),
                             (2.0, SeedSequence.linear()), (5.0, SeedSequence.half())):
             series = solve_chi(alpha, seed, 400)
             T = series.T
-            lc = series.log_c_array()
+            lc = series.log_c
             assert np.all(lc[1 + T :] >= lc[1 : -T] - 1e-12)
             step = math.log(T / alpha)
             assert np.all(series.L[1 + T :] >= series.L[1 : -T] + step - 1e-12)
@@ -138,7 +140,7 @@ class TestCompensatedValues:
         assert lo == pytest.approx(-nu_of(1.0), abs=1e-12)
         assert hi == pytest.approx(0.0, abs=1e-12)
         # from t = 2 on, the compensated values stay inside the cycle band
-        lc = series.log_c_array()[2:]
+        lc = series.log_c[2:]
         assert math.log(0.92) <= lc.min() and lc.max() <= math.log(1.01)
 
 
@@ -272,10 +274,23 @@ class TestVerifyIndu:
                 check = verify_indu(alpha, phi, 150)
                 assert check, f"failed at t={check.first_failing_t}"
 
-    def test_failure_reports_first_bad_generation(self):
-        # detect a deliberate mismatch by checking against perturbed phi
-        check = verify_indu(1.0, [4.0 / 3.0, 1.5, 1.5], 100)
-        assert check.first_failing_t is None
+    def test_failure_reports_first_bad_generation(self, monkeypatch):
+        phi = [4.0 / 3.0, 1.5, 1.5]
+        check = verify_indu(1.0, phi, 100)
+        assert check and check.first_failing_t is None
+        solve = recursion.solve_chi
+
+        def perturbed(*args):
+            series = solve(*args)
+            L = series.L.copy()
+            L[37] *= 1.0 + 1e-9  # beyond the 1e-11 relative tolerance
+            L[60] *= 1.0 + 1e-9  # a later failure must not be the one reported
+            return dataclasses.replace(series, L=L)
+
+        monkeypatch.setattr(recursion, "solve_chi", perturbed)
+        check = verify_indu(1.0, phi, 100)
+        assert not check
+        assert check.first_failing_t == 37
 
     def test_ctex_series_is_periodic_from_the_start(self):
         seed = build_ctex_seed(1.0, [4.0 / 3.0, 1.5, 1.5])
@@ -283,6 +298,6 @@ class TestVerifyIndu:
         t1, _ = detect_period(series)
         assert t1 == 1
         lo, hi = check_bounds(series)
-        lc = series.log_c_array()[1:]
+        lc = series.log_c[1:]
         assert lo == pytest.approx(lc[: series.T].min(), abs=1e-9)
         assert hi == pytest.approx(lc[: series.T].max(), abs=1e-9)

@@ -43,7 +43,8 @@ def _cfg(**kw):
 
 
 def _table(cfg):
-    return _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade)
+    """The spectrum table a run of cfg passes its logdet steps: none for fmm."""
+    return _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade) if cfg.model == "mmm" else None
 
 
 class _FixedUniform:
@@ -104,10 +105,14 @@ class TestStateRebuild:
         assert st.birth[0] == 2
 
 
+def _fittest_mutants(log_lambda, model, rng, n):
+    return np.array([sample_fittest_mutant(log_lambda, model, rng) for _ in range(n)])
+
+
 class TestSampleFittestMutant:
     def test_zero_rate_never_produces_a_mutant(self):
         rng = np.random.default_rng(0)
-        draws = sample_fittest_mutant(-np.inf, PARETO1, rng, size=1000)
+        draws = _fittest_mutants(-np.inf, PARETO1, rng, 1000)
         assert np.all(draws == -np.inf)
 
     def test_direct_inversion(self):
@@ -120,7 +125,7 @@ class TestSampleFittestMutant:
     def test_atom_mass(self):
         rng = np.random.default_rng(8)
         lam = math.log(2.0)
-        draws = sample_fittest_mutant(math.log(lam), PARETO1, rng, size=10**5)
+        draws = _fittest_mutants(math.log(lam), PARETO1, rng, 10**5)
         frac = float(np.mean(draws == -np.inf))
         sigma = math.sqrt(0.25 / 10**5)
         assert abs(frac - 0.5) <= 3 * sigma
@@ -129,7 +134,7 @@ class TestSampleFittestMutant:
     def test_ks_against_lemma_law(self, model):
         rng = np.random.default_rng(42)
         n = 10**5
-        draws = np.asarray(sample_fittest_mutant(0.0, model, rng, size=n))
+        draws = _fittest_mutants(0.0, model, rng, n)
         ks = fittest_mutant_ks(draws, model, 1.0)
         assert ks <= 0.01
 
@@ -202,7 +207,22 @@ class TestLogdetStep:
         lam_log = math.log(0.1) + state.log_fitsum
         want = -(math.log(-math.log(u)) - lam_log) / 1.0
         assert log_w == pytest.approx(want, rel=1e-12)
+        assert nxt.log_fit[nxt.birth == 1].tolist() == [log_w]  # the top alone
         assert nxt.count[nxt.birth == 1][0] == 0.0  # log of count 1
+
+    def test_only_mmm_runs_build_a_spectrum_table(self, monkeypatch):
+        built = []
+
+        class Recording(_SpectrumTable):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr("branchlab.simulate._SpectrumTable", Recording)
+        rec = run(_cfg(t_max=5))
+        assert rec.mode[-1] == 1 and not built  # fmm in logdet mode
+        run(_cfg(model="mmm", t_max=5))
+        assert built
 
 
 class TestMutantSpectrum:
