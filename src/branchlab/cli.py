@@ -171,8 +171,20 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose errors print its own usage and raise UsageError.
+
+    ``main`` then prints the one ``usage error:`` line and exits 2.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
+    parser = _Parser(
         prog="branchlab",
         description="Branching populations under selection and heavy-tailed mutation",
     )
@@ -190,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                    const=False, default=None)
             else:
                 p.add_argument(flag, dest=f.name, default=None, help=f.help)
-    return parser
+    return parser, sub.choices
 
 
 def _convert(field: _Field, value, origin: str):
@@ -221,13 +233,11 @@ def _convert(field: _Field, value, origin: str):
 
 def parse_args(argv) -> Config:
     """Parse argv into a validated Config; flags override config-file values."""
-    parser = _build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code == 0:  # --help, already printed
-            raise
-        raise UsageError("bad command line") from exc
+    parser, commands = _build_parser()
+    ns, extra = parser.parse_known_args(argv)  # --help prints and exits 0
+    if extra:
+        # stray flags are reported with the usage of the subcommand given
+        commands.get(ns.command, parser).error("unrecognized arguments: " + " ".join(extra))
     if ns.command is None:
         raise UsageError("missing subcommand")
     fields = _SCHEMAS[ns.command]

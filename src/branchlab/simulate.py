@@ -21,7 +21,10 @@ input order) makes every output bit-for-bit reproducible.
 Exact generations of fewer than ``_SMALL_STATE_CLASSES`` (8) classes, the
 bulk of a restart-heavy run founded below criticality, run on Python scalars
 in ``_step_small`` with the array path's bits; the cutoff is where
-``np.add.reduce`` stops summing left to right and sums in blocks of 8.
+``np.add.reduce`` stops summing left to right and sums in blocks of 8.  The
+founder and every state ``_step_small`` makes keep their class columns as
+Python tuples, so a run of small generations builds no array; a state builds
+its arrays only when they are read (see ``PopulationState``).
 
 Generation t of an attempt draws from the ``PCG64`` stream seeded by a
 ``np.random.SeedSequence`` with entropy ``attempt_seed`` and
@@ -110,36 +113,73 @@ class SimConfig:
             raise DomainError("mmm_bins_per_decade must be >= 1")
 
 
-@dataclass
 class PopulationState:
     """Class-aggregated population at one generation.
 
     ``count`` holds nonnegative integers in exact mode and log-counts in
     logdet mode.  Classes are sorted by log-fitness descending with unique
     keys; ``birth`` records the generation each class first appeared.
+
+    Column contract: the three class columns are given either as NumPy
+    arrays (``_rebuild``, ``to_logdet``) or, for exact states, as Python
+    tuples of floats and ints (``initial_state``, ``_step_small``).  Reading
+    ``log_fit``, ``count`` or ``birth`` always gives arrays, float64, int64
+    (or float64 log-counts in logdet mode) and int64, built from tuples on
+    the first read and kept, with the bytes ``_rebuild`` gives for the same
+    classes.  ``n_classes``, ``dominant_age`` and the small branch of
+    ``step_exact`` read the tuples (``cols``) directly and build no array;
+    ``cols`` is None for array-built states.
     """
 
-    t: int
-    log_fit: np.ndarray
-    count: np.ndarray
-    birth: np.ndarray
-    mode: str
-    log_X: float = -np.inf
-    log_fitsum: float = -np.inf
+    __slots__ = ("t", "mode", "log_X", "log_fitsum", "cols", "_log_fit", "_count", "_birth")
+
+    def __init__(self, t: int, log_fit, count, birth, mode: str,
+                 log_X: float = -np.inf, log_fitsum: float = -np.inf):
+        self.t = t
+        self.mode = mode
+        self.log_X = log_X
+        self.log_fitsum = log_fitsum
+        if type(log_fit) is tuple:
+            self.cols = (log_fit, count, birth)
+            self._log_fit = self._count = self._birth = None
+        else:
+            self.cols = None
+            self._log_fit, self._count, self._birth = log_fit, count, birth
+
+    @property
+    def log_fit(self) -> np.ndarray:
+        if self._log_fit is None:
+            self._log_fit = np.array(self.cols[0], dtype=float)
+        return self._log_fit
+
+    @property
+    def count(self) -> np.ndarray:
+        if self._count is None:
+            self._count = np.array(self.cols[1], dtype=np.int64)
+        return self._count
+
+    @property
+    def birth(self) -> np.ndarray:
+        if self._birth is None:
+            self._birth = np.array(self.cols[2], dtype=np.int64)
+        return self._birth
 
     @property
     def n_classes(self) -> int:
-        return int(self.log_fit.size)
+        return len(self.cols[0]) if self.cols is not None else int(self._log_fit.size)
 
     @property
     def extinct(self) -> bool:
         return self.mode == MODE_EXACT and self.n_classes == 0
 
     def dominant_age(self) -> int:
-        """Age of the largest class, -1 when the population is empty."""
-        if self.n_classes == 0:
+        """Age of the largest class (the first of tied ones), -1 when the population is empty."""
+        if self.cols is not None:
+            count = self.cols[1]
+            return self.t - self.cols[2][count.index(max(count))] if count else -1
+        if self._count.size == 0:
             return -1
-        return int(self.t - self.birth[self.count.argmax()])
+        return int(self.t - self._birth[self._count.argmax()])
 
 
 @dataclass
@@ -236,19 +276,13 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
 def initial_state(cfg: SimConfig) -> PopulationState:
     """Single founder individual at the configured log-fitness.
 
-    Built directly, with the totals ``_rebuild`` gives one class of count 1:
-    log X = 0 and log fitness sum = log_f (``+ 0.0`` turns -0.0 into 0.0,
-    as its log-sum-exp does).
+    Built directly on tuple columns, with the totals ``_rebuild`` gives one
+    class of count 1: log X = 0 and log fitness sum = log_f (``+ 0.0`` turns
+    -0.0 into 0.0, as its log-sum-exp does).
     """
-    return PopulationState(
-        t=0,
-        log_fit=np.array([cfg.log_f], dtype=float),
-        count=np.ones(1, dtype=np.int64),
-        birth=np.zeros(1, dtype=np.int64),
-        mode=MODE_EXACT,
-        log_X=0.0,
-        log_fitsum=cfg.log_f + 0.0,
-    )
+    log_f = float(cfg.log_f)
+    return PopulationState(t=0, log_fit=(log_f,), count=(1,), birth=(0,), mode=MODE_EXACT,
+                           log_X=0.0, log_fitsum=log_f + 0.0)
 
 
 def to_logdet(state: PopulationState) -> PopulationState:
@@ -312,21 +346,23 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     mean = cfg.beta * events
     m = int(rng.poisson(mean) if mean <= _NORMAL_APPROX_MEAN else _poisson(rng, mean)[0])
     log_w = -np.inf
-    mutant_fit = np.empty(0)
+    mutant_fit = ()  # a tuple for fmm's one mutant, an array for mmm's
     if m >= 1:
         if cfg.model == "fmm":
             log_w = sample_max_of_n(cfg.tail, m, rng)
-            mutant_fit = np.array([log_w])
+            mutant_fit = (log_w,)
         else:
             mutant_fit = sample_fitness(cfg.tail, rng, size=m)
             log_w = float(mutant_fit.max())
-    n_new = mutant_fit.size
+    n_new = len(mutant_fit)
     if state.n_classes + n_new < _SMALL_STATE_CLASSES:
-        lam = [(1.0 - cfg.beta) * n * np.exp(f)
-               for n, f in zip(state.count.tolist(), state.log_fit.tolist())]
+        cols = state.cols or (state.log_fit.tolist(), state.count.tolist(), state.birth.tolist())
+        lam = [(1.0 - cfg.beta) * n * np.exp(f) for f, n in zip(cols[0], cols[1])]
         # a NaN mean fails this too and raises in the array path's draw
         if all(mean <= _NORMAL_APPROX_MEAN for mean in lam):
-            return _step_small(state, lam, mutant_fit, rng), log_w
+            if type(mutant_fit) is not tuple:
+                mutant_fit = mutant_fit.tolist()
+            return _step_small(state.t + 1, cols, lam, mutant_fit, rng), log_w
     lam = (1.0 - cfg.beta) * state.count * np.exp(state.log_fit)
     survivors = _poisson(rng, lam).astype(np.int64, copy=False)
 
@@ -337,20 +373,21 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     return _rebuild(t_next, log_fit, count, birth, MODE_EXACT), log_w
 
 
-def _step_small(state: PopulationState, lam: list, mutant_fit: np.ndarray,
+def _step_small(t_next: int, cols: tuple, lam: list, mutant_fit,
                 rng: np.random.Generator) -> PopulationState:
     """``step_exact``'s survivor draw and merge on Python scalars, same bits.
 
-    Scalar ``rng.poisson`` draws of the means ``lam`` (none above
+    ``cols`` holds the state's (log_fit, count, birth) columns as Python
+    sequences and ``mutant_fit`` the new mutants' log-fitnesses as Python
+    floats.  Scalar ``rng.poisson`` draws of the means ``lam`` (none above
     ``_NORMAL_APPROX_MEAN``), in class order, equal one array draw.  Survivors,
     then mutants, merge as ``_rebuild``'s merge contract says; the totals take
     its NumPy ufuncs on floats (``math.exp`` rounds differently), summed left
-    to right.
+    to right.  The new state keeps its columns as tuples.
     """
-    t_next = state.t + 1
-    draws = zip(state.log_fit.tolist(), map(rng.poisson, lam), state.birth.tolist())
+    draws = zip(cols[0], map(rng.poisson, lam), cols[2])
     rows = [(f, n, b) for f, n, b in draws if n > 0]
-    rows += [(f, 1, t_next) for f in mutant_fit.tolist()]
+    rows += [(f, 1, t_next) for f in mutant_fit]
     rows.sort(key=itemgetter(0), reverse=True)  # stable: equal keys keep input order
     merged = []
     for f, n, b in rows:
@@ -370,11 +407,8 @@ def _step_small(state: PopulationState, lam: list, mutant_fit: np.ndarray,
         for v in terms:
             total += np.exp(v - top)
         log_fitsum = top + math.log(total)
-    return PopulationState(
-        t=t_next, log_fit=np.array(log_fit, dtype=float),
-        count=np.array(count, dtype=np.int64), birth=np.array(birth, dtype=np.int64),
-        mode=MODE_EXACT, log_X=log_X, log_fitsum=log_fitsum,
-    )
+    return PopulationState(t=t_next, log_fit=log_fit, count=count, birth=birth,
+                           mode=MODE_EXACT, log_X=log_X, log_fitsum=log_fitsum)
 
 
 class _SpectrumTable:
@@ -566,7 +600,7 @@ def _attempt(cfg: SimConfig, base_seed: int, rng: np.random.Generator):
     at extinction, so the steps never see a state they cannot take.
 
     Raises HorizonOverflow when log X or the log fitness sum turns NaN or
-    +inf (-inf is extinction); numpy's overflow warnings are silenced.
+    +inf (-inf is extinction); ``run`` silences numpy's overflow warnings.
     """
     log_cap = math.log(cfg.exact_event_cap)
     # mix_entropy hashes a 0 for each pool word past the entropy, so this pool
@@ -577,25 +611,24 @@ def _attempt(cfg: SimConfig, base_seed: int, rng: np.random.Generator):
     table = _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade) if cfg.model == "mmm" else None
     state = initial_state(cfg)
     rows = [(0, state.log_X, -np.inf, state.n_classes, 0, state.dominant_age())]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.t_max):
-            _generation_rng(pool, state.t + 1, rng)
-            if state.mode == MODE_EXACT and state.log_fitsum > log_cap:
-                state = to_logdet(state)
-            if state.mode == MODE_EXACT:
-                state, log_w = step_exact(state, cfg, rng)
-            else:
-                state, log_w = step_logdet(state, cfg, rng, table)
-            if not (state.log_X < math.inf and state.log_fitsum < math.inf):
-                raise HorizonOverflow(f"log-fitness overflows float64 at generation {state.t}; "
-                                      f"use t_max < {state.t}, or `branchlab recurse` "
-                                      "for longer horizons")
-            rows.append((
-                state.t, state.log_X, log_w, state.n_classes,
-                0 if state.mode == MODE_EXACT else 1, state.dominant_age(),
-            ))
-            if state.extinct:
-                return rows, state.t
+    for _ in range(cfg.t_max):
+        _generation_rng(pool, state.t + 1, rng)
+        if state.mode == MODE_EXACT and state.log_fitsum > log_cap:
+            state = to_logdet(state)
+        if state.mode == MODE_EXACT:
+            state, log_w = step_exact(state, cfg, rng)
+        else:
+            state, log_w = step_logdet(state, cfg, rng, table)
+        if not (state.log_X < math.inf and state.log_fitsum < math.inf):
+            raise HorizonOverflow(f"log-fitness overflows float64 at generation {state.t}; "
+                                  f"use t_max < {state.t}, or `branchlab recurse` "
+                                  "for longer horizons")
+        rows.append((
+            state.t, state.log_X, log_w, state.n_classes,
+            0 if state.mode == MODE_EXACT else 1, state.dominant_age(),
+        ))
+        if state.extinct:
+            return rows, state.t
     return rows, None
 
 
@@ -608,23 +641,26 @@ def run(cfg: SimConfig) -> RunRecord:
     """
     # one generator for every attempt; each generation sets its whole state
     rng = np.random.Generator(np.random.PCG64(0))
-    for attempt in range(MAX_RESTARTS + 1):
-        rows, extinct_t = _attempt(cfg, (cfg.seed + attempt) % (1 << 64), rng)
-        if extinct_t is None or not cfg.restart_on_extinction:
-            cols = list(zip(*rows))
-            return RunRecord(
-                t=np.array(cols[0], dtype=np.int64),
-                log_X=np.array(cols[1]),
-                log_W=np.array(cols[2]),
-                n_classes=np.array(cols[3], dtype=np.int64),
-                mode=np.array(cols[4], dtype=np.int8),
-                dominant_age=np.array(cols[5], dtype=np.int64),
-                outcome="survived" if extinct_t is None else "extinct",
-                restarts=attempt,
+    with np.errstate(over="ignore", invalid="ignore"):
+        for attempt in range(MAX_RESTARTS + 1):
+            rows, extinct_t = _attempt(cfg, (cfg.seed + attempt) % (1 << 64), rng)
+            if extinct_t is None or not cfg.restart_on_extinction:
+                break
+        else:
+            raise TooManyRestarts(
+                f"no surviving run in {MAX_RESTARTS} attempts (seed {cfg.seed}); "
+                "survival probability is negligible for these parameters"
             )
-    raise TooManyRestarts(
-        f"no surviving run in {MAX_RESTARTS} attempts (seed {cfg.seed}); "
-        "survival probability is negligible for these parameters"
+    cols = list(zip(*rows))
+    return RunRecord(
+        t=np.array(cols[0], dtype=np.int64),
+        log_X=np.array(cols[1]),
+        log_W=np.array(cols[2]),
+        n_classes=np.array(cols[3], dtype=np.int64),
+        mode=np.array(cols[4], dtype=np.int8),
+        dominant_age=np.array(cols[5], dtype=np.int64),
+        outcome="survived" if extinct_t is None else "extinct",
+        restarts=attempt,
     )
 
 

@@ -285,6 +285,10 @@ class TestEntryPoint:
         lines = proc.stderr.splitlines()
         assert [line for line in lines if line.startswith("usage error:")] == [lines[-1]]
         assert "--bogus" in proc.stderr and "Traceback" not in proc.stderr
+        # the failing subcommand's usage, then one error line and nothing else
+        assert lines[0].startswith("usage: branchlab recurse ")
+        assert lines[-1] == "usage error: unrecognized arguments: --bogus"
+        assert [line for line in lines if "error" in line] == [lines[-1]]
 
     def test_bad_flag_exit_code(self):
         proc = subprocess.run(

@@ -5,8 +5,9 @@ array code it replaces.  ``_reference_poisson`` is the earlier masked
 Poisson sampler and ``_reference_max_of_n`` the earlier array max-of-n
 sampler, kept here as independent oracles; the other checks compare a float
 call with a one-element array call on cloned generators.  The small-state
-step of ``step_exact`` is compared with its array path, which the same call
-takes when ``_SMALL_STATE_CLASSES`` is patched to 0.
+step of ``step_exact``, one step and whole runs, is compared with its array
+path, which the same call takes when ``_SMALL_STATE_CLASSES`` is patched
+to 0; states built on tuple columns are compared with ``_rebuild``'s.
 """
 import math
 from unittest import mock
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchlab import simulate
-from branchlab.errors import DomainError
+from branchlab.errors import DomainError, HorizonOverflow, TooManyRestarts
 from branchlab.simulate import (
     _NORMAL_APPROX_MEAN,
     MODE_EXACT,
@@ -286,3 +287,119 @@ def test_nan_survivor_mean_fails_in_the_array_draw():
     with mock.patch.object(simulate, "_step_small", side_effect=AssertionError):
         with pytest.raises(ValueError):
             step_exact(state, cfg, np.random.default_rng(0))
+
+
+@st.composite
+def _classes(draw):
+    """(t, log_fit, count, birth) of a valid exact state, possibly empty.
+
+    Counts come from a small range, so tied maximum counts are common.
+    """
+    keys = draw(st.lists(st.floats(min_value=-1e300, max_value=1e300), unique=True, max_size=8))
+    n = len(keys)
+    t = draw(st.integers(min_value=0, max_value=100))
+    count = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    birth = draw(st.lists(st.integers(min_value=0, max_value=t), min_size=n, max_size=n))
+    return t, sorted(keys, reverse=True), count, birth
+
+
+@settings(max_examples=200, deadline=None)
+@given(_classes())
+@example((5, [], [], []))  # extinct
+@example((9, [2.0, 1.0, -0.0], [3, 1, 3], [4, 0, 2]))  # tied maximum: the first wins
+def test_tuple_columns_match_rebuild(classes):
+    t, log_fit, count, birth = classes
+    lazy = PopulationState(t, tuple(log_fit), tuple(count), tuple(birth), MODE_EXACT)
+    built = _rebuild(t, np.array(log_fit, dtype=float), np.array(count, dtype=np.int64),
+                     np.array(birth, dtype=np.int64), MODE_EXACT)
+    # the tuples answer these without building an array, the same as the arrays do
+    assert lazy.n_classes == built.n_classes == len(log_fit)
+    assert lazy.dominant_age() == built.dominant_age()
+    assert lazy.extinct == built.extinct == (not log_fit)
+    for name in ("log_fit", "count", "birth"):
+        a, b = getattr(lazy, name), getattr(built, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert getattr(lazy, name) is a  # built once, then kept
+
+
+@st.composite
+def _twin_configs(draw):
+    """Short runs founded near criticality, (1 - beta) F about 1, with small caps.
+
+    Their exact phases can take the small step, grow past the class cutoff onto
+    the array path, fall back below it, and switch to logdet at the cap.
+    """
+    model = draw(st.sampled_from(["fmm", "mmm"]))
+    alpha = draw(st.floats(min_value=1.0, max_value=5.0))
+    tail = TailModel("pareto", alpha)
+    if draw(st.booleans()):
+        tail = TailModel("paretolog", alpha, draw(st.floats(min_value=-alpha, max_value=alpha)))
+    beta = draw(st.floats(min_value=0.05, max_value=0.95))
+    return SimConfig(model=model, tail=tail, beta=beta,
+                     log_f=-math.log1p(-beta) + draw(st.floats(min_value=-1.0, max_value=0.5)),
+                     t_max=draw(st.integers(min_value=1, max_value=30)), seed=draw(_SEED),
+                     exact_event_cap=draw(st.floats(min_value=10.0, max_value=3000.0)),
+                     restart_on_extinction=draw(st.booleans()))
+
+
+# two runs that hand array-built states of fewer than 8 classes to the small
+# step, and (mmm) switch to logdet; test_twin_examples_cross_paths pins both
+_CROSSING = [
+    SimConfig(model="mmm", tail=TailModel("pareto", 4.0), beta=0.7,
+              log_f=-math.log1p(-0.7) - 0.3, t_max=30, seed=11, exact_event_cap=100.0),
+    SimConfig(model="fmm", tail=TailModel("pareto", 4.0), beta=0.3,
+              log_f=-math.log1p(-0.3) - 1.0, t_max=30, seed=11, exact_event_cap=3000.0),
+]
+
+
+def _run_with_cutoff(cfg, cutoff):
+    """``run(cfg)`` (or its typed error) and the run generator's final state.
+
+    At most 30 restarts, so a run that would need thousands stops early.
+    """
+    with mock.patch.object(simulate, "_SMALL_STATE_CLASSES", cutoff), \
+            mock.patch.object(simulate, "MAX_RESTARTS", 30), \
+            mock.patch.object(simulate, "_attempt", wraps=simulate._attempt) as attempt:
+        try:
+            result = simulate.run(cfg)
+        except (TooManyRestarts, HorizonOverflow) as exc:
+            result = (type(exc), str(exc))
+    return result, attempt.call_args.args[2].bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+# every cutoff up to 8 must give the array path's bytes; in about 2% of these
+# runs an array-built state falls back below 8 classes, below 3 in about 25%
+@given(_twin_configs(), st.one_of(st.just(simulate._SMALL_STATE_CLASSES),
+                                  st.integers(min_value=2, max_value=7)))
+@example(_CROSSING[0], simulate._SMALL_STATE_CLASSES)
+@example(_CROSSING[1], simulate._SMALL_STATE_CLASSES)
+def test_run_matches_array_path_run(cfg, cutoff):
+    got, got_state = _run_with_cutoff(cfg, cutoff)
+    want, want_state = _run_with_cutoff(cfg, 0)
+    assert got_state == want_state
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    for name in ("t", "log_X", "log_W", "n_classes", "mode", "dominant_age"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (got.outcome, got.restarts) == (want.outcome, want.restarts)
+
+
+@pytest.mark.parametrize("cfg", _CROSSING, ids=["mmm", "fmm"])
+def test_twin_examples_cross_paths(cfg):
+    step, small_steps = simulate.step_exact, []
+
+    def spy(state, cfg, rng):
+        before = small.call_count
+        out = step(state, cfg, rng)
+        small_steps.append(state.cols is None and small.call_count > before)
+        return out
+
+    with mock.patch.object(simulate, "_step_small", wraps=simulate._step_small) as small, \
+            mock.patch.object(simulate, "step_exact", spy), \
+            mock.patch.object(simulate, "to_logdet", wraps=simulate.to_logdet) as switch:
+        simulate.run(cfg)
+    assert any(small_steps)  # an array-built state back on the small step
+    assert switch.called == (cfg.model == "mmm")
