@@ -234,10 +234,14 @@ def _convert(field: _Field, value, origin: str):
 def parse_args(argv) -> Config:
     """Parse argv into a validated Config; flags override config-file values."""
     parser, commands = _build_parser()
+    argv = list(argv)
     ns, extra = parser.parse_known_args(argv)  # --help prints and exits 0
     if extra:
-        # stray flags are reported with the usage of the subcommand given
-        commands.get(ns.command, parser).error("unrecognized arguments: " + " ".join(extra))
+        # a stray token before the subcommand went to the top-level parser and
+        # is reported with its usage; otherwise the subcommand's usage is shown
+        head = argv[: argv.index(ns.command)] if ns.command is not None else argv
+        owner = parser if any(a in head for a in extra) else commands[ns.command]
+        owner.error("unrecognized arguments: " + " ".join(extra))
     if ns.command is None:
         raise UsageError("missing subcommand")
     fields = _SCHEMAS[ns.command]
@@ -411,11 +415,11 @@ def _sim_config(p, seed: int) -> simulate.SimConfig:
 
 
 def _slope_window(p) -> tuple[int, int]:
-    """The log-log slope window; a caller's must lie in [1, t_max] (log X_0 = 0)."""
+    """The log-log slope window, given or default; it must lie in [1, t_max] (log X_0 = 0)."""
     t_max = p["t_max"]
     lo = p["slope_lo"] if p["slope_lo"] is not None else (5 * t_max) // 8
     hi = p["slope_hi"] if p["slope_hi"] is not None else t_max
-    if (p["slope_lo"] is not None or p["slope_hi"] is not None) and not 1 <= lo < hi <= t_max:
+    if not 1 <= lo < hi <= t_max:
         raise UsageError(f"slope window needs 1 <= --slope-lo < --slope-hi <= --t-max "
                          f"({t_max}), got [{lo}, {hi}]")
     return lo, hi

@@ -290,6 +290,18 @@ class TestEntryPoint:
         assert lines[-1] == "usage error: unrecognized arguments: --bogus"
         assert [line for line in lines if "error" in line] == [lines[-1]]
 
+        # a stray flag before the subcommand belongs to the top-level parser
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchlab.cli", "--bogus", "recurse", "--alpha", "1",
+             "--t-max", "5"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith("usage: branchlab [")
+        assert lines[-1] == "usage error: unrecognized arguments: --bogus"
+        assert [line for line in lines if "error" in line] == [lines[-1]]
+
     def test_bad_flag_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "branchlab.cli", "simulate", "--model",
@@ -408,7 +420,10 @@ class TestEntryPoint:
         ["--slope-lo", "0"],
         ["--slope-lo", "40"],
         {"slope_lo": 41},
-    ], ids=["reversed", "hi_past_t_max", "negative_lo", "zero_lo", "empty", "config_key"])
+        ["--t-max", "1"],  # the default window (5 * 1) // 8 = 0 to 1
+        ["--t-max", "0"],
+    ], ids=["reversed", "hi_past_t_max", "negative_lo", "zero_lo", "empty", "config_key",
+            "default_at_t_max_1", "default_at_t_max_0"])
     def test_bad_slope_window_is_a_usage_error(self, tmp_path, monkeypatch, capsys, window):
         def refuse(cfg):
             raise AssertionError("a replica ran before the window was checked")

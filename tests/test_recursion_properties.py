@@ -4,16 +4,21 @@ The solver compares only the past indices from the previous step's first
 near-tie on.  The oracle compares every past index at every step.  Both must
 give the same ``L`` and ``I`` bit for bit on explicit seeds whose values span
 the float64 range, which can let the seed term win for long stretches or put
-the maximizer far behind the current generation.
+the maximizer far behind the current generation.  The solver scans a short
+window on Python floats and a wide one as NumPy arrays; each form alone, and
+the two mixed as the cutoff picks them, must give those bits.
 
 From the linear and half seeds the recursion locks into its T-cycle after a
 transient of order T**2 steps, which ``detect_period`` finds within a horizon
 of T**2 + 3T.
 """
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from branchlab import recursion
 from branchlab.growth import period_T
 from branchlab.recursion import SeedSequence, detect_period, extract_phi, solve_chi
 
@@ -32,6 +37,22 @@ def test_scan_matches_full_scan(full_scan_chi, alpha, seed, t_max):
     L, I = full_scan_chi(alpha, seed, t_max)
     assert got.L.tobytes() == L.tobytes()
     assert got.I.tobytes() == I.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=_ALPHA, seed=_SEED, t_max=st.integers(min_value=1, max_value=400))
+# the window grows past the cutoff once, near t = 32, and stays (lag up to 79)
+@example(alpha=20.0, seed=SeedSequence.linear(), t_max=300)
+# the window crosses the cutoff upward and back down several times
+@example(alpha=12.0, seed=SeedSequence.half(), t_max=300)
+def test_both_scan_forms_match_full_scan(full_scan_chi, alpha, seed, t_max):
+    L, I = full_scan_chi(alpha, seed, t_max)
+    # 0: every step on NumPy; t_max + 1: every step on Python floats
+    for cutoff in (0, recursion._SCALAR_WINDOW, t_max + 1):
+        with mock.patch.object(recursion, "_SCALAR_WINDOW", cutoff):
+            got = solve_chi(alpha, seed, t_max)
+        assert got.L.tobytes() == L.tobytes(), cutoff
+        assert got.I.tobytes() == I.tobytes(), cutoff
 
 
 @settings(max_examples=40, deadline=None)
