@@ -31,9 +31,13 @@ has not locked in to 1e-9 by t = 3000, which
 ``test_alpha100_period_not_detected`` pins.  ``test_recurse_file_seed_digest``
 reads a seed file whose values span 1e-304 to 1e304 and outgrow the
 recursion for 305 steps, so the seed term wins most steps of a long
-transient.  ``STDOUT_CASES`` pin what commands
-write to stdout when no ``--out`` is given: CSV, JSON, the simulate CSV
-followed by its summary JSON, and the ``verify-lemmas`` table.
+transient.  ``recurse_csv_blocks`` writes 2051 = 2 * 1024 + 3 rows, so a
+writer that works in blocks of 1024 rows ends on a partial block that
+holds the NaN tail of ``nu_hat``.  ``STDOUT_CASES`` pin what commands write to stdout when no
+``--out`` is given: CSV, JSON, the simulate CSV followed by its summary
+JSON, and the ``verify-lemmas`` table.  ``freq_header_only`` writes a
+J,R table without data rows (generation 1 has no earlier class) followed
+by its P table; ``nu_sweep_200`` writes columns of Python scalars.
 """
 import hashlib
 import math
@@ -145,6 +149,10 @@ CASES = {
         ["recurse", "--alpha", "100", "--t-max", "3000"],
         ["b9a351cc9ea74a5b86ba1f5915cb717a17f508f2ffb4867a25297e083eb1a320"],
     ),
+    "recurse_csv_blocks": (
+        ["recurse", "--alpha", "1", "--t-max", "2051"],
+        ["1b7a72cfa5d995861463341d0855102aec66a3bd71c13ca9d52d9ffb6a00d9a3"],
+    ),
     "recurse_half_alpha20": (
         ["recurse", "--alpha", "20", "--seed", "half", "--t-max", "2000"],
         ["5367b2278857f3703baeed0648aa4cde0e1a04fbac63ea1d53653f2939303f5d"],
@@ -159,6 +167,15 @@ CASES = {
 STDOUT_CASES = {
     "nu": (["nu", "--alpha", "1"], 0,
            "164fe001468ebcf7436dab35a8f65a6ae1445c24a1e6e41c5144e1a57aa16614"),
+    "nu_sweep_200": (
+        ["nu", "--alpha-min", "0.05", "--alpha-max", "2e4", "--points", "200",
+         "--log-grid"], 0,
+        "ef0572ff51662cd0b3a8fe9ec66f8fa94999913a3ee65f43a5bcaced5176a01e",
+    ),
+    "freq_header_only": (
+        ["freq", "--from", "recursion", "--alpha", "1", "--t", "1"], 0,
+        "0815738bc2543421a4f714b8ed12b323705b72f0ff270517f82da216944e33f3",
+    ),
     "seed_ctex": (
         ["seed-ctex", "--alpha", "1", "--phis", "1.3333333333333333,1.5,1.5",
          "--t-max", "20"], 0,
