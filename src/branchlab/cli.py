@@ -13,7 +13,6 @@ Identical argv + config + seed give byte-identical outputs.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -21,7 +20,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -31,6 +29,10 @@ from .tails import parse_tail_model
 
 _ENV_SEED = "BRANCHLAB_SEED"
 _MASK64 = (1 << 64) - 1
+
+# _write_csv renders and writes this many rows at a time: one write per
+# block, and never the whole file as one string.
+_CSV_BLOCK_ROWS = 1024
 
 
 def splitmix64(index: int) -> int:
@@ -292,12 +294,42 @@ def _side_out(out, suffix):
     return out + suffix if out else None
 
 
-def _write_csv(path, header, rows):
-    """Rows as given: csv writes any float with ``float.__repr__`` (exact round trip)."""
+def _cells(column) -> list[str]:
+    """The text of each cell of one column block.
+
+    A float64 column renders each distinct bit pattern once with ``repr``;
+    keying on bits keeps -0.0, 0.0 and every NaN apart.  Other columns go
+    through ``str`` of their Python scalars, which for a float is its repr.
+    """
+    column = np.asarray(column)
+    if column.dtype != np.float64:
+        return list(map(str, column.tolist()))
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(text.__getitem__, inverse.tolist()))
+
+
+def _write_csv(path, header, tables):
+    """A CSV under one header of the rows of ``tables``, in order.
+
+    Each table is a list of equal-length columns; data that comes in parts
+    (replicas, snapshots) is passed as one table per part, so no part is
+    copied to join them.  Rows are rendered and written _CSV_BLOCK_ROWS at a
+    time.  Each column holds numbers of one type, or text without ``,``,
+    ``"`` or line breaks.  Under that contract the output is exactly what
+    ``csv.writer(lineterminator="\\n")`` writes for the rows: floats as
+    ``float.__repr__`` (an exact round trip), other cells as ``str``.
+    Without rows the CSV is its header line alone.
+    """
     with _open_out(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for columns in tables:
+            n = len(columns[0])
+            if any(len(c) != n for c in columns):
+                raise ValueError("CSV columns differ in length")
+            for start in range(0, n, _CSV_BLOCK_ROWS):
+                cells = [_cells(c[start:start + _CSV_BLOCK_ROWS]) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_json(path, payload):
@@ -339,7 +371,7 @@ def _cmd_nu(p) -> int:
         if p["alpha_min"] is None or p["alpha_max"] is None or p["points"] is None:
             raise UsageError("need --alpha or all of --alpha-min/--alpha-max/--points")
         rows = growth.sweep(p["alpha_min"], p["alpha_max"], p["points"], p["log_grid"])
-    _write_csv(p["out"], ["alpha", "T", "nu", "nu_approx", "rel_err"], rows)
+    _write_csv(p["out"], ["alpha", "T", "nu", "nu_approx", "rel_err"], [list(zip(*rows))])
     return 0
 
 
@@ -362,11 +394,13 @@ def _cmd_recurse(p) -> int:
             "phi": phi,
             "constraints_ok": constraints_ok,
         }
-    # nu_hat stops T rows short of t_max; zip stops at t_max
-    nu_hat = chain(recursion.nu_hat(series).tolist(), repeat(math.nan))
-    rows = zip(range(1, series.t_max + 1), series.L[1:].tolist(), series.I[1:].tolist(),
-               series.log_c[1:].tolist(), nu_hat)
-    _write_csv(p["out"], ["t", "log_chi", "I_t", "log_c_t", "nu_hat"], rows)
+    # nu_hat stops T rows short of t_max; its last rows are NaN
+    nu_hat = np.full(series.t_max, math.nan)
+    estimates = recursion.nu_hat(series)
+    nu_hat[:estimates.size] = estimates
+    _write_csv(p["out"], ["t", "log_chi", "I_t", "log_c_t", "nu_hat"],
+               [[np.arange(1, series.t_max + 1), series.L[1:], series.I[1:],
+                 series.log_c[1:], nu_hat]])
     if payload is not None:
         _write_json(_side_out(p["out"], ".period.json"), payload)
     return 0
@@ -436,17 +470,12 @@ def _cmd_simulate(p) -> int:
     else:
         records = [simulate.run(cfg) for cfg in configs]
 
-    rows = chain.from_iterable(
-        zip([k] * len(rec.t), rec.t.tolist(), rec.log_X.tolist(), rec.log_W.tolist(),
-            rec.n_classes.tolist(),
-            np.where(rec.mode == 0, simulate.MODE_EXACT, simulate.MODE_LOGDET).tolist(),
-            rec.dominant_age.tolist())
-        for k, rec in enumerate(records)
-    )
+    mode_names = np.array([simulate.MODE_EXACT, simulate.MODE_LOGDET], dtype=object)
     _write_csv(
         p["out"],
         ["replica", "t", "log_X", "log_W", "n_classes", "mode", "dominant_age"],
-        rows,
+        ([np.full(rec.t.size, k), rec.t, rec.log_X, rec.log_W, rec.n_classes,
+          mode_names[rec.mode], rec.dominant_age] for k, rec in enumerate(records)),
     )
 
     slopes = []
@@ -496,10 +525,9 @@ def _cmd_freq(p) -> int:
         )
         record = simulate.run(cfg)
         snaps = [analysis.freq_from_run(record, t) for t in ts]
-    rows = chain.from_iterable(
-        zip([s.t] * s.J.size, s.J.tolist(), s.R.tolist()) for s in snaps)
-    _write_csv(p["out"], ["t", "J", "R"], rows)
-    _write_csv(_side_out(p["out"], ".p.csv"), ["t", "P"], [(s.t, s.P) for s in snaps])
+    _write_csv(p["out"], ["t", "J", "R"],
+               ([np.full(s.J.size, s.t), s.J, s.R] for s in snaps))
+    _write_csv(_side_out(p["out"], ".p.csv"), ["t", "P"], [[ts, [s.P for s in snaps]]])
     return 0
 
 
@@ -512,12 +540,12 @@ def _cmd_collapse(p) -> int:
     except ValueError as exc:
         raise UsageError("--t-pairs wants pairs like 300:303,300:301") from exc
     series = _snapshot_series(p, max(max(a, b) for a, b in pairs))
-    rows = []
-    for a, b in pairs:
-        snap_a = analysis.freq_from_chi(series, a)
-        snap_b = analysis.freq_from_chi(series, b)
-        rows.append((a, b, analysis.collapse_distance(snap_a, snap_b)))
-    _write_csv(p["out"], ["t_a", "t_b", "distance"], rows)
+    distances = [
+        analysis.collapse_distance(analysis.freq_from_chi(series, a),
+                                   analysis.freq_from_chi(series, b))
+        for a, b in pairs
+    ]
+    _write_csv(p["out"], ["t_a", "t_b", "distance"], [[*zip(*pairs), distances]])
     return 0
 
 

@@ -11,9 +11,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from branchlab import cli
 from branchlab.cli import (
     _write_csv, _write_json, dispatch, main, parse_args, replica_seed, splitmix64,
 )
@@ -77,9 +78,10 @@ class TestSeedDerivation:
         assert len(seeds) == 1000
 
 
-# CSV cells as the commands produce them: Python and NumPy floats (NaN, +-inf,
-# -0.0 and subnormals included) and Python and NumPy ints
-_CELL = st.one_of(
+# CSV columns as the commands produce them, one cell type per column: Python
+# and NumPy floats (NaN, +-inf, -0.0 and subnormals included) and Python and
+# NumPy ints
+_CELL_KINDS = (
     st.floats(allow_subnormal=True),
     st.floats(allow_subnormal=True).map(np.float64),
     st.integers(min_value=-2**63, max_value=2**63 - 1),
@@ -87,18 +89,30 @@ _CELL = st.one_of(
 )
 
 
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(min_value=0, max_value=12))
+    kinds = draw(st.lists(st.sampled_from(_CELL_KINDS), min_size=1, max_size=6))
+    return [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+
+
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(_CELL, min_size=1, max_size=6), max_size=12))
-def test_csv_writer_writes_floats_as_their_repr(rows):
+def _csv_stdout(header, tables) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        _write_csv(None, ["c"], rows)
-    lines = buf.getvalue().split("\n")
-    assert lines[0] == "c" and lines[-1] == ""
+        _write_csv(None, header, tables)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_csv_writer_writes_floats_as_their_repr(columns):
+    rows = list(zip(*columns))
+    lines = _csv_stdout([f"c{k}" for k in range(len(columns))], [columns]).split("\n")
+    assert lines[0] == ",".join(f"c{k}" for k in range(len(columns))) and lines[-1] == ""
     assert len(lines) == len(rows) + 2
     for row, fields in zip(rows, csv.reader(lines[1:-1])):
         assert len(fields) == len(row)
@@ -109,6 +123,53 @@ def test_csv_writer_writes_floats_as_their_repr(rows):
                 assert math.isnan(back) if math.isnan(v) else _bits(back) == _bits(v)
             else:
                 assert field == str(int(v))
+
+
+def _from_bits(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", b))[0]
+
+
+# values whose repr a writer keyed on float values (not bits) could mix up:
+# signed zeros, NaNs with and without the sign bit, the subnormal range, +-inf
+_SPECIAL_FLOATS = st.sampled_from([
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, math.inf, -math.inf,
+    math.nan, _from_bits(0xFFF8000000000000), _from_bits(0x7FF0000000000001), 1.0, -1.0,
+])
+_B = cli._CSV_BLOCK_ROWS
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_rows=st.sampled_from([0, 1, _B - 1, _B, _B + 1, 2 * _B + 1]),
+    pools=st.lists(st.lists(st.one_of(_SPECIAL_FLOATS, st.floats()), min_size=1, max_size=5),
+                   min_size=1, max_size=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    cut=st.integers(min_value=0, max_value=2 * _B + 1),
+)
+@example(n_rows=3, pools=[[0.0, -0.0]], seed=0, cut=0)
+def test_csv_writer_matches_the_csv_module(tmp_path, n_rows, pools, seed, cut):
+    """Block writer bytes equal ``csv.writer``'s for the rows of the same columns,
+    written as one table or cut into two."""
+    rng = np.random.default_rng(seed)
+    # few distinct values per float column, so each block repeats them
+    columns = [np.array(pool)[rng.integers(len(pool), size=n_rows)] for pool in pools]
+    if n_rows:
+        columns[0][:len(pools[0])] = pools[0][:n_rows]  # every pool value appears
+    columns += [rng.integers(-2**63, 2**63 - 1, size=n_rows, endpoint=True),
+                np.array(["exact", "logdet"], dtype=object)[rng.integers(2, size=n_rows)]]
+    header = [f"c{k}" for k in range(len(columns))]
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(c.tolist() for c in columns)))
+    out = tmp_path / "t.csv"
+    _write_csv(str(out), header, [columns])
+    assert out.read_bytes() == ref.getvalue().encode()
+    assert _csv_stdout(header, [columns]) == ref.getvalue()
+    cut = min(cut, n_rows)
+    _write_csv(str(out), header, ([c[:cut] for c in columns], [c[cut:] for c in columns]))
+    assert out.read_bytes() == ref.getvalue().encode()
 
 
 class TestOutputs:
