@@ -220,7 +220,9 @@ def test_alpha100_period_not_detected(tmp_path, capsys):
     argv = ["recurse", "--alpha", "100", "--t-max", "3000", "--detect-period"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
-        "error: no stationary cycle within horizon 3000 (first candidate t1=2710)\n")
+        "error: no stationary cycle within horizon 3000 (first candidate t1=2710); "
+        "try a horizon of at least T(T+1) = 74256, enough for every alpha checked "
+        "(up to 30)\n")
     assert list(tmp_path.iterdir()) == []
 
 

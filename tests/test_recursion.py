@@ -172,6 +172,14 @@ class TestDetectPeriod:
         with pytest.raises(NoPeriodDetected):
             detect_period(series, tol=0.0)
 
+    def test_failure_names_a_horizon_only_below_t_t_plus_1(self):
+        # alpha 20 has T = 54 and locks in at t1 = 2532 (acceptance criterion 14)
+        with pytest.raises(NoPeriodDetected, match=r"at least T\(T\+1\) = 2970,"):
+            detect_period(solve_chi(20.0, SeedSequence.linear(), 1000))
+        with pytest.raises(NoPeriodDetected) as info:
+            detect_period(solve_chi(1.0, SeedSequence.linear(), 320), tol=0.0)
+        assert "try a horizon" not in str(info.value)
+
 
 class TestExtractPhi:
     def test_alpha_one_multipliers(self):
