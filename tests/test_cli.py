@@ -14,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from branchlab import cli
 from branchlab.cli import (
-    _write_csv, _write_json, dispatch, main, parse_args, replica_seed, splitmix64,
+    _CSV_BLOCK_ROWS, _write_csv, _write_json, dispatch, main, parse_args, replica_seed,
+    splitmix64,
 )
 from branchlab.errors import UsageError
 
@@ -111,8 +111,9 @@ def _csv_stdout(header, tables) -> str:
 @given(_tables())
 def test_csv_writer_writes_floats_as_their_repr(columns):
     rows = list(zip(*columns))
-    lines = _csv_stdout([f"c{k}" for k in range(len(columns))], [columns]).split("\n")
-    assert lines[0] == ",".join(f"c{k}" for k in range(len(columns))) and lines[-1] == ""
+    header = [f"c{k}" for k in range(len(columns))]
+    lines = _csv_stdout(header, [columns]).split("\n")
+    assert lines[0] == ",".join(header) and lines[-1] == ""
     assert len(lines) == len(rows) + 2
     for row, fields in zip(rows, csv.reader(lines[1:-1])):
         assert len(fields) == len(row)
@@ -135,7 +136,7 @@ _SPECIAL_FLOATS = st.sampled_from([
     -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, math.inf, -math.inf,
     math.nan, _from_bits(0xFFF8000000000000), _from_bits(0x7FF0000000000001), 1.0, -1.0,
 ])
-_B = cli._CSV_BLOCK_ROWS
+_B = _CSV_BLOCK_ROWS
 
 
 @settings(max_examples=100, deadline=None,
@@ -170,6 +171,11 @@ def test_csv_writer_matches_the_csv_module(tmp_path, n_rows, pools, seed, cut):
     cut = min(cut, n_rows)
     _write_csv(str(out), header, ([c[:cut] for c in columns], [c[cut:] for c in columns]))
     assert out.read_bytes() == ref.getvalue().encode()
+
+
+def test_csv_writer_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError, match="differ in length"):
+        _csv_stdout(["a", "b"], [[np.zeros(3), np.zeros(2)]])
 
 
 class TestOutputs:
