@@ -606,6 +606,13 @@ def main(argv=None) -> int:
     except BranchlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed stdout early (as `| head` does); what is still
+        # buffered goes to devnull, so the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output closed by the reader before it was written in full",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

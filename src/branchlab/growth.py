@@ -19,6 +19,14 @@ from .errors import DomainError
 # critical; the boundary itself is assigned the lower horizon T.
 _BOUNDARY_RTOL = 1e-12
 
+# The largest tail index accepted.  Neighbouring brackets differ by about
+# 1/T in log alpha: about 4e-10 at 1e9, 400 times _BOUNDARY_RTOL, so T
+# still depends on alpha alone and the search takes a few steps.  Past about
+# 4e11 the tolerance band spans many horizons and the search walks through
+# each of them (63 ms at 1e16, no answer within seconds at 1e20); near
+# 1e308, e * alpha overflows.
+ALPHA_MAX = 1e9
+
 
 @dataclass(frozen=True)
 class GrowthLaw:
@@ -45,10 +53,13 @@ def period_T(alpha: float) -> int:
     T is the smallest t >= 1 with alpha <= t**(t+1)/(t+1)**t (the right
     boundary is inclusive).  The search starts at floor(e*alpha), steps down
     while the bracket of t-1 holds, then up until the bracket of t holds:
-    a few steps for any alpha.
+    a few steps for any alpha up to ``ALPHA_MAX``; a larger alpha raises
+    DomainError.
     """
     if not 0 < alpha < math.inf:
         raise DomainError("alpha must be positive and finite")
+    if alpha > ALPHA_MAX:
+        raise DomainError(f"alpha must be at most {ALPHA_MAX:g}, got {alpha!r}")
     log_a = math.log(alpha)
     t = max(1, int(math.e * alpha))
     while t > 1 and log_a <= _log_crit(t - 1) + _BOUNDARY_RTOL:

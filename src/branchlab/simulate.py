@@ -26,6 +26,20 @@ founder and every state ``_step_small`` makes keep their class columns as
 Python tuples, so a run of small generations builds no array; a state builds
 its arrays only when they are read (see ``PopulationState``).
 
+States of at least ``_LARGE_STATE_CLASSES`` (4096) classes, such as the
+MMM state an exact phase hands to logdet mode, take two large-state paths
+with the same bits: ``_rebuild`` places the new classes into the sorted
+survivors instead of sorting all classes (``_merge_into_head``), and
+``_logsumexp`` writes 0.0 for terms that ``np.exp`` underflows to 0.0
+instead of computing them.  Both cost more than they save on small states.
+A synthetic sweep (one logdet ``_rebuild`` call: n strictly descending
+survivors with log-counts in [-3000, 0], then 30 new classes, 28 of them on
+survivor keys; min of 7 timings, shared 2-vCPU VM) read, plain against
+large-state path: n = 256, 47 against 114 us; 1024, 139 against 167 us;
+2048, 218 against 205 us; 4096, 385 against 297 us; 16,384, 1764 against
+1045 us.  The paths cross near 2048; 4096 leaves a margin, and the
+roughly 930-class states of a long MMM run from log-fitness 50 stay below it.
+
 Generation t of an attempt draws from the ``PCG64`` stream seeded by a
 ``np.random.SeedSequence`` with entropy ``attempt_seed`` and
 ``spawn_key=(t,)``.  NumPy hashes the attempt seed into its entropy pool
@@ -74,6 +88,13 @@ MMM_MAX_POISSON_THRESHOLD = 1e18
 # (fitness below 1/(1-beta)) can never grow back.
 _COUNT_FLOOR = 1e-12
 _LOG_COUNT_FLOOR = math.log(_COUNT_FLOOR)
+
+# States of at least this many classes take the large-state paths of
+# ``_rebuild`` and ``_logsumexp`` (see the module docstring for why 4096).
+_LARGE_STATE_CLASSES = 4096
+# np.exp is exactly 0.0 at and below this; its first nonzero value is at
+# about -745.1332 (the smallest subnormal, 5e-324).
+_EXP_UNDERFLOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -197,13 +218,26 @@ class RunRecord:
 
 
 def _logsumexp(values: np.ndarray) -> float:
+    """log of the sum of exp(values), shifted by the maximum; -inf when empty.
+
+    From ``_LARGE_STATE_CLASSES`` values on, shifted terms at or below
+    ``_EXP_UNDERFLOW`` are written as 0.0 instead of computed.  ``np.exp``
+    gives exactly 0.0 there, so the pairwise sum sees the same array, but it
+    takes 16-21 ns for such a term (in [-5000, -746]) against about 1 ns for
+    one in the normal range.  The mask is ``~(x <= ...)`` so that a NaN term
+    still reaches the sum, as it does on the plain path.
+    """
     if values.size == 0:
         return -np.inf
     # the ufunc reductions are what .max() and .sum() call, minus a wrapper
     m = float(np.maximum.reduce(values))
     if m == -np.inf:
         return -np.inf
-    return m + math.log(float(np.add.reduce(np.exp(values - m))))
+    x = values - m
+    if x.size < _LARGE_STATE_CLASSES:
+        return m + math.log(float(np.add.reduce(np.exp(x))))
+    terms = np.exp(x, out=np.zeros(x.size), where=~(x <= _EXP_UNDERFLOW))
+    return m + math.log(float(np.add.reduce(terms)))
 
 
 def _poisson(rng: np.random.Generator, lam) -> np.ndarray:
@@ -240,6 +274,11 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
     derived from them, bit-for-bit reproducible.  Strictly descending keys
     skip the sort, and unique sorted keys skip the folds; neither skip
     changes a bit.  Keys must not be NaN.
+
+    Large states (``_LARGE_STATE_CLASSES`` classes or more, with a strictly
+    descending head at least that long, as the survivors ``step_exact`` and
+    ``step_logdet`` put first) skip the full sort too: ``_merge_into_head``
+    sorts only the tail and places it in the head, with the same bits.
     """
     log_fit = np.asarray(log_fit, dtype=float)
     birth = np.asarray(birth, dtype=np.int64)
@@ -249,15 +288,25 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
     else:
         count = np.asarray(count, dtype=float)
         fold = np.logaddexp
-    if log_fit.size > 1 and not (log_fit[1:] < log_fit[:-1]).all():
-        order = np.argsort(-log_fit, kind="stable")
-        log_fit, count, birth = log_fit[order], count[order], birth[order]
-        fresh = log_fit[1:] != log_fit[:-1]
-        if not fresh.all():
-            starts = np.flatnonzero(np.concatenate(([True], fresh)))
-            log_fit = log_fit[starts]
-            count = fold.reduceat(count, starts)
-            birth = np.minimum.reduceat(birth, starts)
+    if log_fit.size > 1:
+        descending = log_fit[1:] < log_fit[:-1]
+        if not descending.all():
+            merged = None
+            if log_fit.size >= _LARGE_STATE_CLASSES:
+                head = int(descending.argmin()) + 1
+                if head >= _LARGE_STATE_CLASSES:
+                    merged = _merge_into_head(head, log_fit, count, birth, fold)
+            if merged is not None:
+                log_fit, count, birth = merged
+            else:
+                order = np.argsort(-log_fit, kind="stable")
+                log_fit, count, birth = log_fit[order], count[order], birth[order]
+                fresh = log_fit[1:] != log_fit[:-1]
+                if not fresh.all():
+                    starts = np.flatnonzero(np.concatenate(([True], fresh)))
+                    log_fit = log_fit[starts]
+                    count = fold.reduceat(count, starts)
+                    birth = np.minimum.reduceat(birth, starts)
     if mode == MODE_EXACT:
         total = count.sum()
         log_X = math.log(float(total)) if total > 0 else -np.inf
@@ -271,6 +320,34 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
         t=t, log_fit=log_fit, count=count, birth=birth, mode=mode,
         log_X=log_X, log_fitsum=log_fitsum,
     )
+
+
+def _merge_into_head(head, log_fit, count, birth, fold):
+    """``_rebuild``'s merge of a strictly descending head and a tail, or None.
+
+    ``head`` is the length of the strictly descending prefix.  Only the tail
+    is sorted (stably).  When its keys are unique, each tail key is placed
+    by one ``searchsorted`` on the negated head: a key equal to a head key
+    folds as fold(head, tail), head entry first as in input order, which is
+    the sort path's ``reduceat`` over that pair; the other keys are inserted.
+    A sorted tail that repeats a key returns None (the full sort applies):
+    its run would fold as fold(fold(head, t1), t2), and folding the tail
+    first gives other bits.
+    """
+    order = head + np.argsort(-log_fit[head:], kind="stable")
+    keys = log_fit[order]
+    if not (keys[1:] < keys[:-1]).all():
+        return None
+    head_fit = log_fit[:head]
+    pos = np.searchsorted(-head_fit, -keys)
+    hit = head_fit[np.minimum(pos, head - 1)] == keys
+    head_count, head_birth = count[:head].copy(), birth[:head].copy()
+    at, src = pos[hit], order[hit]
+    head_count[at] = fold(head_count[at], count[src])
+    head_birth[at] = np.minimum(head_birth[at], birth[src])
+    at, src = pos[~hit], order[~hit]
+    return (np.insert(head_fit, at, log_fit[src]), np.insert(head_count, at, count[src]),
+            np.insert(head_birth, at, birth[src]))
 
 
 def initial_state(cfg: SimConfig) -> PopulationState:

@@ -406,9 +406,16 @@ class TestEntryPoint:
          "multipliers"),
         (["recurse", "--alpha", "1", "--seed", "ctex:phis=nan,1.5,1.5", "--t-max", "8"],
          "multipliers"),
+        # alpha past growth.ALPHA_MAX: these used to crash (nu) or hang (recurse)
+        (["nu", "--alpha", "1e308"], "alpha"),
+        (["recurse", "--alpha", "1e300", "--t-max", "50"], "alpha"),
+        (["nu", "--alpha-min", "1", "--alpha-max", "1e300", "--points", "5", "--log-grid"],
+         "alpha"),
+        (["freq", "--alpha", "1e300", "--t", "3"], "alpha"),
     ], ids=["seed_ctex_overflow", "mmm_event_cap", "fmm_event_cap",
             "mmm_poisson_threshold_1e30", "mmm_poisson_threshold_inf",
-            "seed_ctex_nan_phi", "recurse_ctex_nan_phi"])
+            "seed_ctex_nan_phi", "recurse_ctex_nan_phi", "nu_alpha_1e308",
+            "recurse_alpha_1e300", "nu_sweep_past_bound", "freq_alpha_1e300"])
     def test_out_of_range_input_is_a_typed_error(self, tmp_path, argv, named):
         out = tmp_path / "out"
         proc = subprocess.run(
@@ -420,6 +427,28 @@ class TestEntryPoint:
         assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.iterdir())
+
+    def test_closed_stdout_is_one_error_line(self):
+        # 40,000 rows are far more than a pipe holds, so the writer is still
+        # writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "branchlab.cli", "recurse", "--alpha", "1",
+             "--t-max", "40000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"t,log_chi,I_t,log_c_t,nu_hat\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            err = proc.stderr.read().decode()
+            proc.stderr.close()
+        assert "Traceback" not in err and "Exception ignored" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "closed" in lines[0]
 
     @pytest.mark.parametrize("log_f", ["nan", "inf"])
     def test_non_finite_log_f_is_a_typed_error(self, log_f):

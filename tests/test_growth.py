@@ -6,6 +6,7 @@ import pytest
 
 from branchlab.errors import DomainError
 from branchlab.growth import (
+    ALPHA_MAX,
     alpha_critical,
     growth_law,
     nu,
@@ -37,6 +38,12 @@ class TestPeriodT:
     def test_nondecreasing_in_alpha(self):
         ts = [period_T(a) for a in GRID]
         assert all(b >= a for a, b in zip(ts, ts[1:]))
+
+    def test_bounded_above(self):
+        assert period_T(ALPHA_MAX) == 2718281828
+        for alpha in (float(np.nextafter(ALPHA_MAX, math.inf)), 1e20, 1e308):
+            with pytest.raises(DomainError, match="at most"):
+                period_T(alpha)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):

@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchlab.growth import alpha_critical, period_T
+from branchlab.growth import ALPHA_MAX, alpha_critical, period_T
 
 # the boundary tolerance of growth._BOUNDARY_RTOL
 _RTOL = 1e-12
@@ -44,7 +44,9 @@ def test_matches_exact_oracle(alpha):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 3000), st.integers(-2, 2))
+# the largest T whose bracket lies below ALPHA_MAX ends at about 1e9 - 0.35
+@given(st.one_of(st.integers(1, 3000), st.integers(3000, period_T(ALPHA_MAX) - 1)),
+       st.integers(-2, 2))
 def test_matches_exact_oracle_next_to_bracket_ends(T, steps):
     alpha = alpha_critical(T)
     toward = math.inf if steps > 0 else 0.0
@@ -54,9 +56,10 @@ def test_matches_exact_oracle_next_to_bracket_ends(T, steps):
 
 
 # the cancelling form of the bracket bound gave a wrong T for about one
-# alpha in six in [1e6, 1e7]
+# alpha in six in [1e6, 1e7]; the search is checked up to ALPHA_MAX
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_log_uniform(1e-6, 1e7), _log_uniform(1e6, 1e7)))
+@given(st.one_of(_log_uniform(1e-6, ALPHA_MAX), _log_uniform(1e6, ALPHA_MAX),
+                 st.just(ALPHA_MAX), st.floats(ALPHA_MAX - 1e3, ALPHA_MAX)))
 def test_bracket_holds_up_to_large_alpha(alpha):
     T = period_T(alpha)
     assert T == _exact_T(alpha)

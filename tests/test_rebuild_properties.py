@@ -5,14 +5,20 @@ modes are covered.  Besides the invariants (descending unique keys,
 conserved totals, earliest birth per key), the merge is compared bitwise
 with ``_reference_rebuild``: the earlier ``np.unique`` plus per-entry
 ``logaddexp`` loop, kept here as an independent oracle.
+
+The large-state paths (``_merge_into_head`` and the masked ``np.exp`` of
+``_logsumexp``) are twin-tested against the plain paths: the same call with
+``_LARGE_STATE_CLASSES`` patched to 1 and above the input size.
 """
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from branchlab.simulate import MODE_EXACT, MODE_LOGDET, _rebuild
+from branchlab import simulate
+from branchlab.simulate import MODE_EXACT, MODE_LOGDET, _logsumexp, _rebuild
 
 _FINITE = st.floats(min_value=-50.0, max_value=700.0, allow_nan=False,
                     allow_infinity=False)
@@ -111,3 +117,85 @@ def test_logdet_merge(classes):
     for got, want in zip((state.log_fit, state.count, state.birth),
                          _reference_rebuild(log_fit, count, birth, MODE_LOGDET)):
         _assert_bitwise_equal(got, want)
+
+
+def _with_cutoff(cutoff, func, *args):
+    with mock.patch.object(simulate, "_LARGE_STATE_CLASSES", cutoff):
+        return func(*args)
+
+
+# keys of both signs of zero, which compare equal and merge under the first
+_KEY = st.one_of(_FINITE, st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _head_and_tail(draw):
+    """(mode, log_fit, count, birth): a strictly descending head, then a tail.
+
+    Tail keys are head keys (hits) or fresh keys (misses).  A logdet
+    log-count may be +inf, an overflowed class, whose totals are NaN.
+    """
+    mode = draw(st.sampled_from([MODE_EXACT, MODE_LOGDET]))
+    head = sorted(set(draw(st.lists(_KEY, min_size=1, max_size=12))), reverse=True)
+    tail = draw(st.lists(st.one_of(st.sampled_from(head), _KEY), max_size=12))
+    n = len(head) + len(tail)
+    if mode == MODE_EXACT:
+        counts = st.integers(1, 10**12)
+    else:
+        counts = st.one_of(_LOG_COUNT, st.just(math.inf))
+    count = draw(st.lists(counts, min_size=n, max_size=n))
+    birth = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n))
+    return mode, np.array(head + tail), np.array(count), np.array(birth, dtype=np.int64)
+
+
+def _state_bits(state):
+    return (state.log_fit.dtype, state.log_fit.tobytes(), state.count.dtype,
+            state.count.tobytes(), state.birth.dtype, state.birth.tobytes(),
+            np.float64(state.log_X).tobytes(), np.float64(state.log_fitsum).tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_head_and_tail())
+# a tail key repeated and also in the head: the full sort folds it left to
+# right, fold(fold(4.6, 2.2), 0.4), whose bits differ from folding the tail first
+@example((MODE_LOGDET, np.array([3.0, 1.0, 1.0, 1.0]), np.array([0.5, 4.6, 2.2, 0.4]),
+          np.array([0, 1, 2, 3], dtype=np.int64)))
+# a tail that only extends the head, out of order
+@example((MODE_LOGDET, np.array([3.0, 1.0, -2.0, -1.0]), np.array([0.5, 4.6, 2.2, 0.4]),
+          np.array([7, 1, 2, 3], dtype=np.int64)))
+# -0.0 in the tail hits 0.0 in the head, which keeps its key; an empty tail
+@example((MODE_EXACT, np.array([1.0, 0.0, -1.0, -0.0, 2.0]), np.array([1, 2, 3, 4, 5]),
+          np.array([4, 3, 2, 1, 0], dtype=np.int64)))
+@example((MODE_LOGDET, np.array([-0.0, -1.0, 0.0]), np.array([-0.0, 1.0, 0.0]),
+          np.array([0, 0, 0], dtype=np.int64)))
+@example((MODE_EXACT, np.array([2.0, 1.0]), np.array([1, 1]), np.array([0, 0], dtype=np.int64)))
+def test_large_state_merge_matches_sort(case):
+    mode, log_fit, count, birth = case
+    args = (5, log_fit, count, birth, mode)
+    sorted_keys = log_fit.size < 2 or bool(np.all(log_fit[1:] < log_fit[:-1]))
+    with np.errstate(invalid="ignore"), \
+            mock.patch.object(simulate, "_merge_into_head",
+                              wraps=simulate._merge_into_head) as merge:
+        large = _with_cutoff(1, _rebuild, *args)
+        assert merge.call_count == (not sorted_keys)
+        plain = _with_cutoff(log_fit.size + 1, _rebuild, *args)
+        assert merge.call_count == (not sorted_keys)
+    assert _state_bits(large) == _state_bits(plain)
+
+
+_EDGE = [-746.0, float(np.nextafter(-746.0, 0.0)), -745.1332191019411, -745.1332191019412,
+         math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(-2000.0, 0.0), st.sampled_from(_EDGE)), max_size=40),
+       st.booleans())
+@example([-746.0, float(np.nextafter(-746.0, 0.0)), -745.1332191019411, -1000.0], True)
+@example([-3.0, math.nan], False)
+def test_masked_logsumexp_matches_plain(values, anchored):
+    # anchored at a maximum of 0.0, the drawn values are the shifted exponents
+    x = np.array([0.0] * anchored + values)
+    with np.errstate(invalid="ignore"):
+        masked = _with_cutoff(1, _logsumexp, x)
+        plain = _with_cutoff(x.size + 1, _logsumexp, x)
+    assert np.float64(masked).tobytes() == np.float64(plain).tobytes()
