@@ -609,7 +609,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout early (as `| head` does); what is still
         # buffered goes to devnull, so the interpreter's last flush is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print("error: output closed by the reader before it was written in full",
               file=sys.stderr)
         return 1

@@ -341,13 +341,13 @@ def _merge_into_head(head, log_fit, count, birth, fold):
     head_fit = log_fit[:head]
     pos = np.searchsorted(-head_fit, -keys)
     hit = head_fit[np.minimum(pos, head - 1)] == keys
-    head_count, head_birth = count[:head].copy(), birth[:head].copy()
-    at, src = pos[hit], order[hit]
-    head_count[at] = fold(head_count[at], count[src])
-    head_birth[at] = np.minimum(head_birth[at], birth[src])
     at, src = pos[~hit], order[~hit]
-    return (np.insert(head_fit, at, log_fit[src]), np.insert(head_count, at, count[src]),
-            np.insert(head_birth, at, birth[src]))
+    merged = [np.insert(c[:head], at, c[src]) for c in (log_fit, count, birth)]
+    # a head entry moves right by the number of keys inserted before it
+    dest, src = pos[hit] + np.searchsorted(at, pos[hit], side="right"), order[hit]
+    merged[1][dest] = fold(merged[1][dest], count[src])
+    merged[2][dest] = np.minimum(merged[2][dest], birth[src])
+    return merged
 
 
 def initial_state(cfg: SimConfig) -> PopulationState:

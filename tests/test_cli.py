@@ -420,7 +420,7 @@ class TestEntryPoint:
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-m", "branchlab.cli", *argv, "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
