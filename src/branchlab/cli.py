@@ -120,7 +120,8 @@ _SCHEMAS: dict[str, list[_Field]] = {
         _Field("exact_event_cap", "float", default=1e7, check=_positive("exact-event-cap"),
                help="expected events per generation before logdet mode (at most 1e18; mmm 1e8)"),
         _Field("mmm_bins_per_decade", "int", default=8,
-               check=_at_least("mmm-bins-per-decade", 1)),
+               check=_at_least("mmm-bins-per-decade", 1),
+               help="mmm spectrum bins per decade of log-fitness (at most 1000)"),
         _Field("mmm_poisson_threshold", "float", default=1e4,
                check=_positive("mmm-poisson-threshold"),
                help="bin mean above which mmm spectrum bins enter deterministically "

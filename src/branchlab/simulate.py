@@ -40,6 +40,19 @@ large-state path: n = 256, 47 against 114 us; 1024, 139 against 167 us;
 1045 us.  The paths cross near 2048; 4096 leaves a margin, and the
 roughly 930-class states of a long MMM run from log-fitness 50 stay below it.
 
+On such states allocation costs as much as arithmetic.  An array of n
+float64s is about 1 MB at 131,000 classes; glibc hands a freed block of that
+size back to the OS, and the next generation page-faults it in again.  So a
+logdet generation allocates few of them: ``step_logdet`` builds the
+log-counts in one buffer, ``_rebuild`` computes both totals in one scratch
+array with ``np.exp`` in place, and ``_merge_into_head`` allocates each
+output column once and copies the survivors into it in slices.  One
+``mmm_wide`` benchmark pass (about 131,000 classes) went from 25,834 to
+3,361 minor page faults and from about 0.12 to 0.07 s of CPU; the fault
+count depends on the heap layout.  The package leaves the allocator's
+settings alone (no ``mallopt``, no malloc environment variables), which
+belong to the whole host process.
+
 Generation t of an attempt draws from the ``PCG64`` stream seeded by a
 ``np.random.SeedSequence`` with entropy ``attempt_seed`` and
 ``spawn_key=(t,)``.  NumPy hashes the attempt seed into its entropy pool
@@ -83,6 +96,11 @@ MMM_MAX_EXACT_EVENT_CAP = 1e8
 # MMM spectrum bins with a mean up to mmm_poisson_threshold are drawn by
 # rng.poisson, which takes means only up to about 9.2e18 (int64).
 MMM_MAX_POISSON_THRESHOLD = 1e18
+# The spectrum table spans log-fitness edges 10**(k/bpd) up to the top; a
+# finite log-fitness stays below 1.8e308, so a table never needs more than
+# about 309 * bpd bins.  This bound keeps that (and each doubling of the
+# table) within memory.
+MMM_MAX_BINS_PER_DECADE = 1000
 
 # logdet classes decayed below this count are dropped; a decaying class
 # (fitness below 1/(1-beta)) can never grow back.
@@ -95,6 +113,10 @@ _LARGE_STATE_CLASSES = 4096
 # np.exp is exactly 0.0 at and below this; its first nonzero value is at
 # about -745.1332 (the smallest subnormal, 5e-324).
 _EXP_UNDERFLOW = -746.0
+# ``_merge_into_head`` copies the head in slices between the insertion points
+# of up to this many new keys and calls ``np.insert`` above it (sweep in its
+# docstring).
+_SLICE_INSERT_KEYS = 32
 
 
 @dataclass(frozen=True)
@@ -132,6 +154,9 @@ class SimConfig:
                               f"got {self.mmm_poisson_threshold:g}")
         if self.mmm_bins_per_decade < 1:
             raise DomainError("mmm_bins_per_decade must be >= 1")
+        if self.mmm_bins_per_decade > MMM_MAX_BINS_PER_DECADE:
+            raise DomainError(f"mmm_bins_per_decade must be <= {MMM_MAX_BINS_PER_DECADE}, "
+                              f"got {self.mmm_bins_per_decade}")
 
 
 class PopulationState:
@@ -217,15 +242,25 @@ class RunRecord:
     restarts: int
 
 
-def _logsumexp(values: np.ndarray) -> float:
+def _logsumexp(values: np.ndarray, out: np.ndarray | None = None) -> float:
     """log of the sum of exp(values), shifted by the maximum; -inf when empty.
 
+    The shifted terms are written to ``out`` when given (a float64 array of
+    ``values``' size that the caller owns, ``values`` itself included) and to
+    a new array otherwise, and exponentiated there in place; ``values`` is
+    not written unless it is ``out``.  On large states each extra array of
+    that size is a block glibc returns to the OS when freed and page-faults
+    in again at the next call; the earlier form's four temporaries made
+    ``_logsumexp`` the source of most of an ``mmm_wide`` pass's 25,834 minor
+    faults (14,297 of them).
+
     From ``_LARGE_STATE_CLASSES`` values on, shifted terms at or below
-    ``_EXP_UNDERFLOW`` are written as 0.0 instead of computed.  ``np.exp``
-    gives exactly 0.0 there, so the pairwise sum sees the same array, but it
-    takes 16-21 ns for such a term (in [-5000, -746]) against about 1 ns for
-    one in the normal range.  The mask is ``~(x <= ...)`` so that a NaN term
-    still reaches the sum, as it does on the plain path.
+    ``_EXP_UNDERFLOW`` are set to 0.0 instead of computed.  ``np.exp`` gives
+    exactly 0.0 there, so the pairwise sum sees the same array, but it takes
+    16-21 ns for such a term (in [-5000, -746]) against about 1 ns for one in
+    the normal range.  ``np.exp`` skips those lanes and ``np.maximum`` with
+    0.0 then zeroes them; a NaN term is skipped too, stays NaN and reaches
+    the sum, as it does on the plain path.
     """
     if values.size == 0:
         return -np.inf
@@ -233,11 +268,13 @@ def _logsumexp(values: np.ndarray) -> float:
     m = float(np.maximum.reduce(values))
     if m == -np.inf:
         return -np.inf
-    x = values - m
+    x = np.subtract(values, m, out=out)
     if x.size < _LARGE_STATE_CLASSES:
-        return m + math.log(float(np.add.reduce(np.exp(x))))
-    terms = np.exp(x, out=np.zeros(x.size), where=~(x <= _EXP_UNDERFLOW))
-    return m + math.log(float(np.add.reduce(terms)))
+        np.exp(x, out=x)
+    else:
+        np.exp(x, out=x, where=x > _EXP_UNDERFLOW)
+        np.maximum(x, 0.0, out=x)
+    return m + math.log(float(np.add.reduce(x)))
 
 
 def _poisson(rng: np.random.Generator, lam) -> np.ndarray:
@@ -307,15 +344,17 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
                     log_fit = log_fit[starts]
                     count = fold.reduceat(count, starts)
                     birth = np.minimum.reduceat(birth, starts)
+    # one scratch array holds the shifted terms of both totals
+    terms = np.empty(log_fit.size)
     if mode == MODE_EXACT:
         total = count.sum()
         log_X = math.log(float(total)) if total > 0 else -np.inf
         with np.errstate(divide="ignore"):
-            log_counts = np.log(count.astype(float))
+            log_counts = np.log(count, out=terms)  # int64 in, float64 out: no astype copy
     else:
-        log_X = _logsumexp(count)
+        log_X = _logsumexp(count, out=terms)
         log_counts = count
-    log_fitsum = _logsumexp(log_counts + log_fit)
+    log_fitsum = _logsumexp(np.add(log_counts, log_fit, out=terms), out=terms)
     return PopulationState(
         t=t, log_fit=log_fit, count=count, birth=birth, mode=mode,
         log_X=log_X, log_fitsum=log_fitsum,
@@ -333,6 +372,17 @@ def _merge_into_head(head, log_fit, count, birth, fold):
     A sorted tail that repeats a key returns None (the full sort applies):
     its run would fold as fold(fold(head, t1), t2), and folding the tail
     first gives other bits.
+
+    Each output column is allocated once: the inserted keys are scattered to
+    their places and the head is copied in the slices between them.  With
+    two or more keys ``np.insert`` copies through a boolean mask instead,
+    which costs more for a few keys and less for many, so more than
+    ``_SLICE_INSERT_KEYS`` (32) keys take it.  Per column (min of 7, shared
+    2-vCPU VM), ``np.insert`` against slices at k keys: 131,072 entries,
+    k = 1 69/68 us, 3 202/69, 20 190/78, 64 179/117, 150 122/120,
+    500 129/272, 5000 251/2392; 16,384 entries, k = 3 19/8, 20 19/16,
+    40 20/48; 4096 entries, k = 3 18/9, 20 19/22, 40 20/38.  An ``mmm_wide``
+    logdet merge inserts 2-3 keys, 19-20 at the first.
     """
     order = head + np.argsort(-log_fit[head:], kind="stable")
     keys = log_fit[order]
@@ -342,7 +392,21 @@ def _merge_into_head(head, log_fit, count, birth, fold):
     pos = np.searchsorted(-head_fit, -keys)
     hit = head_fit[np.minimum(pos, head - 1)] == keys
     at, src = pos[~hit], order[~hit]
-    merged = [np.insert(c[:head], at, c[src]) for c in (log_fit, count, birth)]
+    cols = (log_fit, count, birth)
+    if at.size > _SLICE_INSERT_KEYS:
+        merged = [np.insert(c[:head], at, c[src]) for c in cols]
+    else:
+        # np.insert's placement: the j-th inserted key lands at at[j] + j,
+        # and the head is copied in the at.size + 1 slices between them
+        bounds = [0, *at.tolist(), head]
+        placed = at + np.arange(at.size)
+        merged = []
+        for c in cols:
+            out = np.empty(head + at.size, dtype=c.dtype)
+            out[placed] = c[src]
+            for j in range(at.size + 1):
+                out[bounds[j] + j:bounds[j + 1] + j] = c[bounds[j]:bounds[j + 1]]
+            merged.append(out)
     # a head entry moves right by the number of keys inserted before it
     dest, src = pos[hit] + np.searchsorted(at, pos[hit], side="right"), order[hit]
     merged[1][dest] = fold(merged[1][dest], count[src])
@@ -570,7 +634,9 @@ def step_logdet(state: PopulationState, cfg: SimConfig, rng: np.random.Generator
     switches it.
     """
     t_next = state.t + 1
-    log_counts = math.log1p(-cfg.beta) + state.count + state.log_fit
+    # (count + log1p(-beta)) + log_fit in one buffer; IEEE addition commutes
+    log_counts = np.add(state.count, math.log1p(-cfg.beta))
+    log_counts += state.log_fit
     keep = log_counts >= _LOG_COUNT_FLOOR
     if keep.all():
         keep = slice(None)  # survivors as they are, no copies

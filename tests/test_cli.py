@@ -402,6 +402,9 @@ class TestEntryPoint:
           "--mmm-poisson-threshold", "1e30"], "mmm_poisson_threshold"),
         (["simulate", "--model", "mmm", "--log-f", "50", "--t-max", "40", "--seed", "1",
           "--mmm-poisson-threshold", "inf"], "mmm_poisson_threshold"),
+        # rejected by SimConfig, before the spectrum table allocates 2e30 bins
+        (["simulate", "--model", "mmm", "--log-f", "50", "--t-max", "40", "--seed", "1",
+          "--mmm-bins-per-decade", "1000000000000000000000000000000"], "mmm_bins_per_decade"),
         (["seed-ctex", "--alpha", "1", "--phis", "nan,1.5,1.5", "--t-max", "12"],
          "multipliers"),
         (["recurse", "--alpha", "1", "--seed", "ctex:phis=nan,1.5,1.5", "--t-max", "8"],
@@ -413,7 +416,7 @@ class TestEntryPoint:
          "alpha"),
         (["freq", "--alpha", "1e300", "--t", "3"], "alpha"),
     ], ids=["seed_ctex_overflow", "mmm_event_cap", "fmm_event_cap",
-            "mmm_poisson_threshold_1e30", "mmm_poisson_threshold_inf",
+            "mmm_poisson_threshold_1e30", "mmm_poisson_threshold_inf", "mmm_bins_per_decade_1e30",
             "seed_ctex_nan_phi", "recurse_ctex_nan_phi", "nu_alpha_1e308",
             "recurse_alpha_1e300", "nu_sweep_past_bound", "freq_alpha_1e300"])
     def test_out_of_range_input_is_a_typed_error(self, tmp_path, argv, named):

@@ -6,11 +6,16 @@ conserved totals, earliest birth per key), the merge is compared bitwise
 with ``_reference_rebuild``: the earlier ``np.unique`` plus per-entry
 ``logaddexp`` loop, kept here as an independent oracle.
 
-The large-state paths (``_merge_into_head`` and the masked ``np.exp`` of
-``_logsumexp``) are twin-tested against the plain paths: the same call with
-``_LARGE_STATE_CLASSES`` patched to 1 and above the input size.
+The large-state paths (``_merge_into_head``, on both sides of its
+``_SLICE_INSERT_KEYS`` cutoff, and the masked ``np.exp`` of ``_logsumexp``)
+are twin-tested against the plain paths: the same call with
+``_LARGE_STATE_CLASSES`` patched to 1 and above the input size.  The
+in-place writes of a logdet generation are guarded twice: a repeated call
+on the same input must leave it untouched and give the same result, and
+tracemalloc pins the generation's peak allocation on a large state.
 """
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 
 from branchlab import simulate
 from branchlab.simulate import MODE_EXACT, MODE_LOGDET, _logsumexp, _rebuild
+from branchlab.tails import TailModel
 
 _FINITE = st.floats(min_value=-50.0, max_value=700.0, allow_nan=False,
                     allow_infinity=False)
@@ -176,11 +182,15 @@ def test_large_state_merge_matches_sort(case):
     with np.errstate(invalid="ignore"), \
             mock.patch.object(simulate, "_merge_into_head",
                               wraps=simulate._merge_into_head) as merge:
+        # the merge copies the head in slices, or calls np.insert from one key on
         large = _with_cutoff(1, _rebuild, *args)
-        assert merge.call_count == (not sorted_keys)
+        with mock.patch.object(simulate, "_SLICE_INSERT_KEYS", 0):
+            inserted = _with_cutoff(1, _rebuild, *args)
+        assert merge.call_count == 2 * (not sorted_keys)
         plain = _with_cutoff(log_fit.size + 1, _rebuild, *args)
-        assert merge.call_count == (not sorted_keys)
+        assert merge.call_count == 2 * (not sorted_keys)
     assert _state_bits(large) == _state_bits(plain)
+    assert _state_bits(inserted) == _state_bits(plain)
 
 
 _EDGE = [-746.0, float(np.nextafter(-746.0, 0.0)), -745.1332191019411, -745.1332191019412,
@@ -195,7 +205,92 @@ _EDGE = [-746.0, float(np.nextafter(-746.0, 0.0)), -745.1332191019411, -745.1332
 def test_masked_logsumexp_matches_plain(values, anchored):
     # anchored at a maximum of 0.0, the drawn values are the shifted exponents
     x = np.array([0.0] * anchored + values)
+    x_bits = x.tobytes()
     with np.errstate(invalid="ignore"):
         masked = _with_cutoff(1, _logsumexp, x)
         plain = _with_cutoff(x.size + 1, _logsumexp, x)
+        # the out= form writes the passed buffer (or the values themselves,
+        # as _rebuild passes them) and nothing else
+        results = []
+        for cutoff in (1, x.size + 1):
+            out = np.full(x.size, 7.0)
+            results.append(_with_cutoff(cutoff, _logsumexp, x, out))
+            written = x.size and np.maximum.reduce(x) != -math.inf
+            assert (out.tobytes() != np.full(x.size, 7.0).tobytes()) == bool(written)
+            y = x.copy()
+            results.append(_with_cutoff(cutoff, _logsumexp, y, y))
+    assert x.tobytes() == x_bits
     assert np.float64(masked).tobytes() == np.float64(plain).tobytes()
+    for got in results:
+        assert np.float64(got).tobytes() == np.float64(plain).tobytes()
+
+
+def _logdet_state(n, seed):
+    """A logdet state of n classes with off-grid keys, as an exact phase hands over."""
+    rng = np.random.default_rng(seed)
+    log_fit = np.sort(rng.uniform(0.01, 30.0, n))[::-1]
+    # a few log-counts low enough that the next generation drops them
+    log_count = rng.uniform(-40.0, 0.0, n)
+    birth = rng.integers(0, 20, n)
+    return _rebuild(20, log_fit, log_count, birth, MODE_LOGDET)
+
+
+def _mmm_config():
+    return simulate.SimConfig(model="mmm", tail=TailModel("pareto", 1.0), beta=0.1,
+                              log_f=1.0, t_max=40, seed=1)
+
+
+def test_in_place_writes_leave_inputs_alone():
+    # step_logdet and _rebuild write into buffers of their own only: a second
+    # call on the same input gives the same result, on both sides of the cutoff
+    state = _logdet_state(600, seed=3)
+    cfg = _mmm_config()
+    rng = np.random.default_rng(11)
+    # a descending head, then a tail of distinct keys: 40 hits and 10 misses
+    log_fit = np.concatenate((state.log_fit, rng.choice(state.log_fit, 40, replace=False),
+                              rng.uniform(0.0, 31.0, 10)))
+    birth = np.arange(log_fit.size, dtype=np.int64)
+    counts = rng.integers(1, 10**6, log_fit.size)
+    # merged inputs, and sorted unique ones, whose arrays _rebuild keeps
+    inputs = [(MODE_EXACT, log_fit, counts, birth),
+              (MODE_LOGDET, log_fit, rng.uniform(-30.0, 5.0, log_fit.size), birth),
+              (MODE_EXACT, state.log_fit, counts[:state.n_classes], state.birth),
+              (MODE_LOGDET, state.log_fit, state.count, state.birth)]
+    watched = [state.log_fit, state.count, state.birth] + [a for i in inputs for a in i[1:]]
+    before = [a.tobytes() for a in watched]
+    for cutoff in (1, log_fit.size + 1):
+        with mock.patch.object(simulate, "_merge_into_head",
+                               wraps=simulate._merge_into_head) as merge:
+            steps = [_with_cutoff(cutoff, simulate.step_logdet, state, cfg,
+                                  np.random.default_rng(5),
+                                  simulate._SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade))
+                     for _ in range(2)]
+            assert steps[0][1] == steps[1][1]
+            assert _state_bits(steps[0][0]) == _state_bits(steps[1][0])
+            # the step's merge ran on the large side, and on no other
+            assert merge.call_count == (2 if cutoff == 1 else 0)
+            for mode, f, c, b in inputs:
+                first, second = (_with_cutoff(cutoff, _rebuild, 5, f, c, b, mode)
+                                 for _ in range(2))
+                assert _state_bits(first) == _state_bits(second)
+            assert merge.call_count == (6 if cutoff == 1 else 0)
+        assert [a.tobytes() for a in watched] == before
+
+
+def test_large_logdet_step_allocation_peak():
+    # one logdet generation of a large state allocates at most 8 arrays of
+    # n float64s at a time (the survivors' log-counts, the merge's input and
+    # output columns, the totals' scratch array)
+    state = _logdet_state(120_000, seed=4)
+    cfg = _mmm_config()
+    table = simulate._SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade)
+    with mock.patch.object(simulate, "_merge_into_head",
+                           wraps=simulate._merge_into_head) as merge:
+        tracemalloc.start()
+        try:
+            simulate.step_logdet(state, cfg, np.random.default_rng(5), table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert merge.call_count == 1
+    assert peak <= 8 * state.n_classes * 8
