@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientOverlap
+from .errors import DomainError, HorizonOverflow, InsufficientOverlap
 from .recursion import ChiSeries
 from .simulate import RunRecord
 
@@ -29,14 +29,25 @@ class FreqSnapshot:
 def freq_from_chi(series: ChiSeries, t: int) -> FreqSnapshot:
     """Snapshot from a recursion series: J_i = chi_i/chi_t for 1 <= i < t.
 
-    R_i = (t-i) J_i / alpha - 1 and P = alpha (chi_{t+1}/chi_t - 1).
+    R_i = (t-i) J_i / alpha - 1 and P = alpha (chi_{t+1}/chi_t - 1).  At a
+    tiny alpha the ratio can pass float64 while P stays near 1; P is then
+    exp(log(chi_{t+1}/chi_t) + log alpha) - alpha.  A P past float64 (a
+    seed that jumps by more than that) raises HorizonOverflow.
     """
     if not 1 <= t < series.t_max:
         raise DomainError(f"t must be in [1, {series.t_max - 1}]")
     i = np.arange(1, t, dtype=np.int64)
     J = np.exp(series.L[1:t] - series.L[t])
     R = (t - i) * J / series.alpha - 1.0
-    P = series.alpha * math.expm1(series.L[t + 1] - series.L[t])
+    d = series.L[t + 1] - series.L[t]
+    try:
+        P = series.alpha * math.expm1(d)
+    except OverflowError:
+        try:
+            P = math.exp(d + math.log(series.alpha)) - series.alpha
+        except OverflowError:
+            raise HorizonOverflow(f"P at t={t} overflows float64 "
+                                  f"(log chi_(t+1) - log chi_t = {d:.6g})") from None
     return FreqSnapshot(t=t, J=J, R=R, P=P)
 
 
@@ -45,6 +56,7 @@ def freq_from_run(record: RunRecord, t: int) -> FreqSnapshot:
 
     J_i = log W_i / log W_t and R_i = ((t-i) log W_i - log X_t)/log X_t over
     the generations i <= t that produced a mutant; points are re-sorted by J.
+    R divides by log X_t, so a population of at most one at t is rejected.
     """
     if not 1 <= t <= len(record.t) - 2:
         raise DomainError(f"t must be in [1, {len(record.t) - 2}]")
@@ -52,6 +64,8 @@ def freq_from_run(record: RunRecord, t: int) -> FreqSnapshot:
     log_x_t = record.log_X[t]
     if not np.isfinite(log_w_t) or log_w_t <= 0:
         raise DomainError(f"no usable fittest mutant at t={t}")
+    if not log_x_t > 0:
+        raise DomainError(f"population of at most one at t={t} (log X_t = {log_x_t:g})")
     i = np.arange(1, t + 1)
     log_w = record.log_W[1 : t + 1]
     have = np.isfinite(log_w)
@@ -90,28 +104,17 @@ def collapse_distance(snap_a: FreqSnapshot, snap_b: FreqSnapshot) -> float:
     return float(np.max(np.abs(snap_a.R[inside] - r_interp)))
 
 
-def loglog_slope(source, t_lo: int, t_hi: int) -> float:
-    """Least-squares slope of log(log X) (or log of the log-size exponent)
-    over generations [t_lo, t_hi].
+def loglog_slope(record: RunRecord, t_lo: int, t_hi: int) -> float:
+    """Least-squares slope of log(log X) over generations [t_lo, t_hi] of a run.
 
-    Accepts a RunRecord, a ChiSeries (fits log of log chi), or a plain
-    log X array indexed by generation.  Raises DomainError when the fitted
-    quantity's logarithm is undefined anywhere in the window.
+    Raises DomainError when log(log X) is undefined anywhere in the window.
     """
     if t_hi <= t_lo:
         raise DomainError("need t_hi > t_lo")
-    if isinstance(source, ChiSeries):
-        # log chi is already the log-log of the population size proxy
-        if t_lo < 1 or t_hi > source.t_max:
-            raise DomainError(f"window must lie in [1, {source.t_max}]")
-        z = source.L[t_lo : t_hi + 1]
-    else:
-        log_x = source.log_X if isinstance(source, RunRecord) else np.asarray(source, float)
-        if t_lo < 0 or t_hi >= len(log_x):
-            raise DomainError(f"window must lie in [0, {len(log_x) - 1}]")
-        y = log_x[t_lo : t_hi + 1]
-        if np.any(y <= 1):
-            raise DomainError("log X must exceed 1 over the window")
-        z = np.log(y)
+    if t_lo < 0 or t_hi >= len(record.log_X):
+        raise DomainError(f"window must lie in [0, {len(record.log_X) - 1}]")
+    y = record.log_X[t_lo : t_hi + 1]
+    if np.any(y <= 1):
+        raise DomainError("log X must exceed 1 over the window")
     t = np.arange(t_lo, t_hi + 1, dtype=float)
-    return float(np.polyfit(t, z, 1)[0])
+    return float(np.polyfit(t, np.log(y), 1)[0])

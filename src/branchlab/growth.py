@@ -123,10 +123,10 @@ def sweep(alpha_min: float, alpha_max: float, points: int, log_grid: bool = True
         raise DomainError("points must be >= 1")
     if points == 1:
         grid = np.array([alpha_min])
-    elif log_grid:
-        grid = np.geomspace(alpha_min, alpha_max, points)
     else:
-        grid = np.linspace(alpha_min, alpha_max, points)
+        # the top's own check, before numpy spaces a grid out to inf
+        period_T(alpha_max)
+        grid = (np.geomspace if log_grid else np.linspace)(alpha_min, alpha_max, points)
     rows = []
     for a in grid:
         law = growth_law(float(a))

@@ -272,7 +272,9 @@ def extract_phi(cycle, nu: float, alpha: float) -> np.ndarray:
     T = len(cycle)
     if T < 1:
         raise ConstraintViolation("cycle is empty")
-    phi = np.exp(cycle + nu - np.roll(cycle, 1))
+    # a multiplier past float64 (alpha near 5e-324) is inf, which fails the product check
+    with np.errstate(over="ignore"):
+        phi = np.exp(cycle + nu - np.roll(cycle, 1))
     _check_multipliers(phi, T / alpha, 1e-9)
     return phi
 

@@ -28,8 +28,8 @@ its arrays only when they are read (see ``PopulationState``).
 
 States of at least ``_LARGE_STATE_CLASSES`` (4096) classes, such as the
 MMM state an exact phase hands to logdet mode, take two large-state paths
-with the same bits: ``_rebuild`` places the new classes into the sorted
-survivors instead of sorting all classes (``_merge_into_head``), and
+with the same bits: a logdet ``_rebuild`` places the new classes into the
+sorted survivors instead of sorting all classes (``_merge_into_head``), and
 ``_logsumexp`` writes 0.0 for terms that ``np.exp`` underflows to 0.0
 instead of computing them.  Both cost more than they save on small states.
 A synthetic sweep (one logdet ``_rebuild`` call: n strictly descending
@@ -40,18 +40,14 @@ large-state path: n = 256, 47 against 114 us; 1024, 139 against 167 us;
 1045 us.  The paths cross near 2048; 4096 leaves a margin, and the
 roughly 930-class states of a long MMM run from log-fitness 50 stay below it.
 
-On such states allocation costs as much as arithmetic.  An array of n
-float64s is about 1 MB at 131,000 classes; glibc hands a freed block of that
-size back to the OS, and the next generation page-faults it in again.  So a
-logdet generation allocates few of them: ``step_logdet`` builds the
-log-counts in one buffer, ``_rebuild`` computes both totals in one scratch
-array with ``np.exp`` in place, and ``_merge_into_head`` allocates each
-output column once and copies the survivors into it in slices.  One
-``mmm_wide`` benchmark pass (about 131,000 classes) went from 25,834 to
-3,361 minor page faults and from about 0.12 to 0.07 s of CPU; the fault
-count depends on the heap layout.  The package leaves the allocator's
-settings alone (no ``mallopt``, no malloc environment variables), which
-belong to the whole host process.
+On such states allocation costs as much as arithmetic: an array of n
+float64s is about 1 MB at 131,000 classes, which glibc hands back to the OS
+when freed and the next generation page-faults in again (README,
+Performance).  So ``step_logdet`` builds the log-counts in one buffer,
+``_rebuild`` computes both totals in one scratch array with ``np.exp`` in
+place, and ``_merge_into_head`` allocates each output column once.  The
+package leaves the allocator's settings (``mallopt``, malloc environment
+variables) to the host process.
 
 Generation t of an attempt draws from the ``PCG64`` stream seeded by a
 ``np.random.SeedSequence`` with entropy ``attempt_seed`` and
@@ -248,11 +244,8 @@ def _logsumexp(values: np.ndarray, out: np.ndarray | None = None) -> float:
     The shifted terms are written to ``out`` when given (a float64 array of
     ``values``' size that the caller owns, ``values`` itself included) and to
     a new array otherwise, and exponentiated there in place; ``values`` is
-    not written unless it is ``out``.  On large states each extra array of
-    that size is a block glibc returns to the OS when freed and page-faults
-    in again at the next call; the earlier form's four temporaries made
-    ``_logsumexp`` the source of most of an ``mmm_wide`` pass's 25,834 minor
-    faults (14,297 of them).
+    not written unless it is ``out``, so on large states a call need not
+    page-fault in a fresh array (see the module docstring).
 
     From ``_LARGE_STATE_CLASSES`` values on, shifted terms at or below
     ``_EXP_UNDERFLOW`` are set to 0.0 instead of computed.  ``np.exp`` gives
@@ -312,27 +305,23 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
     skip the sort, and unique sorted keys skip the folds; neither skip
     changes a bit.  Keys must not be NaN.
 
-    Large states (``_LARGE_STATE_CLASSES`` classes or more, with a strictly
-    descending head at least that long, as the survivors ``step_exact`` and
-    ``step_logdet`` put first) skip the full sort too: ``_merge_into_head``
+    Callers pass the columns as ``step_exact``, ``step_logdet`` and
+    ``to_logdet`` build them, and nothing converts them: float64 keys, int64
+    counts (exact) or float64 log-counts (logdet), and int64 births.
+
+    Large logdet states (``_LARGE_STATE_CLASSES`` classes or more, with a
+    strictly descending head at least that long, as the survivors
+    ``step_logdet`` puts first) skip the full sort too: ``_merge_into_head``
     sorts only the tail and places it in the head, with the same bits.
     """
-    log_fit = np.asarray(log_fit, dtype=float)
-    birth = np.asarray(birth, dtype=np.int64)
-    if mode == MODE_EXACT:
-        count = np.asarray(count).astype(np.int64, copy=False)
-        fold = np.add
-    else:
-        count = np.asarray(count, dtype=float)
-        fold = np.logaddexp
     if log_fit.size > 1:
         descending = log_fit[1:] < log_fit[:-1]
         if not descending.all():
             merged = None
-            if log_fit.size >= _LARGE_STATE_CLASSES:
+            if mode == MODE_LOGDET and log_fit.size >= _LARGE_STATE_CLASSES:
                 head = int(descending.argmin()) + 1
                 if head >= _LARGE_STATE_CLASSES:
-                    merged = _merge_into_head(head, log_fit, count, birth, fold)
+                    merged = _merge_into_head(head, log_fit, count, birth)
             if merged is not None:
                 log_fit, count, birth = merged
             else:
@@ -342,6 +331,7 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
                 if not fresh.all():
                     starts = np.flatnonzero(np.concatenate(([True], fresh)))
                     log_fit = log_fit[starts]
+                    fold = np.add if mode == MODE_EXACT else np.logaddexp
                     count = fold.reduceat(count, starts)
                     birth = np.minimum.reduceat(birth, starts)
     # one scratch array holds the shifted terms of both totals
@@ -361,17 +351,23 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
     )
 
 
-def _merge_into_head(head, log_fit, count, birth, fold):
-    """``_rebuild``'s merge of a strictly descending head and a tail, or None.
+def _merge_into_head(head, log_fit, count, birth):
+    """``_rebuild``'s logdet merge of a strictly descending head and a tail, or None.
 
-    ``head`` is the length of the strictly descending prefix.  Only the tail
-    is sorted (stably).  When its keys are unique, each tail key is placed
-    by one ``searchsorted`` on the negated head: a key equal to a head key
-    folds as fold(head, tail), head entry first as in input order, which is
-    the sort path's ``reduceat`` over that pair; the other keys are inserted.
-    A sorted tail that repeats a key returns None (the full sort applies):
-    its run would fold as fold(fold(head, t1), t2), and folding the tail
-    first gives other bits.
+    ``head`` is the length of the strictly descending prefix; ``count``
+    holds log-counts.  Only the tail is sorted (stably).  When its keys are
+    unique, each is placed by one ``searchsorted`` on the negated head: a
+    key equal to a head key folds as logaddexp(head, tail), head entry
+    first, as the sort path's ``reduceat`` folds that pair; the other keys
+    are inserted.  A sorted tail that repeats a key returns None (the full
+    sort applies): its run would fold as logaddexp(logaddexp(head, t1), t2),
+    and folding the tail first gives other bits.
+
+    A logdet tail is a spectrum's worth of classes (19-39 on ``mmm_wide``'s
+    130,000).  An exact tail is the generation's new mutants, one class
+    each, which outnumber the head, so exact mode sorts: on the two exact
+    merges that used to come here (tails 24 and 67 times the head) a sorting
+    ``_rebuild`` took 55-65% of the time of one that called this.
 
     Each output column is allocated once: the inserted keys are scattered to
     their places and the head is copied in the slices between them.  With
@@ -382,7 +378,10 @@ def _merge_into_head(head, log_fit, count, birth, fold):
     k = 1 69/68 us, 3 202/69, 20 190/78, 64 179/117, 150 122/120,
     500 129/272, 5000 251/2392; 16,384 entries, k = 3 19/8, 20 19/16,
     40 20/48; 4096 entries, k = 3 18/9, 20 19/22, 40 20/38.  An ``mmm_wide``
-    logdet merge inserts 2-3 keys, 19-20 at the first.
+    logdet merge inserts 2-3 keys, 19-20 at the first.  With
+    ``--mmm-bins-per-decade 1000`` the first inserts 2,135 keys (1.2-1.3 ms
+    by ``np.insert``, 3.6-7.1 ms in slices) and the 15 later ones 129-196
+    (18.9-20.3 ms together against 16.4-19.5 ms in slices).
     """
     order = head + np.argsort(-log_fit[head:], kind="stable")
     keys = log_fit[order]
@@ -409,7 +408,7 @@ def _merge_into_head(head, log_fit, count, birth, fold):
             merged.append(out)
     # a head entry moves right by the number of keys inserted before it
     dest, src = pos[hit] + np.searchsorted(at, pos[hit], side="right"), order[hit]
-    merged[1][dest] = fold(merged[1][dest], count[src])
+    merged[1][dest] = np.logaddexp(merged[1][dest], count[src])
     merged[2][dest] = np.minimum(merged[2][dest], birth[src])
     return merged
 

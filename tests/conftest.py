@@ -1,8 +1,16 @@
 """Oracles shared by several test modules."""
 import math
+import os
 
 import numpy as np
 import pytest
+
+import branchlab
+
+# tests that run `python -m branchlab.cli` in a child interpreter get the
+# package these tests import (pyproject's pythonpath reaches no child)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(branchlab.__file__)), os.environ.get("PYTHONPATH"))))
 
 
 def _full_scan_chi(alpha, seed, t_max):

@@ -12,10 +12,10 @@ from branchlab.analysis import (
     homogeneous_curve,
     loglog_slope,
 )
-from branchlab.errors import DomainError, InsufficientOverlap
+from branchlab.errors import DomainError, HorizonOverflow, InsufficientOverlap
 from branchlab.growth import growth_law
 from branchlab.recursion import SeedSequence, build_ctex_seed, solve_chi
-from branchlab.simulate import SimConfig, run
+from branchlab.simulate import RunRecord, SimConfig, run
 from branchlab.tails import TailModel
 
 PARETO1 = TailModel("pareto", 1.0)
@@ -62,6 +62,19 @@ class TestFreqFromChi:
         with pytest.raises(DomainError):
             freq_from_chi(series_alpha_one, 320)  # needs t+1
 
+    def test_subnormal_alpha_keeps_p_finite(self):
+        # chi grows by about 1/alpha a step, past float64's exp range, while
+        # P = alpha (chi_{t+1}/chi_t - 1) stays near 1
+        series = solve_chi(5e-324, SeedSequence.linear(), 6)
+        for t in range(1, 5):
+            assert freq_from_chi(series, t).P == pytest.approx(1.0, rel=1e-9)
+
+    def test_p_past_float64_is_a_typed_error(self):
+        # a seed that jumps from 1e-300 to 1e300: chi_2/chi_1 = 1e600
+        series = solve_chi(1.0, SeedSequence.explicit([1e-300, 1e300]), 3)
+        with pytest.raises(HorizonOverflow, match="t=1"):
+            freq_from_chi(series, 1)
+
 
 class TestFreqFromRun:
     def test_self_ratio_is_one(self):
@@ -90,6 +103,15 @@ class TestFreqFromRun:
             r_chi = (t - i) * j_chi - 1.0
             worst = max(worst, abs(r_sim - r_chi))
         assert worst <= 0.05
+
+    @pytest.mark.parametrize("model", ["fmm", "mmm"])
+    def test_population_of_one_is_a_domain_error(self, model):
+        # log X_1 = 0: R would divide by zero
+        rec = run(SimConfig(model=model, tail=PARETO1, beta=0.1, log_f=-1.0,
+                            t_max=2, seed=1))
+        assert rec.log_X[1] == 0.0
+        with pytest.raises(DomainError, match="at most one"):
+            freq_from_run(rec, 1)
 
 
 class TestHomogeneousCurve:
@@ -153,15 +175,19 @@ class TestCollapseDistance:
             collapse_distance(a, b)
 
 
+def _record(log_x):
+    """A surviving RunRecord with the given log X series."""
+    n = log_x.size
+    return RunRecord(t=np.arange(n), log_X=log_x, log_W=np.full(n, -np.inf),
+                     n_classes=np.ones(n, dtype=np.int64), mode=np.zeros(n, dtype=np.int8),
+                     dominant_age=np.zeros(n, dtype=np.int64), outcome="survived", restarts=0)
+
+
 class TestLoglogSlope:
     def test_synthetic_double_exponential(self):
         nu = 0.25
         log_x = np.exp(nu * np.arange(60))
-        assert loglog_slope(log_x, 20, 59) == pytest.approx(nu, rel=1e-12)
-
-    def test_recursion_slope(self, series_alpha_one):
-        slope = loglog_slope(series_alpha_one, 250, 300)
-        assert abs(slope - math.log(3.0) / 3.0) <= 1e-3
+        assert loglog_slope(_record(log_x), 20, 59) == pytest.approx(nu, rel=1e-12)
 
     def test_run_slope_near_growth_exponent(self):
         rec = run(SimConfig(model="mmm", tail=PARETO1, beta=0.1, log_f=50.0,
@@ -171,6 +197,6 @@ class TestLoglogSlope:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            loglog_slope(np.ones(30), 5, 20)  # log X = 1 everywhere
+            loglog_slope(_record(np.ones(30)), 5, 20)  # log X = 1 everywhere
         with pytest.raises(DomainError):
-            loglog_slope(np.exp(0.3 * np.arange(10)), 8, 8)
+            loglog_slope(_record(np.exp(0.3 * np.arange(10))), 8, 8)

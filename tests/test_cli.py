@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from branchlab.cli import (
-    _CSV_BLOCK_ROWS, _write_csv, _write_json, dispatch, main, parse_args, replica_seed,
-    splitmix64,
+    _CSV_BLOCK_ROWS, _SCHEMAS, _write_csv, _write_json, dispatch, main, parse_args,
+    replica_seed, splitmix64,
 )
 from branchlab.errors import UsageError
 
@@ -551,3 +552,143 @@ class TestEntryPoint:
         doc = json.loads((tmp_path / "s.csv.summary.json").read_text())
         assert doc["slope_window"] == [1, 40]
         assert doc["loglog_slopes"]
+
+
+# The whole CLI over generated argv.  Numbers come from boundary-heavy pools:
+# 0, the smallest subnormal, 1e-300, 1, the alpha bound 1e9 and its
+# successor, 1e300, non-finite values, negatives and text the parser
+# rejects.  Sizes stay small (t-max <= 100, replicas <= 2, points <= 5).
+# Each pool starts with a typical valid value, which hypothesis draws most.
+_NUMBERS = ("0.5", "1", "0", "5e-324", "-5e-324", "1e-300", "1e9",
+            repr(math.nextafter(1e9, math.inf)), "1e300", "inf", "-inf", "nan", "-1", "x")
+_SEEDS = ("linear", "half", "ctex:phis=1.3333333333333333,1.5,1.5", "ctex:phis=nan",
+          "ctex:phis=1e300,5e-324", "ctex:", "file:", "x")
+_SIZES = ("5", "20", "2", "1", "0", "-1", "100")
+_POOLS = {
+    ("int", "t_max"): _SIZES,
+    ("int", "slope_lo"): _SIZES,
+    ("int", "slope_hi"): _SIZES,
+    ("int", "points"): ("5", "2", "1", "0", "-1"),
+    ("int", "replicas"): ("1", "2", "0", "-1"),
+    ("int", "jobs"): ("1",),
+    ("int", "seed"): ("1", "0", "-1", str(2**64 - 1), str(2**64)),
+    ("int", "mmm_bins_per_decade"): ("8", "1", "0", "-1"),
+    ("ints", "t"): ("1", "2", "1,2", "3,5", "20", "1,99", "0", "-1", "x"),
+    ("str", "model"): ("fmm", "mmm", "x"),
+    ("str", "source"): ("recursion", "run", "x"),
+    ("str", "tail"): ("pareto:alpha=1", "pareto:alpha=5e-324", "pareto:alpha=1e300",
+                      "pareto:alpha=nan", "pareto:alpha=inf", "pareto:alpha=-1",
+                      "paretolog:alpha=1,gamma=0.5", "paretolog:alpha=1,gamma=2", "x"),
+    ("str", "seed"): _SEEDS,
+    ("str", "seed_sequence"): _SEEDS,
+    ("str", "t_pairs"): ("2:3", "3:5,2:4", "1:2", "1:1", "0:1", "99:98", "1", "x:y"),
+    ("floats", "phis"): ("1.3333333333333333,1.5,1.5", "2", "nan", "1e300", "0", "-1",
+                         "5e-324", "inf,2", "", "x"),
+}
+# the columns the README documents as non-finite: recurse's nu_hat, simulate's
+# log_W, and log_X in the last row of an extinct replica (no class left)
+_NON_FINITE_OK = {"nu_hat", "log_W"}
+
+
+@st.composite
+def _cli_argv(draw):
+    """(command, argv) with ``{out}`` standing for the output path."""
+    command = draw(st.sampled_from(sorted(_SCHEMAS)))
+    argv = [command]
+    t_max = None
+    for f in _SCHEMAS[command]:
+        if f.name == "out":
+            argv += ["--out", "{out}"]
+            continue
+        # a required flag is left out one time in ten and an optional one
+        # drawn three in ten, so that some argv also pass the parser; alpha
+        # counts as required, since nu and the recursion source need it
+        usual = f.required or f.name == "alpha"
+        if f.name != "jobs" and draw(st.integers(0, 9)) >= (9 if usual else 3):
+            continue
+        flag = "--from" if f.name == "source" else "--" + f.name.replace("_", "-")
+        if f.kind == "bool":
+            argv.append(flag if draw(st.booleans()) else "--no-" + flag[2:])
+            continue
+        if command == "verify-lemmas" and f.name == "replicas":
+            pool = ("100", "99", "0", "-1")
+        else:
+            pool = _POOLS.get((f.kind, f.name), _NUMBERS)
+        if f.name == "mmm_bins_per_decade" and t_max is not None and t_max <= 20:
+            # a 100-generation paretolog run at 1000 bins per decade takes 45 s
+            pool += ("1000",)
+        value = draw(st.sampled_from(pool))
+        if f.name == "t_max":
+            t_max = int(value)
+        argv.append(f"{flag}={value}")  # "--log-f -inf" would read -inf as a flag
+    return command, argv
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise AssertionError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _check_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    for row in rows[1:]:
+        assert len(row) == len(header)
+        cells = dict(zip(header, row))
+        for name, cell in cells.items():
+            try:
+                value = float(cell)
+            except ValueError:
+                continue  # text, such as the mode column
+            extinct_row = name == "log_X" and cells.get("n_classes") == "0"
+            assert math.isfinite(value) or name in _NON_FINITE_OK or extinct_row, \
+                f"{name}={cell} in {os.path.basename(path)}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cli_argv())
+# these used to end in a raw OverflowError (P = alpha * expm1 of a log-ratio
+# past 709.78), and in a NaN R cell with a leaked numpy warning (log X_t = 0)
+@example(("freq", ["freq", "--from", "recursion", "--alpha", "5e-324", "--t", "1",
+                   "--out", "{out}"]))
+@example(("collapse", ["collapse", "--alpha", "5e-324", "--t-pairs", "2:3",
+                       "--out", "{out}"]))
+@example(("freq", ["freq", "--from", "run", "--log-f", "-1", "--t", "1", "--seed", "1",
+                   "--model", "fmm", "--t-max", "2", "--out", "{out}"]))
+@example(("freq", ["freq", "--from", "run", "--log-f", "-1", "--t", "1", "--seed", "1",
+                   "--model", "mmm", "--t-max", "2", "--out", "{out}"]))
+# an infinite sweep end: numpy's grid warning leaked before the typed error
+@example(("nu", ["nu", "--alpha-min", "5e-324", "--alpha-max", "inf", "--points", "2",
+                 "--out", "{out}"]))
+# the cycle multiplier 1/alpha passes float64: numpy's overflow warning leaked
+@example(("recurse", ["recurse", "--alpha", "5e-324", "--detect-period", "--out", "{out}"]))
+def test_cli_over_generated_argv(case):
+    command, argv = case
+    # a directory per example: pytest's tmp_path is made once per test
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([out if a == "{out}" else a for a in argv])
+        files = sorted(os.listdir(tmp))
+        lines = stderr.getvalue().splitlines()
+        if code == 0:
+            assert not lines
+            for name in files:
+                path = os.path.join(tmp, name)
+                if name.endswith(".json") or command == "seed-ctex":  # seed-ctex writes JSON
+                    with open(path, encoding="utf-8") as fh:
+                        _strict_json(fh.read())
+                else:
+                    _check_csv(path)
+        elif command == "verify-lemmas" and code == 1 and not lines:
+            assert "FAIL" in stdout.getvalue()  # a failed check, not an error
+        else:
+            assert code in (1, 2)
+            assert [ln for ln in lines if ln.startswith(("error:", "usage error:"))] == lines[-1:]
+            assert lines[-1].startswith("error:" if code == 1 else "usage error:")
+            # only a usage error may print the parser's usage before its line
+            assert code == 2 or len(lines) == 1
+            assert not files

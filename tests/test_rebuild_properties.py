@@ -9,7 +9,8 @@ with ``_reference_rebuild``: the earlier ``np.unique`` plus per-entry
 The large-state paths (``_merge_into_head``, on both sides of its
 ``_SLICE_INSERT_KEYS`` cutoff, and the masked ``np.exp`` of ``_logsumexp``)
 are twin-tested against the plain paths: the same call with
-``_LARGE_STATE_CLASSES`` patched to 1 and above the input size.  The
+``_LARGE_STATE_CLASSES`` patched to 1 and above the input size.  Only
+logdet merges may take ``_merge_into_head``; exact ones always sort.  The
 in-place writes of a logdet generation are guarded twice: a repeated call
 on the same input must leave it untouched and give the same result, and
 tracemalloc pins the generation's peak allocation on a large state.
@@ -175,10 +176,15 @@ def _state_bits(state):
 @example((MODE_LOGDET, np.array([-0.0, -1.0, 0.0]), np.array([-0.0, 1.0, 0.0]),
           np.array([0, 0, 0], dtype=np.int64)))
 @example((MODE_EXACT, np.array([2.0, 1.0]), np.array([1, 1]), np.array([0, 0], dtype=np.int64)))
+# 33 new keys, one more than the slices take: np.insert at the real cutoff
+@example((MODE_LOGDET, np.concatenate((np.arange(40.0, 0.0, -1.0), np.arange(32.5, 0.0, -1.0))),
+          np.linspace(-3.0, 3.0, 73), np.arange(73, dtype=np.int64)))
 def test_large_state_merge_matches_sort(case):
     mode, log_fit, count, birth = case
     args = (5, log_fit, count, birth, mode)
     sorted_keys = log_fit.size < 2 or bool(np.all(log_fit[1:] < log_fit[:-1]))
+    # exact merges always take the sort
+    merges = 2 * (mode == MODE_LOGDET and not sorted_keys)
     with np.errstate(invalid="ignore"), \
             mock.patch.object(simulate, "_merge_into_head",
                               wraps=simulate._merge_into_head) as merge:
@@ -186,9 +192,9 @@ def test_large_state_merge_matches_sort(case):
         large = _with_cutoff(1, _rebuild, *args)
         with mock.patch.object(simulate, "_SLICE_INSERT_KEYS", 0):
             inserted = _with_cutoff(1, _rebuild, *args)
-        assert merge.call_count == 2 * (not sorted_keys)
+        assert merge.call_count == merges
         plain = _with_cutoff(log_fit.size + 1, _rebuild, *args)
-        assert merge.call_count == 2 * (not sorted_keys)
+        assert merge.call_count == merges
     assert _state_bits(large) == _state_bits(plain)
     assert _state_bits(inserted) == _state_bits(plain)
 
@@ -273,7 +279,8 @@ def test_in_place_writes_leave_inputs_alone():
                 first, second = (_with_cutoff(cutoff, _rebuild, 5, f, c, b, mode)
                                  for _ in range(2))
                 assert _state_bits(first) == _state_bits(second)
-            assert merge.call_count == (6 if cutoff == 1 else 0)
+            # both steps and both calls on the merged logdet input; exact ones sort
+            assert merge.call_count == (4 if cutoff == 1 else 0)
         assert [a.tobytes() for a in watched] == before
 
 

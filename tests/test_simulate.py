@@ -90,7 +90,8 @@ class TestConfig:
 
 class TestStateRebuild:
     def test_exact_mode_merges_and_sorts(self):
-        st = _rebuild(3, [1.0, 2.0, 1.0], [5, 7, 9], [1, 2, 3], MODE_EXACT)
+        st = _rebuild(3, np.array([1.0, 2.0, 1.0]), np.array([5, 7, 9]), np.array([1, 2, 3]),
+                      MODE_EXACT)
         assert st.n_classes == 2
         assert np.all(np.diff(st.log_fit) < 0)  # descending
         assert st.count[st.log_fit == 1.0][0] == 14
@@ -98,7 +99,7 @@ class TestStateRebuild:
         assert st.log_X == pytest.approx(math.log(21.0), rel=1e-14)
 
     def test_logdet_mode_merges_log_counts(self):
-        st = _rebuild(3, [1.0, 1.0], [math.log(2.0), math.log(6.0)], [4, 2],
+        st = _rebuild(3, np.array([1.0, 1.0]), np.log([2.0, 6.0]), np.array([4, 2]),
                       MODE_LOGDET)
         assert st.n_classes == 1
         assert st.count[0] == pytest.approx(math.log(8.0), rel=1e-14)
