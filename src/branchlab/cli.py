@@ -174,6 +174,11 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _option(field: _Field) -> str:
+    """The field's flag on the command line; ``source`` is given as ``--from``."""
+    return "--from" if field.name == "source" else _flag(field.name)
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose errors print its own usage and raise UsageError.
 
@@ -196,7 +201,7 @@ def _build_parser():
         p = sub.add_parser(command, help=f"{command} subcommand")
         p.add_argument("--config", default=None, help="JSON parameter file loaded first")
         for f in fields:
-            flag = "--from" if f.name == "source" else _flag(f.name)
+            flag = _option(f)
             if f.kind == "bool":
                 group = p.add_mutually_exclusive_group()
                 group.add_argument(flag, dest=f.name, action="store_const", const=True,
@@ -208,36 +213,74 @@ def _build_parser():
     return parser, sub.choices
 
 
+def _number(kind: str, value):
+    """A float or int from a flag's text or a JSON value; JSON true and false
+    are not numbers, and an int must be integral (so finite)."""
+    if isinstance(value, bool):
+        raise ValueError
+    if kind == "float":
+        return float(value)
+    if isinstance(value, float) and value != int(value):
+        raise ValueError
+    return int(value)
+
+
 def _convert(field: _Field, value, origin: str):
     flag = _flag(field.name)
     try:
-        if field.kind == "float":
-            return float(value)
-        if field.kind == "int":
-            if isinstance(value, float) and value != int(value):
-                raise ValueError
-            return int(value)
+        if field.kind in ("float", "int"):
+            return _number(field.kind, value)
         if field.kind == "bool":
             if isinstance(value, bool):
                 return value
             raise ValueError
-        if field.kind == "floats":
+        if field.kind in ("floats", "ints"):
             if isinstance(value, str):
-                return [float(v) for v in value.split(",") if v.strip()]
-            return [float(v) for v in value]
-        if field.kind == "ints":
-            if isinstance(value, str):
-                return [int(v) for v in value.split(",") if v.strip()]
-            return [int(v) for v in value]
+                items = [v for v in value.split(",") if v.strip()]
+            elif isinstance(value, list):
+                items = value
+            else:
+                raise ValueError
+            return [_number(field.kind[:-1], v) for v in items]
         return str(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"bad value for {flag} ({origin}): {value!r}") from None
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list) -> list:
+    """argv with each ``--flag -1e-300`` of a value-taking flag of the command
+    joined into ``--flag=-1e-300``.
+
+    argparse reads a token that starts with ``-`` as a flag unless it is a
+    plain negative decimal, so ``-1e-300`` or ``-inf`` would leave the flag
+    without its value.  Only tokens that ``float`` parses are joined, and
+    only whole flag names (not abbreviations).
+    """
+    command = next((a for a in argv if a in _SCHEMAS), None)
+    if command is None:
+        return argv
+    takes_value = {"--config"} | {_option(f) for f in _SCHEMAS[command] if f.kind != "bool"}
+    joined = argv[: argv.index(command) + 1]
+    for token in argv[len(joined):]:
+        if joined[-1] in takes_value and token.startswith("-") and _is_float(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def parse_args(argv) -> Config:
     """Parse argv into a validated Config; flags override config-file values."""
     parser, commands = _build_parser()
-    argv = list(argv)
+    argv = _join_negative_values(list(argv))
     ns, extra = parser.parse_known_args(argv)  # --help prints and exits 0
     if extra:
         # a stray token before the subcommand went to the top-level parser and

@@ -7,7 +7,8 @@ import pytest
 
 import branchlab
 
-# tests that run `python -m branchlab.cli` in a child interpreter get the
+# the two tests that run `python -m branchlab.cli` in a child interpreter,
+# test_module_invocation and test_closed_stdout_is_one_error_line, get the
 # package these tests import (pyproject's pythonpath reaches no child)
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
     os.path.dirname(os.path.dirname(branchlab.__file__)), os.environ.get("PYTHONPATH"))))

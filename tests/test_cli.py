@@ -5,10 +5,14 @@ import io
 import json
 import math
 import os
+import re
+import signal
 import struct
 import subprocess
 import sys
 import tempfile
+from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,14 +20,72 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from branchlab.cli import (
-    _CSV_BLOCK_ROWS, _SCHEMAS, _write_csv, _write_json, dispatch, main, parse_args,
+    _CSV_BLOCK_ROWS, _SCHEMAS, _option, _write_csv, _write_json, main, parse_args,
     replica_seed, splitmix64,
 )
 from branchlab.errors import UsageError
 
+# each command run in process is stopped after this long, so a regression
+# that hangs (as `recurse --alpha 1e300` once did) fails instead of stalling
+_TIMEOUT_S = 60
 
-def _run_main(argv):
-    return main(argv)
+
+class _Run(NamedTuple):
+    code: int
+    stdout: str
+    err: list  # the stderr lines
+    files: dict  # name -> text of each file left in the run's directory
+
+
+def _timeout(signum, frame):
+    raise TimeoutError(f"the command ran past {_TIMEOUT_S} s")
+
+
+def _cli(argv, env=None):
+    """Run ``cli.main`` on argv in process, with ``{out}`` standing for the
+    path ``out`` in a fresh directory.
+
+    ``env`` sets environment variables for the run (a value of None unsets
+    one).  ``--help`` ends in argparse's SystemExit, whose code is returned.
+    Any other exception escaping ``main`` fails the calling test.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        for name, value in (env or {}).items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+        out = os.path.join(tmp, "out")
+        previous = signal.signal(signal.SIGALRM, _timeout)
+        signal.alarm(_TIMEOUT_S)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([out if a == "{out}" else a for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        files = {}
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name), encoding="utf-8", newline="") as fh:
+                files[name] = fh.read()
+    return _Run(code, stdout.getvalue(), stderr.getvalue().splitlines(), files)
+
+
+def _assert_failed(run, code, named=None):
+    """The failure contract: the exit code; the last stderr line is the only
+    ``error:`` (code 1) or ``usage error:`` (code 2) line, and for code 1 the
+    only line (a usage error may print the parser's usage first); it holds
+    ``named``; no file is left."""
+    assert run.code == code, run.err
+    assert run.err and run.err[-1].startswith("error:" if code == 1 else "usage error:")
+    assert [ln for ln in run.err if ln.startswith(("error:", "usage error:"))] == run.err[-1:]
+    assert code == 2 or len(run.err) == 1
+    if named is not None:
+        assert named in run.err[-1]
+    assert not run.files
 
 
 class TestParseArgs:
@@ -36,8 +98,8 @@ class TestParseArgs:
             parse_args(["simulate", "--model", "fmm", "--log-f", "1",
                         "--beta", "1.5"])
 
-    def test_unknown_subcommand_exits_two(self, capsys):
-        assert main(["frobnicate"]) == 2
+    def test_unknown_subcommand_exits_two(self):
+        assert _cli(["frobnicate"]).code == 2
 
     def test_missing_required_flag(self):
         with pytest.raises(UsageError, match="--alpha"):
@@ -184,153 +246,148 @@ class TestOutputs:
         with pytest.raises(ValueError):
             _write_json(str(tmp_path / "x.json"), {"slope": math.nan})
 
-    def test_nu_sweep_csv(self, tmp_path):
-        out = tmp_path / "nu.csv"
-        assert _run_main(["nu", "--alpha-min", "0.05", "--alpha-max", "10",
-                          "--points", "40", "--log-grid", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
+    def test_nu_sweep_csv(self):
+        run = _cli(["nu", "--alpha-min", "0.05", "--alpha-max", "10",
+                    "--points", "40", "--log-grid", "--out", "{out}"])
+        assert run.code == 0
+        lines = run.files["out"].splitlines()
         assert lines[0] == "alpha,T,nu,nu_approx,rel_err"
         assert len(lines) == 41
         rel = [float(line.split(",")[4]) for line in lines[1:]]
         assert max(rel) < 0.07
 
-    def test_recurse_csv_and_period_json(self, tmp_path):
-        out = tmp_path / "chi.csv"
-        assert _run_main(["recurse", "--alpha", "1", "--t-max", "400",
-                          "--detect-period", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
+    def test_recurse_csv_and_period_json(self):
+        run = _cli(["recurse", "--alpha", "1", "--t-max", "400",
+                    "--detect-period", "--out", "{out}"])
+        assert run.code == 0
+        lines = run.files["out"].splitlines()
         assert lines[0] == "t,log_chi,I_t,log_c_t,nu_hat"
         first = lines[1].split(",")
         assert float(first[1]) == 0.0  # log chi_1
         row10 = lines[10].split(",")
         assert float(row10[1]) == pytest.approx(math.log(36.0), rel=1e-12)
         assert int(row10[2]) == 8
-        doc = json.loads((tmp_path / "chi.csv.period.json").read_text())
+        doc = json.loads(run.files["out.period.json"])
         assert doc["t1"] <= 4 and doc["constraints_ok"]
         assert sorted(round(p, 6) for p in doc["phi"]) == [1.333333, 1.5, 1.5]
 
     @pytest.mark.parametrize("t_max, finite", [(3, 0), (4, 1)])
-    def test_recurse_nu_hat_column_at_the_period(self, tmp_path, t_max, finite):
+    def test_recurse_nu_hat_column_at_the_period(self, t_max, finite):
         # alpha = 1 has T = 3: nu_hat needs t + T <= t_max
-        out = tmp_path / "chi.csv"
-        assert _run_main(["recurse", "--alpha", "1", "--t-max", str(t_max),
-                          "--out", str(out)]) == 0
-        with open(out, encoding="utf-8", newline="") as fh:
-            nu_hat = [float(row["nu_hat"]) for row in csv.DictReader(fh)]
+        run = _cli(["recurse", "--alpha", "1", "--t-max", str(t_max), "--out", "{out}"])
+        assert run.code == 0
+        nu_hat = [float(row["nu_hat"]) for row in csv.DictReader(io.StringIO(run.files["out"]))]
         assert len(nu_hat) == t_max
         assert [math.isfinite(v) for v in nu_hat] == [True] * finite + [False] * (t_max - finite)
         if finite:
             assert nu_hat[0] == pytest.approx(math.log(4.0) / 3.0, rel=1e-15)
 
-    def test_simulate_csv_and_summary(self, tmp_path):
-        out = tmp_path / "runs.csv"
-        argv = ["simulate", "--model", "mmm", "--tail", "pareto:alpha=1",
-                "--beta", "0.1", "--log-f", "50", "--t-max", "12", "--seed", "1",
-                "--replicas", "3", "--out", str(out)]
-        assert _run_main(argv) == 0
-        lines = out.read_text().splitlines()
+    def test_simulate_csv_and_summary(self):
+        run = _cli(["simulate", "--model", "mmm", "--tail", "pareto:alpha=1",
+                    "--beta", "0.1", "--log-f", "50", "--t-max", "12", "--seed", "1",
+                    "--replicas", "3", "--out", "{out}"])
+        assert run.code == 0
+        lines = run.files["out"].splitlines()
         assert lines[0] == "replica,t,log_X,log_W,n_classes,mode,dominant_age"
         assert len(lines) == 1 + 3 * 13
-        doc = json.loads((tmp_path / "runs.csv.summary.json").read_text())
+        doc = json.loads(run.files["out.summary.json"])
         assert doc["replicas"] == 3 and doc["survived"] == 3
         assert doc["survival_fraction"] == 1.0
 
-    def test_identical_invocations_are_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    def test_identical_invocations_are_byte_identical(self):
         argv = ["simulate", "--model", "fmm", "--beta", "0.2", "--log-f", "40",
-                "--t-max", "10", "--seed", "9", "--replicas", "4"]
-        assert _run_main(argv + ["--out", str(a)]) == 0
-        assert _run_main(argv + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+                "--t-max", "10", "--seed", "9", "--replicas", "4", "--out", "{out}"]
+        a, b = _cli(argv), _cli(argv)
+        assert a.code == b.code == 0
+        assert a.files["out"] == b.files["out"]
 
-    def test_parallel_jobs_match_sequential(self, tmp_path):
-        a, b = tmp_path / "seq.csv", tmp_path / "par.csv"
+    def test_parallel_jobs_match_sequential(self):
         argv = ["simulate", "--model", "fmm", "--beta", "0.2", "--log-f", "40",
-                "--t-max", "8", "--seed", "9", "--replicas", "4"]
-        assert _run_main(argv + ["--jobs", "1", "--out", str(a)]) == 0
-        assert _run_main(argv + ["--jobs", "2", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+                "--t-max", "8", "--seed", "9", "--replicas", "4", "--out", "{out}"]
+        seq, par = _cli(argv + ["--jobs", "1"]), _cli(argv + ["--jobs", "2"])
+        assert seq.code == par.code == 0
+        assert seq.files["out"] == par.files["out"]
 
-    def test_freq_recursion_outputs(self, tmp_path):
-        out = tmp_path / "freq.csv"
-        assert _run_main(["freq", "--from", "recursion", "--alpha", "1",
-                          "--t", "9,12", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
+    def test_freq_recursion_outputs(self):
+        run = _cli(["freq", "--from", "recursion", "--alpha", "1",
+                    "--t", "9,12", "--out", "{out}"])
+        assert run.code == 0
+        lines = run.files["out"].splitlines()
         assert lines[0] == "t,J,R"
-        p_lines = (tmp_path / "freq.csv.p.csv").read_text().splitlines()
+        p_lines = run.files["out.p.csv"].splitlines()
         assert p_lines[0] == "t,P"
         t9 = [line for line in p_lines[1:] if line.startswith("9,")]
         assert float(t9[0].split(",")[1]) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
-    def test_collapse_outputs(self, tmp_path):
-        out = tmp_path / "col.csv"
-        assert _run_main(["collapse", "--alpha", "1",
-                          "--t-pairs", "300:303,300:301", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
+    def test_collapse_outputs(self):
+        run = _cli(["collapse", "--alpha", "1",
+                    "--t-pairs", "300:303,300:301", "--out", "{out}"])
+        assert run.code == 0
+        lines = run.files["out"].splitlines()
         assert lines[0] == "t_a,t_b,distance"
         d_same = float(lines[1].split(",")[2])
         d_diff = float(lines[2].split(",")[2])
         assert d_same <= 1e-6 and d_diff > 0.01
 
-    def test_freq_run_source(self, tmp_path):
-        out = tmp_path / "freq_run.csv"
-        assert _run_main(["freq", "--from", "run", "--model", "fmm",
-                          "--tail", "pareto:alpha=1", "--beta", "0.1",
-                          "--log-f", "50", "--seed", "2", "--t", "8",
-                          "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
+    def test_freq_run_source(self):
+        run = _cli(["freq", "--from", "run", "--model", "fmm",
+                    "--tail", "pareto:alpha=1", "--beta", "0.1",
+                    "--log-f", "50", "--seed", "2", "--t", "8", "--out", "{out}"])
+        assert run.code == 0
+        lines = run.files["out"].splitlines()
         assert lines[0] == "t,J,R"
         last = lines[-1].split(",")
         assert float(last[1]) == pytest.approx(1.0, rel=1e-9)  # self ratio
 
-    def test_recurse_seed_strings(self, tmp_path):
-        out = tmp_path / "half.csv"
-        assert _run_main(["recurse", "--alpha", "1", "--seed", "half",
-                          "--t-max", "5", "--out", str(out)]) == 0
-        first = out.read_text().splitlines()[1].split(",")
+    def test_recurse_seed_strings(self):
+        run = _cli(["recurse", "--alpha", "1", "--seed", "half",
+                    "--t-max", "5", "--out", "{out}"])
+        assert run.code == 0
+        first = run.files["out"].splitlines()[1].split(",")
         assert float(first[1]) == pytest.approx(math.log(0.5), rel=1e-12)
-        ctex = tmp_path / "ctex.csv"
         phis = f"ctex:phis={4.0 / 3.0!r},1.5,1.5"
-        assert _run_main(["recurse", "--alpha", "1", "--seed", phis,
-                          "--t-max", "5", "--out", str(ctex)]) == 0
-        first = ctex.read_text().splitlines()[1].split(",")
+        run = _cli(["recurse", "--alpha", "1", "--seed", phis,
+                    "--t-max", "5", "--out", "{out}"])
+        assert run.code == 0
+        first = run.files["out"].splitlines()[1].split(",")
         assert float(first[1]) == pytest.approx(math.log(3.0), rel=1e-9)
 
     def test_recurse_seed_file(self, tmp_path):
         seed_file = tmp_path / "seed.txt"
         seed_file.write_text("5.0\n2.0\n")
-        out = tmp_path / "file.csv"
-        assert _run_main(["recurse", "--alpha", "1",
-                          "--seed", f"file:{seed_file}", "--t-max", "4",
-                          "--out", str(out)]) == 0
-        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        run = _cli(["recurse", "--alpha", "1", "--seed", f"file:{seed_file}", "--t-max", "4",
+                    "--out", "{out}"])
+        assert run.code == 0
+        rows = [line.split(",") for line in run.files["out"].splitlines()[1:]]
         assert float(rows[0][1]) == pytest.approx(math.log(5.0), rel=1e-12)
         # a_2 = 2 loses to (1/alpha) chi_1 = 5
         assert float(rows[1][1]) == pytest.approx(math.log(5.0), rel=1e-12)
 
-    def test_seed_ctex_output(self, tmp_path):
-        out = tmp_path / "ctex.json"
+    def test_seed_ctex_output(self):
         phis = f"{4.0 / 3.0!r},1.5,1.5"
-        assert _run_main(["seed-ctex", "--alpha", "1", "--phis", phis,
-                          "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        run = _cli(["seed-ctex", "--alpha", "1", "--phis", phis, "--out", "{out}"])
+        assert run.code == 0
+        doc = json.loads(run.files["out"])
         assert doc["indu_ok"] is True
         assert doc["a"][0] == pytest.approx(3.0, rel=1e-9)
         assert doc["a"][1] == pytest.approx(4.0, rel=1e-9)
 
-    def test_verify_lemmas_exit_code(self, capsys):
-        assert _run_main(["verify-lemmas", "--replicas", "2000", "--seed", "3"]) == 0
-        tail_out = capsys.readouterr().out
-        assert "galton-lower-bound" in tail_out and "pass" in tail_out
+    def test_verify_lemmas_exit_code(self):
+        run = _cli(["verify-lemmas", "--replicas", "2000", "--seed", "3"])
+        assert run.code == 0
+        assert "galton-lower-bound" in run.stdout and "pass" in run.stdout
 
 
 class TestEntryPoint:
-    def test_module_invocation(self, tmp_path):
+    # the two tests here that start a child interpreter are the ones whose
+    # subject is the child: the `python -m` entry, and a pipe its reader closes
+
+    def test_module_invocation(self):
         env = dict(os.environ)
         env["PYTHONHASHSEED"] = "0"
         proc = subprocess.run(
             [sys.executable, "-m", "branchlab.cli", "nu", "--alpha", "1"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=env, timeout=_TIMEOUT_S,
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "alpha,T,nu,nu_approx,rel_err"
@@ -338,60 +395,34 @@ class TestEntryPoint:
     @pytest.mark.parametrize("argv", [["--help"], ["recurse", "--help"]],
                              ids=["top", "recurse"])
     def test_help_exits_zero(self, argv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", *argv], capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.startswith("usage: branchlab") and proc.stderr == ""
+        run = _cli(argv)
+        assert run.code == 0
+        assert run.stdout.startswith("usage: branchlab") and run.err == []
 
     def test_unknown_flag_is_a_usage_error(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", "recurse", "--bogus"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert [line for line in lines if line.startswith("usage error:")] == [lines[-1]]
-        assert "--bogus" in proc.stderr and "Traceback" not in proc.stderr
+        run = _cli(["recurse", "--bogus"])
+        _assert_failed(run, 2, named="--bogus")
         # the failing subcommand's usage, then one error line and nothing else
-        assert lines[0].startswith("usage: branchlab recurse ")
-        assert lines[-1] == "usage error: unrecognized arguments: --bogus"
-        assert [line for line in lines if "error" in line] == [lines[-1]]
+        assert run.err[0].startswith("usage: branchlab recurse ")
+        assert run.err[-1] == "usage error: unrecognized arguments: --bogus"
+        assert [line for line in run.err if "error" in line] == [run.err[-1]]
 
         # a stray flag before the subcommand belongs to the top-level parser
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", "--bogus", "recurse", "--alpha", "1",
-             "--t-max", "5"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2 and proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert lines[0].startswith("usage: branchlab [")
-        assert lines[-1] == "usage error: unrecognized arguments: --bogus"
-        assert [line for line in lines if "error" in line] == [lines[-1]]
+        run = _cli(["--bogus", "recurse", "--alpha", "1", "--t-max", "5"])
+        _assert_failed(run, 2)
+        assert run.stdout == ""
+        assert run.err[0].startswith("usage: branchlab [")
+        assert run.err[-1] == "usage error: unrecognized arguments: --bogus"
+        assert [line for line in run.err if "error" in line] == [run.err[-1]]
 
     def test_bad_flag_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", "simulate", "--model",
-             "fmm", "--log-f", "1", "--beta", "2"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        assert "--beta" in proc.stderr
+        _assert_failed(_cli(["simulate", "--model", "fmm", "--log-f", "1", "--beta", "2"]),
+                       2, named="--beta")
 
-    def test_horizon_overflow_is_a_typed_error(self, tmp_path):
-        out = tmp_path / "run.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", "simulate", "--model", "fmm",
-             "--tail", "pareto:alpha=0.3", "--log-f", "50", "--t-max", "700",
-             "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "generation" in lines[0] and "Traceback" not in proc.stderr
-        assert not out.exists()
+    def test_horizon_overflow_is_a_typed_error(self):
+        run = _cli(["simulate", "--model", "fmm", "--tail", "pareto:alpha=0.3", "--log-f", "50",
+                    "--t-max", "700", "--seed", "1", "--out", "{out}"])
+        _assert_failed(run, 1, named="generation")
 
     @pytest.mark.parametrize("argv, named", [
         (["seed-ctex", "--alpha", "1e-308", "--phis", "1e308", "--t-max", "4"], "a_2 "),
@@ -420,17 +451,8 @@ class TestEntryPoint:
             "mmm_poisson_threshold_1e30", "mmm_poisson_threshold_inf", "mmm_bins_per_decade_1e30",
             "seed_ctex_nan_phi", "recurse_ctex_nan_phi", "nu_alpha_1e308",
             "recurse_alpha_1e300", "nu_sweep_past_bound", "freq_alpha_1e300"])
-    def test_out_of_range_input_is_a_typed_error(self, tmp_path, argv, named):
-        out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", *argv, "--out", str(out)],
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
-        assert "Traceback" not in proc.stderr
-        assert not list(tmp_path.iterdir())
+    def test_out_of_range_input_is_a_typed_error(self, argv, named):
+        _assert_failed(_cli([*argv, "--out", "{out}"]), 1, named=named)
 
     def test_closed_stdout_is_one_error_line(self):
         # 40,000 rows are far more than a pipe holds, so the writer is still
@@ -443,7 +465,7 @@ class TestEntryPoint:
         try:
             assert proc.stdout.readline() == b"t,log_chi,I_t,log_c_t,nu_hat\n"
             proc.stdout.close()
-            assert proc.wait(timeout=60) == 1
+            assert proc.wait(timeout=_TIMEOUT_S) == 1
         finally:
             if proc.poll() is None:
                 proc.kill()
@@ -454,64 +476,40 @@ class TestEntryPoint:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "closed" in lines[0]
 
-    @pytest.mark.parametrize("log_f", ["nan", "inf"])
+    # "-inf" after a space: argparse alone read it as a flag (a usage error)
+    @pytest.mark.parametrize("log_f", ["nan", "inf", "-inf"])
     def test_non_finite_log_f_is_a_typed_error(self, log_f):
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", "simulate", "--model",
-             "mmm", "--log-f", log_f, "--t-max", "2"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "log_f" in lines[0] and "Traceback" not in proc.stderr
+        run = _cli(["simulate", "--model", "mmm", "--log-f", log_f, "--t-max", "2"])
+        _assert_failed(run, 1, named="log_f")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
     def test_non_finite_seed_file_value_is_a_typed_error(self, tmp_path, value):
         seed_file = tmp_path / "seed.txt"
         seed_file.write_text(f"5.0\n{value}\n")
-        out = tmp_path / "r.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", "recurse", "--alpha", "1",
-             "--seed", f"file:{seed_file}", "--t-max", "4", "--out", str(out)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "explicit seed" in lines[0] and "Traceback" not in proc.stderr
-        assert not out.exists()
+        run = _cli(["recurse", "--alpha", "1", "--seed", f"file:{seed_file}", "--t-max", "4",
+                    "--out", "{out}"])
+        _assert_failed(run, 1, named="explicit seed")
 
     @pytest.mark.parametrize("flag, env", [(["--seed", "-5"], None), ([], "-3")],
                              ids=["flag", "env"])
     def test_negative_verify_lemmas_seed_is_a_usage_error(self, flag, env):
-        environ = dict(os.environ)
-        environ.pop("BRANCHLAB_SEED", None)
-        if env is not None:
-            environ["BRANCHLAB_SEED"] = env
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", "verify-lemmas", "--replicas", "100",
-             *flag],
-            capture_output=True, text=True, env=environ,
-        )
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("usage error:")
-        assert "--seed" in lines[0] and "BRANCHLAB_SEED" in lines[0]
-        assert proc.stdout == ""
+        run = _cli(["verify-lemmas", "--replicas", "100", *flag], env={"BRANCHLAB_SEED": env})
+        _assert_failed(run, 2)
+        assert len(run.err) == 1
+        assert "--seed" in run.err[0] and "BRANCHLAB_SEED" in run.err[0]
+        assert run.stdout == ""
 
-    def test_recurse_failed_period_check_writes_nothing(self, tmp_path):
-        out = tmp_path / "r.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", "recurse", "--alpha", "1",
-             "--t-max", "5", "--detect-period", "--out", str(out)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "too short for period 3" in lines[0]
-        assert proc.stdout == "" and not list(tmp_path.iterdir())
+    def test_recurse_failed_period_check_writes_nothing(self):
+        run = _cli(["recurse", "--alpha", "1", "--t-max", "5", "--detect-period",
+                    "--out", "{out}"])
+        _assert_failed(run, 1, named="too short for period 3")
+        assert run.stdout == ""
+
+    def test_negative_value_after_a_space_is_read(self):
+        # argparse alone reads "-1e-300" as a flag, and "--log-f" misses its value
+        run = _cli(["simulate", "--model", "fmm", "--log-f", "-1e-300", "--t-max", "2",
+                    "--seed", "1", "--out", "{out}"])
+        assert run.code == 0 and run.err == [] and "out" in run.files
 
     @pytest.mark.parametrize("window", [
         ["--slope-lo", "30", "--slope-hi", "10"],
@@ -524,41 +522,38 @@ class TestEntryPoint:
         ["--t-max", "0"],
     ], ids=["reversed", "hi_past_t_max", "negative_lo", "zero_lo", "empty", "config_key",
             "default_at_t_max_1", "default_at_t_max_0"])
-    def test_bad_slope_window_is_a_usage_error(self, tmp_path, monkeypatch, capsys, window):
+    def test_bad_slope_window_is_a_usage_error(self, tmp_path, monkeypatch, window):
         def refuse(cfg):
             raise AssertionError("a replica ran before the window was checked")
 
         monkeypatch.setattr("branchlab.simulate.run", refuse)
-        out = tmp_path / "s.csv"
         argv = ["simulate", "--model", "fmm", "--log-f", "2", "--t-max", "40",
-                "--seed", "1", "--out", str(out)]
+                "--seed", "1", "--out", "{out}"]
         if isinstance(window, dict):
             config = tmp_path / "config.json"
             config.write_text(json.dumps(window))
             argv += ["--config", str(config)]
         else:
             argv += window
-        assert main(argv) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("usage error:")
-        assert "slope window" in lines[0]
-        assert not out.exists() and not list(tmp_path.glob("s.csv*"))
+        run = _cli(argv)
+        _assert_failed(run, 2, named="slope window")
+        assert len(run.err) == 1
 
-    def test_given_slope_window_inside_horizon_is_used(self, tmp_path):
-        out = tmp_path / "s.csv"
-        assert main(["simulate", "--model", "fmm", "--log-f", "50", "--t-max", "40",
-                     "--seed", "1", "--slope-lo", "1", "--slope-hi", "40",
-                     "--out", str(out)]) == 0
-        doc = json.loads((tmp_path / "s.csv.summary.json").read_text())
+    def test_given_slope_window_inside_horizon_is_used(self):
+        run = _cli(["simulate", "--model", "fmm", "--log-f", "50", "--t-max", "40",
+                    "--seed", "1", "--slope-lo", "1", "--slope-hi", "40", "--out", "{out}"])
+        assert run.code == 0
+        doc = json.loads(run.files["out.summary.json"])
         assert doc["slope_window"] == [1, 40]
         assert doc["loglog_slopes"]
 
 
-# The whole CLI over generated argv.  Numbers come from boundary-heavy pools:
-# 0, the smallest subnormal, 1e-300, 1, the alpha bound 1e9 and its
-# successor, 1e300, non-finite values, negatives and text the parser
-# rejects.  Sizes stay small (t-max <= 100, replicas <= 2, points <= 5).
-# Each pool starts with a typical valid value, which hypothesis draws most.
+# The whole CLI over generated argv, --config documents and BRANCHLAB_SEED
+# values.  Numbers come from boundary-heavy pools: 0, the smallest subnormal,
+# 1e-300, 1, the alpha bound 1e9 and its successor, 1e300, non-finite values,
+# negatives and text the parser rejects.  Sizes stay small (t-max <= 100,
+# replicas <= 2, points <= 5).  Each pool starts with a typical valid value,
+# which hypothesis draws most.
 _NUMBERS = ("0.5", "1", "0", "5e-324", "-5e-324", "1e-300", "1e9",
             repr(math.nextafter(1e9, math.inf)), "1e300", "inf", "-inf", "nan", "-1", "x")
 _SEEDS = ("linear", "half", "ctex:phis=1.3333333333333333,1.5,1.5", "ctex:phis=nan",
@@ -585,43 +580,75 @@ _POOLS = {
     ("floats", "phis"): ("1.3333333333333333,1.5,1.5", "2", "nan", "1e300", "0", "-1",
                          "5e-324", "inf,2", "", "x"),
 }
+_ENV_SEEDS = (None, "7", "-1", "x", "1e3", str(2**64))  # None leaves BRANCHLAB_SEED unset
+# config values beyond the pools, each with the field kinds that must refuse
+# it: a JSON boolean is no number, and an int takes no non-finite number
+_NUMERIC, _INTEGRAL = {"float", "int", "floats", "ints"}, {"int", "ints"}
+_JSON_EXTRAS = {"true": _NUMERIC, "false": _NUMERIC, "[true]": _NUMERIC,
+                "1e400": _INTEGRAL, "NaN": _INTEGRAL, "[1e400]": _INTEGRAL}
+_JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 # the columns the README documents as non-finite: recurse's nu_hat, simulate's
 # log_W, and log_X in the last row of an extinct replica (no class left)
 _NON_FINITE_OK = {"nu_hat", "log_W"}
 
 
+def _json_scalar(text):
+    """A pool value as a JSON number where it spells one, else as a JSON string."""
+    return text if _JSON_NUMBER.fullmatch(text) else json.dumps(text)
+
+
 @st.composite
-def _cli_argv(draw):
-    """(command, argv) with ``{out}`` standing for the output path."""
+def _config_value(draw, kind, pool):
+    """The JSON text of one config value: a pool value in the field's own
+    JSON form (a number, a string or a list), as a JSON string or as a list
+    of its comma-separated items; or one of _JSON_EXTRAS."""
+    if kind == "bool" or draw(st.integers(0, 3)) == 3:
+        return draw(st.sampled_from(("true", "false", *_JSON_EXTRAS)))
+    value = draw(st.sampled_from(pool))
+    items = "[" + ", ".join(_json_scalar(v) for v in value.split(",") if v) + "]"
+    own = items if kind in ("floats", "ints") else _json_scalar(value)
+    return draw(st.sampled_from((own, json.dumps(value), items)))
+
+
+@st.composite
+def _cli_case(draw):
+    """(argv, config, BRANCHLAB_SEED): ``{out}`` in argv stands for the output
+    path, and config is None or the (key, JSON text) pairs of a document."""
     command = draw(st.sampled_from(sorted(_SCHEMAS)))
     argv = [command]
+    config = [] if draw(st.booleans()) else None
     t_max = None
     for f in _SCHEMAS[command]:
         if f.name == "out":
             argv += ["--out", "{out}"]
-            continue
-        # a required flag is left out one time in ten and an optional one
-        # drawn three in ten, so that some argv also pass the parser; alpha
-        # counts as required, since nu and the recursion source need it
-        usual = f.required or f.name == "alpha"
-        if f.name != "jobs" and draw(st.integers(0, 9)) >= (9 if usual else 3):
-            continue
-        flag = "--from" if f.name == "source" else "--" + f.name.replace("_", "-")
-        if f.kind == "bool":
-            argv.append(flag if draw(st.booleans()) else "--no-" + flag[2:])
             continue
         if command == "verify-lemmas" and f.name == "replicas":
             pool = ("100", "99", "0", "-1")
         else:
             pool = _POOLS.get((f.kind, f.name), _NUMBERS)
         if f.name == "mmm_bins_per_decade" and t_max is not None and t_max <= 20:
-            # a 100-generation paretolog run at 1000 bins per decade takes 45 s
+            # a 100-generation paretolog run at 1000 bins per decade takes 45 s;
+            # the t-max flag overrides a config value
             pool += ("1000",)
+        if config is not None and draw(st.integers(0, 9)) >= 6:
+            config.append((f.name, draw(_config_value(f.kind, pool))))
+        # a required flag is left out one time in ten and an optional one
+        # drawn three in ten, so that some argv also pass the parser; alpha
+        # counts as required, since nu and the recursion source need it
+        usual = f.required or f.name == "alpha"
+        if f.name != "jobs" and draw(st.integers(0, 9)) >= (9 if usual else 3):
+            continue
+        flag = _option(f)
+        if f.kind == "bool":
+            argv.append(flag if draw(st.booleans()) else "--no-" + flag[2:])
+            continue
         value = draw(st.sampled_from(pool))
         if f.name == "t_max":
             t_max = int(value)
-        argv.append(f"{flag}={value}")  # "--log-f -inf" would read -inf as a flag
-    return command, argv
+        argv += draw(st.sampled_from(([flag, value], [f"{flag}={value}"])))
+    if config is not None and draw(st.integers(0, 9)) == 0:
+        config.append(("zeta", "1"))  # last, so a refused value is reported first
+    return argv, config, draw(st.sampled_from(_ENV_SEEDS))
 
 
 def _strict_json(text):
@@ -630,65 +657,78 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def _check_csv(path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+def _check_csv(name, text):
+    rows = list(csv.reader(io.StringIO(text)))
     header = rows[0]
     for row in rows[1:]:
         assert len(row) == len(header)
         cells = dict(zip(header, row))
-        for name, cell in cells.items():
+        for column, cell in cells.items():
             try:
                 value = float(cell)
             except ValueError:
                 continue  # text, such as the mode column
-            extinct_row = name == "log_X" and cells.get("n_classes") == "0"
-            assert math.isfinite(value) or name in _NON_FINITE_OK or extinct_row, \
-                f"{name}={cell} in {os.path.basename(path)}"
+            extinct_row = column == "log_X" and cells.get("n_classes") == "0"
+            assert math.isfinite(value) or column in _NON_FINITE_OK or extinct_row, \
+                f"{column}={cell} in {name}"
 
 
 @settings(max_examples=300, deadline=None)
-@given(_cli_argv())
+@given(_cli_case())
 # these used to end in a raw OverflowError (P = alpha * expm1 of a log-ratio
 # past 709.78), and in a NaN R cell with a leaked numpy warning (log X_t = 0)
-@example(("freq", ["freq", "--from", "recursion", "--alpha", "5e-324", "--t", "1",
-                   "--out", "{out}"]))
-@example(("collapse", ["collapse", "--alpha", "5e-324", "--t-pairs", "2:3",
-                       "--out", "{out}"]))
-@example(("freq", ["freq", "--from", "run", "--log-f", "-1", "--t", "1", "--seed", "1",
-                   "--model", "fmm", "--t-max", "2", "--out", "{out}"]))
-@example(("freq", ["freq", "--from", "run", "--log-f", "-1", "--t", "1", "--seed", "1",
-                   "--model", "mmm", "--t-max", "2", "--out", "{out}"]))
+@example((["freq", "--from", "recursion", "--alpha", "5e-324", "--t", "1", "--out", "{out}"],
+          None, None))
+@example((["collapse", "--alpha", "5e-324", "--t-pairs", "2:3", "--out", "{out}"], None, None))
+@example((["freq", "--from", "run", "--log-f", "-1", "--t", "1", "--seed", "1",
+           "--model", "fmm", "--t-max", "2", "--out", "{out}"], None, None))
+@example((["freq", "--from", "run", "--log-f", "-1", "--t", "1", "--seed", "1",
+           "--model", "mmm", "--t-max", "2", "--out", "{out}"], None, None))
 # an infinite sweep end: numpy's grid warning leaked before the typed error
-@example(("nu", ["nu", "--alpha-min", "5e-324", "--alpha-max", "inf", "--points", "2",
-                 "--out", "{out}"]))
+@example((["nu", "--alpha-min", "5e-324", "--alpha-max", "inf", "--points", "2",
+           "--out", "{out}"], None, None))
 # the cycle multiplier 1/alpha passes float64: numpy's overflow warning leaked
-@example(("recurse", ["recurse", "--alpha", "5e-324", "--detect-period", "--out", "{out}"]))
+@example((["recurse", "--alpha", "5e-324", "--detect-period", "--out", "{out}"], None, None))
+# a value after a space that argparse alone read as a flag
+@example((["simulate", "--model", "fmm", "--log-f", "-1e-300", "--t-max", "2", "--seed", "1",
+           "--out", "{out}"], None, None))
+@example((["simulate", "--model", "fmm", "--log-f", "-inf", "--t-max", "2", "--seed", "1",
+           "--out", "{out}"], None, None))
+# an int field given 1e400 (a raw OverflowError) or a boolean (run as 1)
+@example((["recurse", "--alpha", "1", "--out", "{out}"], [("t_max", "1e400")], None))
+@example((["recurse", "--alpha", "1", "--out", "{out}"], [("t_max", "true")], None))
+@example((["seed-ctex", "--alpha", "1", "--out", "{out}"], [("phis", "[true]")], None))
+# JSON lists for list fields, and a BRANCHLAB_SEED that is no integer
+@example((["seed-ctex", "--alpha", "1", "--out", "{out}"],
+          [("phis", "[1.3333333333333333, 1.5, 1.5]")], None))
+@example((["freq", "--alpha", "1", "--out", "{out}"], [("t", "[3, 5]")], None))
+@example((["simulate", "--model", "fmm", "--log-f", "1", "--out", "{out}"], None, "1e3"))
 def test_cli_over_generated_argv(case):
-    command, argv = case
-    # a directory per example: pytest's tmp_path is made once per test
+    argv, config, env_seed = case
+    kinds = {f.name: f.kind for f in _SCHEMAS[argv[0]]}
+    refused = False
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([out if a == "{out}" else a for a in argv])
-        files = sorted(os.listdir(tmp))
-        lines = stderr.getvalue().splitlines()
-        if code == 0:
-            assert not lines
-            for name in files:
-                path = os.path.join(tmp, name)
-                if name.endswith(".json") or command == "seed-ctex":  # seed-ctex writes JSON
-                    with open(path, encoding="utf-8") as fh:
-                        _strict_json(fh.read())
-                else:
-                    _check_csv(path)
-        elif command == "verify-lemmas" and code == 1 and not lines:
-            assert "FAIL" in stdout.getvalue()  # a failed check, not an error
-        else:
-            assert code in (1, 2)
-            assert [ln for ln in lines if ln.startswith(("error:", "usage error:"))] == lines[-1:]
-            assert lines[-1].startswith("error:" if code == 1 else "usage error:")
-            # only a usage error may print the parser's usage before its line
-            assert code == 2 or len(lines) == 1
-            assert not files
+        if config is not None:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("{" + ", ".join(f'"{key}": {text}' for key, text in config) + "}")
+            argv = [*argv, "--config", path]
+            refused = any(kinds.get(key) is None or kinds[key] in _JSON_EXTRAS.get(text, ())
+                          for key, text in config)
+        run = _cli(argv, env={"BRANCHLAB_SEED": env_seed})
+    # every drawn flag has its value, so the parser never misses one
+    assert not any("expected one argument" in line for line in run.err), run.err
+    if refused:
+        _assert_failed(run, 2, named="config")
+    elif run.code == 0:
+        assert not run.err
+        for name, text in run.files.items():
+            if name.endswith(".json") or argv[0] == "seed-ctex":  # seed-ctex writes JSON
+                _strict_json(text)
+            else:
+                _check_csv(name, text)
+    elif argv[0] == "verify-lemmas" and run.code == 1 and not run.err:
+        assert "FAIL" in run.stdout  # a failed check, not an error
+    else:
+        assert run.code in (1, 2)
+        _assert_failed(run, run.code)

@@ -9,7 +9,7 @@ import math
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchlab.growth import ALPHA_MAX, alpha_critical, period_T
@@ -60,6 +60,16 @@ def test_matches_exact_oracle_next_to_bracket_ends(T, steps):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_log_uniform(1e-6, ALPHA_MAX), _log_uniform(1e6, ALPHA_MAX),
                  st.just(ALPHA_MAX), st.floats(ALPHA_MAX - 1e3, ALPHA_MAX)))
+# next to k/e, where the search starts at k or k - 1, and at ALPHA_MAX:
+# period_T only steps up from floor(e*alpha); the oracle also steps down
+@example(math.nextafter(2 / math.e, 0.0))
+@example(2 / math.e)
+@example(math.nextafter(2 / math.e, math.inf))
+@example(math.nextafter(1000 / math.e, 0.0))
+@example(math.nextafter(1000 / math.e, math.inf))
+@example(math.nextafter(2718281828 / math.e, 0.0))
+@example(2718281828 / math.e)
+@example(ALPHA_MAX)
 def test_bracket_holds_up_to_large_alpha(alpha):
     T = period_T(alpha)
     assert T == _exact_T(alpha)
