@@ -13,18 +13,18 @@ Identical argv + config + seed give byte-identical outputs.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, growth, recursion, simulate
-from .errors import BranchlabError, HorizonOverflow, UsageError
+from .errors import BranchlabError, DomainError, HorizonOverflow, UsageError
 from .tails import parse_tail_model
 
 _ENV_SEED = "BRANCHLAB_SEED"
@@ -56,23 +56,25 @@ def _default_seed() -> int:
         raise UsageError(f"{_ENV_SEED} must be an integer, got {raw!r}") from exc
 
 
-def _positive(name):
-    return lambda v: v > 0 or f"--{name} must be positive"
+# Range checks return True or the end of their message; ``parse_args`` puts
+# the field's flag in front.
+def _positive(v):
+    return v > 0 or "must be positive"
 
 
-def _at_least(name, bound):
-    return lambda v: v >= bound or f"--{name} must be >= {bound}"
+def _in_open_unit(v):
+    return 0.0 < v < 1.0 or "must be in (0, 1)"
 
 
-def _in_open_unit(name):
-    return lambda v: 0.0 < v < 1.0 or f"--{name} must be in (0, 1)"
+def _at_least(bound):
+    return lambda v: v >= bound or f"must be >= {bound}"
 
 
-def _one_of(name, choices):
-    return lambda v: v in choices or f"--{name} must be one of {sorted(choices)}"
+def _one_of(choices):
+    return lambda v: v in choices or f"must be one of {sorted(choices)}"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class _Field:
     name: str
     kind: str  # float | int | str | bool | floats | ints
@@ -86,83 +88,88 @@ _SEED_HELP = "seed string: linear | half | ctex:phis=A,B,... | file:PATH"
 
 _SCHEMAS: dict[str, list[_Field]] = {
     "nu": [
-        _Field("alpha", "float", check=_positive("alpha"), help="single tail index"),
-        _Field("alpha_min", "float", check=_positive("alpha-min"), help="sweep start"),
-        _Field("alpha_max", "float", check=_positive("alpha-max"), help="sweep end"),
-        _Field("points", "int", check=_at_least("points", 1), help="sweep size"),
+        _Field("alpha", "float", check=_positive, help="single tail index"),
+        _Field("alpha_min", "float", check=_positive, help="sweep start"),
+        _Field("alpha_max", "float", check=_positive, help="sweep end"),
+        _Field("points", "int", check=_at_least(1), help="sweep size"),
         _Field("log_grid", "bool", default=False, help="geometric sweep grid"),
         _Field("out", "str", help="CSV path (default stdout); columns alpha,T,nu,nu_approx,rel_err"),
     ],
     "recurse": [
-        _Field("alpha", "float", required=True, check=_positive("alpha")),
+        _Field("alpha", "float", required=True, check=_positive),
         _Field("seed", "str", default="linear", help=_SEED_HELP),
-        _Field("t_max", "int", default=400, check=_at_least("t-max", 1)),
+        _Field("t_max", "int", default=400, check=_at_least(1),
+               help=f"horizon (at most {recursion.MAX_T_MAX:g})"),
         _Field("detect_period", "bool", default=False,
                help="also write {t1, cycle, phi, constraints_ok} JSON"),
-        _Field("tol", "float", default=1e-9, check=_positive("tol")),
+        _Field("tol", "float", default=1e-9, check=_positive),
         _Field("out", "str", help="CSV path; columns t,log_chi,I_t,log_c_t,nu_hat"),
     ],
     "seed-ctex": [
-        _Field("alpha", "float", required=True, check=_positive("alpha")),
+        _Field("alpha", "float", required=True, check=_positive),
         _Field("phis", "floats", required=True, help="comma-separated cycle multipliers"),
-        _Field("t_max", "int", default=200, check=_at_least("t-max", 1)),
+        _Field("t_max", "int", default=200, check=_at_least(1),
+               help=f"horizon of the identity check (at most {recursion.MAX_T_MAX:g})"),
         _Field("out", "str", help="JSON result path (default stdout)"),
     ],
     "simulate": [
-        _Field("model", "str", required=True, check=_one_of("model", {"fmm", "mmm"})),
+        _Field("model", "str", required=True, check=_one_of({"fmm", "mmm"})),
         _Field("tail", "str", default="pareto:alpha=1"),
-        _Field("beta", "float", default=0.1, check=_in_open_unit("beta")),
+        _Field("beta", "float", default=0.1, check=_in_open_unit),
         _Field("log_f", "float", required=True),
-        _Field("t_max", "int", default=40, check=_at_least("t-max", 0)),
+        _Field("t_max", "int", default=40, check=_at_least(0)),
         _Field("seed", "int"),
-        _Field("replicas", "int", default=1, check=_at_least("replicas", 1)),
-        _Field("jobs", "int", default=1, check=_at_least("jobs", 1)),
-        _Field("exact_event_cap", "float", default=1e7, check=_positive("exact-event-cap"),
-               help="expected events per generation before logdet mode (at most 1e18; mmm 1e8)"),
-        _Field("mmm_bins_per_decade", "int", default=8,
-               check=_at_least("mmm-bins-per-decade", 1),
-               help="mmm spectrum bins per decade of log-fitness (at most 1000)"),
-        _Field("mmm_poisson_threshold", "float", default=1e4,
-               check=_positive("mmm-poisson-threshold"),
+        _Field("replicas", "int", default=1, check=_at_least(1),
+               help=f"independent runs; at most {simulate.MAX_ROWS:g} rows of "
+                    "replicas x (t-max + 1)"),
+        _Field("jobs", "int", default=1, check=_at_least(1)),
+        _Field("exact_event_cap", "float", check=_positive,
+               help="expected events per generation before logdet mode (at most "
+                    f"{simulate.MAX_EXACT_EVENT_CAP:g}; mmm {simulate.MMM_MAX_EXACT_EVENT_CAP:g})"),
+        _Field("mmm_bins_per_decade", "int", check=_at_least(1),
+               help="mmm spectrum bins per decade of log-fitness "
+                    f"(at most {simulate.MMM_MAX_BINS_PER_DECADE})"),
+        _Field("mmm_poisson_threshold", "float", check=_positive,
                help="bin mean above which mmm spectrum bins enter deterministically "
-                    "(at most 1e18)"),
-        _Field("restart_on_extinction", "bool", default=True),
+                    f"(at most {simulate.MMM_MAX_POISSON_THRESHOLD:g})"),
+        _Field("restart_on_extinction", "bool"),
         _Field("slope_lo", "int", help="log-log slope window start (default 5/8 of t-max)"),
         _Field("slope_hi", "int", help="log-log slope window end (default t-max)"),
         _Field("out", "str",
                help="CSV path; columns replica,t,log_X,log_W,n_classes,mode,dominant_age"),
     ],
     "freq": [
-        _Field("source", "str", default="recursion",
-               check=_one_of("from", {"recursion", "run"})),
-        _Field("alpha", "float", check=_positive("alpha"), help="recursion source"),
+        _Field("source", "str", default="recursion", check=_one_of({"recursion", "run"})),
+        _Field("alpha", "float", check=_positive, help="recursion source"),
         _Field("t", "ints", required=True, help="comma-separated generations"),
-        _Field("t_max", "int", help="recursion horizon (default max t + 2)"),
+        _Field("t_max", "int",
+               help=f"horizon (default max t + 2; at most {recursion.MAX_T_MAX:g}); a run's "
+                    f"default is max t + 1, and t-max + 1 at most {simulate.MAX_ROWS:g}"),
         _Field("seed_sequence", "str", default="linear", help=_SEED_HELP),
-        _Field("model", "str", default="fmm", check=_one_of("model", {"fmm", "mmm"})),
+        _Field("model", "str", default="fmm", check=_one_of({"fmm", "mmm"})),
         _Field("tail", "str", default="pareto:alpha=1"),
-        _Field("beta", "float", default=0.1, check=_in_open_unit("beta")),
+        _Field("beta", "float", default=0.1, check=_in_open_unit),
         _Field("log_f", "float", default=50.0),
         _Field("seed", "int"),
         _Field("out", "str", help="CSV path; columns t,J,R (P table goes to <out>.p.csv)"),
     ],
     "collapse": [
-        _Field("alpha", "float", required=True, check=_positive("alpha")),
+        _Field("alpha", "float", required=True, check=_positive),
         _Field("seed_sequence", "str", default="linear", help=_SEED_HELP),
         _Field("t_pairs", "str", required=True, help="pairs like 300:303,300:301"),
-        _Field("t_max", "int", help="recursion horizon (default max t + 2)"),
+        _Field("t_max", "int",
+               help=f"recursion horizon (default max t + 2; at most {recursion.MAX_T_MAX:g})"),
         _Field("out", "str", help="CSV path; columns t_a,t_b,distance"),
     ],
     "verify-lemmas": [
-        _Field("replicas", "int", default=10000, check=_at_least("replicas", 100)),
+        _Field("replicas", "int", default=10000, check=_at_least(100)),
         # NumPy seeds a generator only from non-negative integers
-        _Field("seed", "int",
-               check=lambda v: v >= 0 or f"--seed (or {_ENV_SEED}) must be >= 0"),
+        _Field("seed", "int", check=lambda v: v >= 0 or f"(or {_ENV_SEED}) must be >= 0"),
     ],
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Config:
     """Validated parameters for one subcommand."""
 
@@ -170,13 +177,9 @@ class Config:
     params: dict
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
 def _option(field: _Field) -> str:
     """The field's flag on the command line; ``source`` is given as ``--from``."""
-    return "--from" if field.name == "source" else _flag(field.name)
+    return "--from" if field.name == "source" else "--" + field.name.replace("_", "-")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,7 +229,6 @@ def _number(kind: str, value):
 
 
 def _convert(field: _Field, value, origin: str):
-    flag = _flag(field.name)
     try:
         if field.kind in ("float", "int"):
             return _number(field.kind, value)
@@ -242,9 +244,11 @@ def _convert(field: _Field, value, origin: str):
             else:
                 raise ValueError
             return [_number(field.kind[:-1], v) for v in items]
-        return str(value)
+        if isinstance(value, str):
+            return value
+        raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"bad value for {flag} ({origin}): {value!r}") from None
+        raise UsageError(f"bad value for {_option(field)} ({origin}): {value!r}") from None
 
 
 def _is_float(text: str) -> bool:
@@ -317,12 +321,12 @@ def parse_args(argv) -> Config:
         value = params[f.name]
         if value is None:
             if f.required:
-                raise UsageError(f"missing required option {_flag(f.name)}")
+                raise UsageError(f"missing required option {_option(f)}")
             continue
         if f.check is not None:
             verdict = f.check(value)
             if verdict is not True:
-                raise UsageError(str(verdict))
+                raise UsageError(f"{_option(f)} {verdict}")
     return Config(command=ns.command, params=params)
 
 
@@ -477,19 +481,13 @@ def _cmd_seed_ctex(p) -> int:
     return 0
 
 
-def _sim_config(p, seed: int) -> simulate.SimConfig:
-    return simulate.SimConfig(
-        model=p["model"],
-        tail=parse_tail_model(p["tail"]),
-        beta=p["beta"],
-        log_f=p["log_f"],
-        t_max=p["t_max"],
-        seed=seed,
-        exact_event_cap=p["exact_event_cap"],
-        mmm_bins_per_decade=p["mmm_bins_per_decade"],
-        mmm_poisson_threshold=p["mmm_poisson_threshold"],
-        restart_on_extinction=p["restart_on_extinction"],
-    )
+def _sim_config(p, t_max: int, seed: int) -> simulate.SimConfig:
+    """The run config of ``simulate`` and ``freq --from run``: each SimConfig
+    field the command has and the user set, SimConfig's defaults for the rest."""
+    given = {f.name: p[f.name] for f in dataclasses.fields(simulate.SimConfig)
+             if p.get(f.name) is not None}
+    return simulate.SimConfig(**{**given, "tail": parse_tail_model(p["tail"]),
+                                 "t_max": t_max, "seed": seed})
 
 
 def _slope_window(p) -> tuple[int, int]:
@@ -505,8 +503,12 @@ def _slope_window(p) -> tuple[int, int]:
 
 def _cmd_simulate(p) -> int:
     lo, hi = _slope_window(p)
+    rows = p["replicas"] * (p["t_max"] + 1)
+    if rows > simulate.MAX_ROWS:
+        raise DomainError(f"replicas x (t_max + 1) = {rows} rows; at most "
+                          f"{simulate.MAX_ROWS:g} are stored")
     configs = [
-        _sim_config(p, replica_seed(p["seed"], k)) for k in range(p["replicas"])
+        _sim_config(p, p["t_max"], replica_seed(p["seed"], k)) for k in range(p["replicas"])
     ]
     if p["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
@@ -563,11 +565,7 @@ def _cmd_freq(p) -> int:
         snaps = [analysis.freq_from_chi(series, t) for t in ts]
     else:
         t_max = p["t_max"] if p["t_max"] is not None else ts[-1] + 1
-        cfg = simulate.SimConfig(
-            model=p["model"], tail=parse_tail_model(p["tail"]), beta=p["beta"],
-            log_f=p["log_f"], t_max=t_max, seed=p["seed"],
-        )
-        record = simulate.run(cfg)
+        record = simulate.run(_sim_config(p, t_max, p["seed"]))
         snaps = [analysis.freq_from_run(record, t) for t in ts]
     _write_csv(p["out"], ["t", "J", "R"],
                ([np.full(s.J.size, s.t), s.J, s.R] for s in snaps))

@@ -30,6 +30,12 @@ LOG_SEED_FLOOR = math.log(1e-300)
 
 _TIE_RTOL = 1e-12
 
+# Horizon bound of solve_chi, the one solve behind recurse, seed-ctex, freq
+# --from recursion and collapse.  A solve holds about 176 bytes and takes
+# about 5 us per step (recurse --alpha 1 peaked at 66 MB at t_max 2e5 and
+# 172 MB at 8e5), so this bound stays near 1.8 GB and a minute.
+MAX_T_MAX = 10_000_000
+
 # _solve_pass scans windows of fewer columns than this on Python floats.
 _SCALAR_WINDOW = 32
 
@@ -185,11 +191,12 @@ def _solve_pass(alpha, la, t_max):
 
 
 def solve_chi(alpha: float, seed: SeedSequence, t_max: int) -> ChiSeries:
-    """Solve the recursion exactly in log domain up to t_max."""
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
+    """Solve the recursion exactly in log domain up to t_max (alpha is
+    checked by ``growth_law``, before anything is allocated)."""
     if t_max < 1:
         raise DomainError("t_max must be >= 1")
+    if t_max > MAX_T_MAX:
+        raise DomainError(f"t_max must be <= {MAX_T_MAX:g}, got {t_max}")
     law = growth_law(alpha)
     L, I, _ = _solve_pass(alpha, seed.log_a_array(t_max), t_max)
     log_c = L - law.nu * np.arange(t_max + 1, dtype=float)

@@ -97,6 +97,12 @@ MMM_MAX_POISSON_THRESHOLD = 1e18
 # about 309 * bpd bins.  This bound keeps that (and each doubling of the
 # table) within memory.
 MMM_MAX_BINS_PER_DECADE = 1000
+# Stored output rows: t_max + 1 for one run, replicas x (t_max + 1) for the
+# CLI's ``simulate``.  A stored row costs about 41 bytes, and a running
+# replica holds about 350 bytes per generation until its record is built, so
+# at this bound one replica peaks near 1.8 GB and the stored rows take about
+# 205 MB (fmm, pareto tails; peak RSS between two horizons).
+MAX_ROWS = 5_000_000
 
 # logdet classes decayed below this count are dropped; a decaying class
 # (fitness below 1/(1-beta)) can never grow back.
@@ -139,6 +145,9 @@ class SimConfig:
             raise DomainError("log_f must be finite")
         if self.t_max < 0:
             raise DomainError("t_max must be >= 0")
+        if self.t_max + 1 > MAX_ROWS:
+            raise DomainError(f"t_max + 1 must be <= {MAX_ROWS:g} stored rows, "
+                              f"got t_max {self.t_max}")
         if self.exact_event_cap <= 0 or self.mmm_poisson_threshold <= 0:
             raise DomainError("caps must be positive")
         cap_max = MMM_MAX_EXACT_EVENT_CAP if self.model == "mmm" else MAX_EXACT_EVENT_CAP
@@ -168,12 +177,13 @@ class PopulationState:
     ``log_fit``, ``count`` or ``birth`` always gives arrays, float64, int64
     (or float64 log-counts in logdet mode) and int64, built from tuples on
     the first read and kept, with the bytes ``_rebuild`` gives for the same
-    classes.  ``n_classes``, ``dominant_age`` and the small branch of
-    ``step_exact`` read the tuples (``cols``) directly and build no array;
-    ``cols`` is None for array-built states.
+    classes.  ``dominant_age`` and the small branch of ``step_exact`` read
+    the tuples (``cols``) directly and build no array; ``cols`` is None for
+    array-built states.  ``n_classes`` is set once, from either form.
     """
 
-    __slots__ = ("t", "mode", "log_X", "log_fitsum", "cols", "_log_fit", "_count", "_birth")
+    __slots__ = ("t", "mode", "log_X", "log_fitsum", "n_classes", "cols",
+                 "_log_fit", "_count", "_birth")
 
     def __init__(self, t: int, log_fit, count, birth, mode: str,
                  log_X: float = -np.inf, log_fitsum: float = -np.inf):
@@ -181,6 +191,7 @@ class PopulationState:
         self.mode = mode
         self.log_X = log_X
         self.log_fitsum = log_fitsum
+        self.n_classes = len(log_fit)
         if type(log_fit) is tuple:
             self.cols = (log_fit, count, birth)
             self._log_fit = self._count = self._birth = None
@@ -205,10 +216,6 @@ class PopulationState:
         if self._birth is None:
             self._birth = np.array(self.cols[2], dtype=np.int64)
         return self._birth
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.cols[0]) if self.cols is not None else int(self._log_fit.size)
 
     @property
     def extinct(self) -> bool:

@@ -454,6 +454,36 @@ class TestEntryPoint:
     def test_out_of_range_input_is_a_typed_error(self, argv, named):
         _assert_failed(_cli([*argv, "--out", "{out}"]), 1, named=named)
 
+    # each solve past recursion.MAX_T_MAX is refused before its first allocation
+    @pytest.mark.parametrize("argv", [
+        ["recurse", "--alpha", "1", "--t-max", "10000000000"],
+        ["seed-ctex", "--alpha", "1", "--phis", "1.3333333333333333,1.5,1.5",
+         "--t-max", "10000000000"],
+        ["freq", "--alpha", "1", "--t", "10000000000"],
+        ["collapse", "--alpha", "1", "--t-pairs", "2:10000000000"],
+    ], ids=["recurse", "seed_ctex", "freq", "collapse"])
+    def test_recursion_horizon_past_the_bound_is_a_typed_error(self, monkeypatch, argv):
+        def refuse(self, t_max):
+            raise AssertionError(f"log_a_array({t_max}) ran")
+
+        monkeypatch.setattr("branchlab.recursion.SeedSequence.log_a_array", refuse)
+        _assert_failed(_cli([*argv, "--out", "{out}"]), 1, named="t_max")
+
+    # stored rows past simulate.MAX_ROWS are refused before any replica runs;
+    # 10**4 replicas at t-max 10**6 is a list of configs small enough to build
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "fmm", "--log-f", "1", "--replicas", "10000",
+         "--t-max", "1000000"],
+        ["simulate", "--model", "fmm", "--log-f", "1", "--t-max", "10000000000"],
+        ["freq", "--from", "run", "--t", "10000000000"],
+    ], ids=["replicas", "t_max", "freq_run"])
+    def test_stored_rows_past_the_bound_are_a_typed_error(self, monkeypatch, argv):
+        def refuse(cfg):
+            raise AssertionError("a replica ran")
+
+        monkeypatch.setattr("branchlab.simulate.run", refuse)
+        _assert_failed(_cli([*argv, "--seed", "1", "--out", "{out}"]), 1, named="rows")
+
     def test_closed_stdout_is_one_error_line(self):
         # 40,000 rows are far more than a pipe holds, so the writer is still
         # writing when the reader goes away
@@ -703,6 +733,12 @@ def _check_csv(name, text):
           [("phis", "[1.3333333333333333, 1.5, 1.5]")], None))
 @example((["freq", "--alpha", "1", "--out", "{out}"], [("t", "[3, 5]")], None))
 @example((["simulate", "--model", "fmm", "--log-f", "1", "--out", "{out}"], None, "1e3"))
+# a text field given a JSON non-string: its str() was used (an output file
+# named True, a tail family '3', a seed string '5')
+@example((["nu", "--alpha", "1", "--out", "{out}"], [("out", "true")], None))
+@example((["simulate", "--model", "fmm", "--log-f", "1", "--t-max", "2", "--out", "{out}"],
+          [("tail", "3")], None))
+@example((["recurse", "--alpha", "1", "--t-max", "5", "--out", "{out}"], [("seed", "5")], None))
 def test_cli_over_generated_argv(case):
     argv, config, env_seed = case
     kinds = {f.name: f.kind for f in _SCHEMAS[argv[0]]}
@@ -713,7 +749,9 @@ def test_cli_over_generated_argv(case):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("{" + ", ".join(f'"{key}": {text}' for key, text in config) + "}")
             argv = [*argv, "--config", path]
+            # a number field refuses the extras above, a text field any non-string
             refused = any(kinds.get(key) is None or kinds[key] in _JSON_EXTRAS.get(text, ())
+                          or kinds[key] == "str" and not isinstance(json.loads(text), str)
                           for key, text in config)
         run = _cli(argv, env={"BRANCHLAB_SEED": env_seed})
     # every drawn flag has its value, so the parser never misses one

@@ -84,6 +84,17 @@ class TestSolveChi:
         shift = scaled.L[1:] - base.L[1:]
         assert np.max(np.abs(shift - math.log(7.5))) <= 1e-9
 
+    def test_horizon_is_bounded_before_anything_is_allocated(self, monkeypatch):
+        def refuse(self, t_max):
+            raise AssertionError(f"log_a_array({t_max}) ran")
+
+        monkeypatch.setattr(SeedSequence, "log_a_array", refuse)
+        for t_max in (recursion.MAX_T_MAX + 1, 10**10):
+            with pytest.raises(DomainError, match="t_max"):
+                solve_chi(1.0, SeedSequence.linear(), t_max)
+        with pytest.raises(AssertionError, match="ran"):  # the bound itself is allowed
+            solve_chi(1.0, SeedSequence.linear(), recursion.MAX_T_MAX)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             solve_chi(0.0, SeedSequence.linear(), 10)

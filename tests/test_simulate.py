@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from branchlab import simulate
 from branchlab.errors import DomainError, HorizonOverflow, TooManyRestarts
 from branchlab.simulate import (
     MAX_EXACT_EVENT_CAP,
@@ -81,6 +82,13 @@ class TestConfig:
                           math.inf, math.nan):
             with pytest.raises(DomainError, match="mmm_poisson_threshold"):
                 _cfg(model="mmm", mmm_poisson_threshold=threshold)
+
+    def test_stored_rows_are_bounded(self):
+        # a run stores t_max + 1 rows; the config refuses more before any run
+        assert _cfg(t_max=simulate.MAX_ROWS - 1)
+        for t_max in (simulate.MAX_ROWS, 10**10):
+            with pytest.raises(DomainError, match="t_max"):
+                _cfg(t_max=t_max)
 
     @pytest.mark.parametrize("log_f", [math.nan, math.inf, -math.inf])
     def test_non_finite_log_f_rejected(self, log_f):
