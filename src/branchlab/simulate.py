@@ -51,15 +51,22 @@ variables) to the host process.
 
 Generation t of an attempt draws from the ``PCG64`` stream seeded by a
 ``np.random.SeedSequence`` with entropy ``attempt_seed`` and
-``spawn_key=(t,)``.  NumPy hashes the attempt seed into its entropy pool
-once per attempt; ``_generation_rng`` mixes t into that pool by hand and
-computes the stream's state in plain integers, without constructing a
-``SeedSequence`` or a ``PCG64`` per generation, and sets it on one generator
-reused for the whole run; ``tests/test_substream_properties.py`` pins the
-two to the same state and the same draws.
+``spawn_key=(t,)``, without constructing either per generation.  NumPy
+hashes each attempt seed into its entropy pool; ``_substream_states`` mixes t
+into the pools of a block of attempts and computes their streams' states for
+a chunk of generations in one pass of NumPy integer arithmetic.  ``run``
+takes blocks of 1, 2, 4, ... up to 64 attempts and their first 16
+generations, and an attempt that lives longer hashes its own next chunks.
+Each generation ``_generation_rng`` copies its 32 bytes into the C state of
+the one generator the run reuses, where a once-per-process probe finds the
+layout it expects, and goes through the public ``bit_generator.state``
+setter otherwise; ``tests/test_substream_properties.py`` pins both paths to
+``SeedSequence``'s states and draws.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -666,7 +673,6 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_consts(init: int, mult: int, n: int) -> tuple:
@@ -679,70 +685,188 @@ def _hash_consts(init: int, mult: int, n: int) -> tuple:
 
 # Hashmix k xors with _HASH_A[k] and multiplies by _HASH_A[k + 1].  The first
 # 16 constants are the ones NumPy's pool mixing uses (4 entropy words, then 12
-# cross-mixes); each 32-bit word of the spawn key then takes four more.
+# cross-mixes); each 32-bit word of the spawn key then takes four more, one per
+# pool word: [word of t][pool word][1].
 _HASH_A = _hash_consts(_INIT_A, _MULT_A, 24)
-_SPAWN_HASH = _HASH_A[16:]
-# generate_state's output word i xors with _HASH_B[i], multiplies by _HASH_B[i + 1]
+_SPAWN_XOR = np.array(_HASH_A[16:24], dtype=np.uint32).reshape(2, 4, 1)
+_SPAWN_MUL = np.array(_HASH_A[17:25], dtype=np.uint32).reshape(2, 4, 1)
+# generate_state's output word i xors with _HASH_B[i], multiplies by
+# _HASH_B[i + 1]; word i reads pool word i % 4: [i // 4][i % 4][1][1]
 _HASH_B = _hash_consts(_INIT_B, _MULT_B, 8)
+_STATE_XOR = np.array(_HASH_B[:8], dtype=np.uint32).reshape(2, 4, 1, 1)
+_STATE_MUL = np.array(_HASH_B[1:9], dtype=np.uint32).reshape(2, 4, 1, 1)
+_MULT_HI, _MULT_LO = _PCG64_MULT >> 64, _PCG64_MULT & (1 << 64) - 1
+_MULT_LO0, _MULT_LO1 = _MULT_LO & _MASK32, _MULT_LO >> 32
+
+# ``run`` hashes the first min(_FIRST_GENERATIONS, t_max) substream states of
+# its attempts in blocks of 1, 2, 4, ... up to _BLOCK_ATTEMPTS attempts, one
+# ``_substream_states`` call a block; an attempt that outlives them hashes its
+# own next chunk.  A call costs about 55-80 us plus 0.07-0.1 us a state, and
+# each attempt in a block's unused tail a pool (about 3 us).  On the
+# restart-heavy fmm argv of the benchmark (pareto alpha 3, beta 0.9, log_f
+# log 1.2, t_max 40, 40 replicas; 6,685 attempts, 33,907 generations), 2,472
+# attempts outlive 4 generations, 1,192 outlive 8, 326 outlive 16 and 88
+# outlive 24.  Median CPU of whole passes, chunk/block (two program seeds, 6
+# and 8 alternating rounds, shared 2-vCPU VM): 8/64 0.93 and 0.82 s; 16/64
+# 0.79 and 0.65 s; 24/64 0.70 s; 32/64 0.81 and 0.69 s; 40/64 0.81 s; 16/16
+# 0.87 s; 16/32 0.86 and 0.71 s; 16/128 0.86 and 0.76 s.
+_BLOCK_ATTEMPTS = 64
+_FIRST_GENERATIONS = 16
 
 
-def _generation_rng(pool: list, t: int, rng: np.random.Generator) -> np.random.Generator:
-    """``rng`` reset to the substream of generation t of an attempt; returns it.
+def _spawn_mix(pool, word, k):
+    """mix_entropy of spawn-key word k (a (n,) uint32 array) into pool words (4, K, 1 or n)."""
+    h = (word ^ _SPAWN_XOR[k]) * _SPAWN_MUL[k]
+    h ^= h >> 16
+    h *= _MIX_MULT_R
+    mixed = pool * _MIX_MULT_L - h[:, None, :]
+    mixed ^= mixed >> 16
+    return mixed
 
-    The substream is the ``PCG64`` stream seeded by a ``np.random.SeedSequence``
-    with entropy ``attempt_seed`` and ``spawn_key=(t,)``, where ``pool`` is
-    ``np.random.SeedSequence(attempt_seed).pool.tolist()`` (NumPy's hash of the
-    seed, as Python ints) and 1 <= t < 2**64.  The rest is hand-written and
-    constructs neither: the words of t are mixed into a copy of the pool,
-    ``generate_state(4, uint64)`` gives the seed and stream words, and PCG64's
-    ``srandom`` step, state = ((inc + initstate) * M + inc) mod 2**128 with
-    inc = 2 * initseq + 1, gives the state.  Setting ``bit_generator.state``
-    also drops any buffered 32-bit half.  ``tests/test_substream_properties.py``
-    checks state and draws against ``SeedSequence``.
+
+def _substream_states(pools: np.ndarray, t0: int, n: int) -> np.ndarray:
+    """PCG64 states of generations t0 ... t0 + n - 1 of K attempts, shape (K, n, 4) uint64.
+
+    ``pools`` is (K, 4) uint32, row k ``np.random.SeedSequence(seed_k).pool``
+    (NumPy's hash of attempt k's seed), and 1 <= t0 <= t0 + n - 1 < 2**64.
+    Row [k, j] holds the words [state_lo, state_hi, inc_lo, inc_hi] of the
+    ``PCG64`` that ``np.random.SeedSequence(seed_k, spawn_key=(t0 + j,))``
+    seeds, computed without constructing either: each 32-bit word of t (the
+    high one only where it is nonzero, as NumPy coerces the key) is mixed
+    into the pool, ``generate_state(4, uint64)`` gives the seed and stream
+    words, and PCG64's ``srandom`` step (O'Neill 2014), state = ((inc +
+    initstate) * M + inc) mod 2**128 with inc = 2 * initseq + 1, gives the
+    state, here in 64-bit halves.  ``mix_entropy`` hashes a 0 for each pool
+    word past the entropy, so a seed's pool is the zero-padded one a spawn
+    key builds on.  ``tests/test_substream_properties.py`` checks states and
+    draws against ``SeedSequence``.
+    """
+    t = np.arange(n, dtype=np.uint64)
+    t += t0
+    # pool words lead, so each ufunc runs along the K x n states
+    mixed = _spawn_mix(pools.T[:, :, None], (t & _MASK32).astype(np.uint32), 0)
+    if (t0 + n - 1) >> 32:
+        high = (t >> 32).astype(np.uint32)
+        mixed = np.where(high != 0, _spawn_mix(mixed, high, 1), mixed)
+    words = (mixed ^ _STATE_XOR) * _STATE_MUL
+    words ^= words >> 16
+    words = words.astype(np.uint64)
+    # eight 32-bit words, paired little-endian: initstate high, low; initseq high, low
+    (seed_hi, seed_lo), (seq_hi, seq_lo) = words[:, 0::2] | words[:, 1::2] << 32
+    out = np.empty(seed_hi.shape + (4,), dtype=np.uint64)
+    inc_lo, inc_hi = out[..., 2], out[..., 3]
+    np.bitwise_or(seq_lo << 1, 1, out=inc_lo)
+    np.bitwise_or(seq_hi << 1, seq_lo >> 63, out=inc_hi)
+    # x = inc + initstate in (hi, lo) halves
+    lo = inc_lo + seed_lo
+    hi = seed_hi + inc_hi
+    hi += lo < inc_lo
+    # x * M mod 2**128: the high word of lo * _MULT_LO from 32-bit partial products
+    lo0, lo1 = lo & _MASK32, lo >> 32
+    p01, p10 = lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    carry = (lo0 * _MULT_LO0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry >>= 32
+    carry += lo1 * _MULT_LO1
+    carry += p01 >> 32
+    carry += p10 >> 32
+    hi *= _MULT_LO
+    hi += lo * _MULT_HI
+    hi += carry + inc_hi
+    lo *= _MULT_LO
+    # state = x * M + inc
+    state_lo = np.add(lo, inc_lo, out=out[..., 0])
+    np.add(hi, state_lo < inc_lo, out=out[..., 1])
+    return out
+
+
+def _state_views(bit_generator):
+    """Writable views of a PCG64's C state: (32 state bytes, flags word, generator), or None.
+
+    NumPy's ``pcg64_state`` (numpy/random/src/pcg64/pcg64.h), at
+    ``ctypes.state_address``, holds a pointer to the 128-bit state and
+    increment, then ``has_uint32`` and ``uinteger`` in one 64-bit word.  The
+    pointer leads into the ``PCG64`` object itself; None unless both lie
+    inside it, so no write can land outside the generator.  The tuple holds
+    the generator too, which keeps the viewed memory alive.
+    """
+    start = id(bit_generator)
+    end = start + type(bit_generator).__basicsize__
+    address = bit_generator.ctypes.state_address
+    if not start <= address <= end - 16:
+        return None
+    words = ctypes.c_void_p.from_address(address).value
+    if words is None or not start <= words <= end - 32:
+        return None
+    return (memoryview((ctypes.c_ubyte * 32).from_address(words)).cast("B"),
+            ctypes.c_uint64.from_address(address + 8), bit_generator)
+
+
+def _pcg64_state(state: int, inc: int, has_uint32: int = 0, uinteger: int = 0) -> dict:
+    """The public ``bit_generator.state`` of a PCG64."""
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": has_uint32, "uinteger": uinteger}
+
+
+@functools.cache
+def _direct_state_writes() -> bool:
+    """Whether ``_generation_rng`` may write PCG64's C state in place; probed once per process.
+
+    The C layout is a property of the NumPy build: with a native 128-bit
+    integer (GCC and Clang on 64-bit targets) the state and increment are
+    [state_lo, state_hi, inc_lo, inc_hi] in native words, as
+    ``_substream_states`` gives them; with NumPy's emulated one each holds
+    its high word first.  A probe generator gets a known state through the
+    public setter, which its memory must show, and then a direct write, which
+    the public getter must read back, flags cleared.  Otherwise every write
+    takes the public setter.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    sink = _state_views(rng.bit_generator)
+    if sink is None:
+        return False
+    rng.bit_generator.state = _pcg64_state(2 << 64 | 1, 4 << 64 | 3, has_uint32=1, uinteger=5)
+    words, flags, _ = sink
+    if bytes(words) != np.arange(1, 5, dtype=np.uint64).tobytes() or flags.value != 1 | 5 << 32:
+        return False
+    _generation_rng(rng, sink, np.arange(6, 10, dtype=np.uint64).tobytes())
+    return rng.bit_generator.state == _pcg64_state(7 << 64 | 6, 9 << 64 | 8)
+
+
+def _state_sink(rng: np.random.Generator):
+    """How ``_generation_rng`` writes ``rng``: its ``_state_views``, or None for the setter."""
+    return _state_views(rng.bit_generator) if _direct_state_writes() else None
+
+
+def _generation_rng(rng: np.random.Generator, sink, words: bytes) -> np.random.Generator:
+    """``rng`` reset to one generation's substream; returns it.
+
+    ``words`` holds the generation's 32 bytes from ``_substream_states``, and
+    ``sink`` is ``_state_sink(rng)``: the bytes are copied into the PCG64's
+    state and its flags word is zeroed, which drops any buffered 32-bit half.
+    With ``sink`` None the public ``bit_generator.state`` setter takes the
+    same state.
 
     Common-random-numbers discipline: paired runs with the same seed draw
     from identical substreams each generation, so their fittest-mutant
     uniforms coincide even after the streams would otherwise desynchronize.
     """
-    a, b, c, d = pool
-    x0, x1, x2, x3, x4, x5, x6, x7, x8 = _SPAWN_HASH
-    L, R, M = _MIX_MULT_L, _MIX_MULT_R, _MASK32
-    # mix_entropy on the spawn key: each word of t is hashed into each pool word
-    w = t & M
-    h = (w ^ x0) * x1 & M; a = (L * a - R * (h ^ h >> 16)) & M; a ^= a >> 16
-    h = (w ^ x1) * x2 & M; b = (L * b - R * (h ^ h >> 16)) & M; b ^= b >> 16
-    h = (w ^ x2) * x3 & M; c = (L * c - R * (h ^ h >> 16)) & M; c ^= c >> 16
-    h = (w ^ x3) * x4 & M; d = (L * d - R * (h ^ h >> 16)) & M; d ^= d >> 16
-    w = t >> 32
-    if w:
-        h = (w ^ x4) * x5 & M; a = (L * a - R * (h ^ h >> 16)) & M; a ^= a >> 16
-        h = (w ^ x5) * x6 & M; b = (L * b - R * (h ^ h >> 16)) & M; b ^= b >> 16
-        h = (w ^ x6) * x7 & M; c = (L * c - R * (h ^ h >> 16)) & M; c ^= c >> 16
-        h = (w ^ x7) * x8 & M; d = (L * d - R * (h ^ h >> 16)) & M; d ^= d >> 16
-    # generate_state: eight 32-bit words from the pool cycled twice, paired
-    # little-endian into four uint64 (initstate high, low; initseq high, low)
-    y0, y1, y2, y3, y4, y5, y6, y7, y8 = _HASH_B
-    s0 = (a ^ y0) * y1 & M; s1 = (b ^ y1) * y2 & M
-    s2 = (c ^ y2) * y3 & M; s3 = (d ^ y3) * y4 & M
-    s4 = (a ^ y4) * y5 & M; s5 = (b ^ y5) * y6 & M
-    s6 = (c ^ y6) * y7 & M; s7 = (d ^ y7) * y8 & M
-    initstate = ((s1 ^ s1 >> 16) << 96 | (s0 ^ s0 >> 16) << 64
-                 | (s3 ^ s3 >> 16) << 32 | s2 ^ s2 >> 16)
-    inc = ((s5 ^ s5 >> 16) << 97 | (s4 ^ s4 >> 16) << 65
-           | (s7 ^ s7 >> 16) << 33 | (s6 ^ s6 >> 16) << 1 | 1) & _MASK128
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    if sink is None:
+        state_lo, state_hi, inc_lo, inc_hi = memoryview(words).cast("Q")
+        rng.bit_generator.state = _pcg64_state(state_hi << 64 | state_lo, inc_hi << 64 | inc_lo)
+    else:
+        sink[0][:] = words
+        sink[1].value = 0
     return rng
 
 
-def _attempt(cfg: SimConfig, base_seed: int, rng: np.random.Generator):
+def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, words: bytes):
     """One survival attempt; returns (rows, extinct_t).
 
-    Each generation resets the run's ``rng`` to its substream of ``base_seed``.
+    ``words`` holds the ``_substream_states`` bytes of the attempt's first
+    generations, 32 from generation 1 on, and ``pool`` its (1, 4) pool.  An
+    attempt that outlives them hashes its next chunk, twice as many
+    generations, up to t_max.  Each generation ``_generation_rng`` resets the
+    run's ``rng`` to its substream through ``sink``.
 
     The one place that decides the engine: it switches to logdet once the
     expected event count passes the cap, picks the step by mode, and stops
@@ -752,16 +876,17 @@ def _attempt(cfg: SimConfig, base_seed: int, rng: np.random.Generator):
     +inf (-inf is extinction); ``run`` silences numpy's overflow warnings.
     """
     log_cap = math.log(cfg.exact_event_cap)
-    # mix_entropy hashes a 0 for each pool word past the entropy, so this pool
-    # is the zero-padded one spawn_key=(t,) builds on; tolist() keeps the
-    # words Python ints for _generation_rng's arithmetic
-    pool = np.random.SeedSequence(base_seed).pool.tolist()
     # fmm adds only the fittest mutant, so it has no spectrum to bin
     table = _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade) if cfg.model == "mmm" else None
     state = initial_state(cfg)
     rows = [(0, state.log_X, -np.inf, state.n_classes, 0, state.dominant_age())]
+    offset = 0
     for _ in range(cfg.t_max):
-        _generation_rng(pool, state.t + 1, rng)
+        if offset == len(words):
+            n = min(len(words) // 16, cfg.t_max - state.t)
+            words, offset = _substream_states(pool, state.t + 1, n).tobytes(), 0
+        _generation_rng(rng, sink, words[offset:offset + 32])
+        offset += 32
         if state.mode == MODE_EXACT and state.log_fitsum > log_cap:
             state = to_logdet(state)
         if state.mode == MODE_EXACT:
@@ -781,6 +906,29 @@ def _attempt(cfg: SimConfig, base_seed: int, rng: np.random.Generator):
     return rows, None
 
 
+def _attempt_substreams(cfg: SimConfig):
+    """(pool, words) for ``_attempt``, attempt by attempt, MAX_RESTARTS + 1 of them.
+
+    Attempt a seeds ``(cfg.seed + a) % 2**64``.  Blocks of 1, 2, 4, ... up to
+    ``_BLOCK_ATTEMPTS`` attempts take their pools from ``SeedSequence`` and
+    their first ``min(_FIRST_GENERATIONS, t_max)`` states from one
+    ``_substream_states`` call, so a run that survives its first attempt
+    hashes one pool, and a run that stops early leaves at most one block's
+    tail unused.
+    """
+    n = min(_FIRST_GENERATIONS, cfg.t_max)
+    first, size = 0, 1
+    while first <= MAX_RESTARTS:
+        size = min(size, MAX_RESTARTS + 1 - first)
+        pools = np.array([np.random.SeedSequence((cfg.seed + a) % (1 << 64)).pool
+                          for a in range(first, first + size)])
+        words = _substream_states(pools, 1, n).tobytes()
+        for k in range(size):
+            yield pools[k:k + 1], words[32 * n * k:32 * n * (k + 1)]
+        first += size
+        size = min(2 * size, _BLOCK_ATTEMPTS)
+
+
 def run(cfg: SimConfig) -> RunRecord:
     """Simulate one run, restarting on extinction when configured.
 
@@ -790,9 +938,10 @@ def run(cfg: SimConfig) -> RunRecord:
     """
     # one generator for every attempt; each generation sets its whole state
     rng = np.random.Generator(np.random.PCG64(0))
+    sink = _state_sink(rng)
     with np.errstate(over="ignore", invalid="ignore"):
-        for attempt in range(MAX_RESTARTS + 1):
-            rows, extinct_t = _attempt(cfg, (cfg.seed + attempt) % (1 << 64), rng)
+        for attempt, (pool, words) in enumerate(_attempt_substreams(cfg)):
+            rows, extinct_t = _attempt(cfg, pool, rng, sink, words)
             if extinct_t is None or not cfg.restart_on_extinction:
                 break
         else:

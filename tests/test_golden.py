@@ -20,6 +20,10 @@ log-fitness grid as the run goes.  ``fmm_logdet_jobs2`` repeats
 ``fmm_restart_seed_wrap`` starts replica 0 at attempt seed 2**64 - 2 and
 restarts 54 times, so its attempt seeds wrap through 2**64 - 1 to 0, 1, ...:
 they cover seeds of two 32-bit words, of one word, and the seed 0.
+``fmm_restart_blocks`` restarts 161 times, so its attempts' pools and first
+substream states, hashed in blocks of 1, 2, 4, ... up to 64 attempts, fill
+a 64-attempt block and end inside the next; at t-max 20 the attempts that
+outlive their first 16 generations hash a chunk of their own.
 ``nu_large_alpha`` reaches horizons T of about 54000, where the
 search in ``growth.period_T`` starts far from T = 1.  ``fmm_exact_big_means``
 raises the exact-mode cap to 1e18, so exact generations draw the mutant
@@ -65,6 +69,13 @@ CASES = {
          "--seed", "2152535657050944081"],
         ["101e6afc2eb8e74d8085961639ecef0523bf8620fa4c41b59c848bc9d7d731a4",
          "e7f45dc6e4630231b013ffbd721c153fceedddebb484c8c72ccb1e74c9fc4d1f"],
+    ),
+    "fmm_restart_blocks": (
+        ["simulate", "--model", "fmm", "--tail", "pareto:alpha=3", "--beta", "0.9",
+         "--log-f", "0.1823215567939546", "--t-max", "20", "--replicas", "1",
+         "--seed", "1424"],
+        ["0938f12077747a43a9125afe770003a1a56ac2e0b626015d1676ba21d71f5a1c",
+         "a060809fbb2438d256e9aa796f06ec05eba6e12a8315db00204841dc50f01bd8"],
     ),
     "fmm_logdet": (
         ["simulate", "--model", "fmm", "--beta", "0.2", "--log-f", "40",

@@ -312,9 +312,12 @@ class TestRun:
 
     def test_runs_seed_no_generator_per_generation(self, monkeypatch):
         # every substream is set on the run's one generator: a restarting fmm
-        # run and an mmm run through the handover to logdet each build one
-        # SeedSequence per attempt (its seed's pool, no spawn key), one PCG64
-        # per run and never call default_rng
+        # run and an mmm run through the handover to logdet each build their
+        # pools per block of attempts, one SeedSequence per attempt seed in
+        # order and no spawn key, leave at most one block's tail unused, make
+        # one PCG64 per run and never call default_rng
+        simulate._direct_state_writes()  # the once-per-process probe makes its own PCG64
+
         def refuse(*args, **kwargs):
             raise AssertionError("a generator was seeded per generation")
 
@@ -334,13 +337,44 @@ class TestRun:
         monkeypatch.setattr(np.random, "PCG64", counted)
         fmm = run(_cfg(beta=0.9, log_f=math.log(1.5), t_max=25, seed=3))
         assert fmm.restarts > 0
-        assert seeded == [((3 + k,), {}) for k in range(fmm.restarts + 1)]
+        assert seeded == [((3 + k,), {}) for k in range(len(seeded))]
+        assert fmm.restarts + 1 <= len(seeded) < fmm.restarts + simulate._BLOCK_ATTEMPTS
         assert len(made) == 1
         seeded.clear()
         mmm = run(_cfg(model="mmm", log_f=math.log(2.0), t_max=12, seed=3))
         assert mmm.mode[1] == 0 and mmm.mode[-1] == 1
-        assert seeded == [((3 + k,), {}) for k in range(mmm.restarts + 1)]
+        assert seeded == [((3 + k,), {}) for k in range(len(seeded))]
+        assert mmm.restarts + 1 <= len(seeded) < mmm.restarts + simulate._BLOCK_ATTEMPTS
         assert len(made) == 2
+
+    @pytest.mark.parametrize("t_max", [0, 1, 16, 40])
+    def test_one_substream_reset_per_generation(self, monkeypatch, t_max):
+        # run calls _attempt once per attempt, and each attempt calls
+        # _generation_rng through the module global once per generation it
+        # runs, past its first chunk of states too; the traced benchmark
+        # counts both names
+        attempts, resets = [], []
+        attempt, reset = simulate._attempt, simulate._generation_rng
+
+        def counted_attempt(*args):
+            rows, extinct_t = attempt(*args)
+            attempts.append(len(rows) - 1)
+            return rows, extinct_t
+
+        def counted_reset(*args):
+            resets.append(args[0])
+            return reset(*args)
+
+        monkeypatch.setattr(simulate, "_attempt", counted_attempt)
+        monkeypatch.setattr(simulate, "_generation_rng", counted_reset)
+        rec = run(_cfg(tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2),
+                       t_max=t_max, seed=1424))
+        assert len(attempts) == rec.restarts + 1
+        assert len(resets) == sum(attempts)
+        assert attempts[-1] == t_max
+        if t_max == 40:
+            assert rec.restarts > simulate._BLOCK_ATTEMPTS
+            assert max(attempts[:-1]) > simulate._FIRST_GENERATIONS
 
     def test_too_many_restarts(self):
         # weak mutants (alpha 5) cannot rescue a strongly subcritical run
