@@ -45,9 +45,16 @@ float64s is about 1 MB at 131,000 classes, which glibc hands back to the OS
 when freed and the next generation page-faults in again (README,
 Performance).  So ``step_logdet`` builds the log-counts in one buffer,
 ``_rebuild`` computes both totals in one scratch array with ``np.exp`` in
-place, and ``_merge_into_head`` allocates each output column once.  The
-package leaves the allocator's settings (``mallopt``, malloc environment
-variables) to the host process.
+place, and ``_merge_into_head`` allocates each output column once.  How many
+of the remaining arrays glibc hands back depends on the heap's history,
+which differs from one process to the next: the same ``mmm_wide`` pass took
+5,200 minor page faults in some processes and 11,800 in others, and its time
+moved with them.  So the arrays of logdet generations of at least
+``_BUFFERED_STATE_CLASSES`` (32,768) classes come from one ``_Buffers`` per
+run, which takes back each step's scratch arrays and merge inputs and, from
+``_attempt``, each old state's columns, and hands them out again the next
+generation.  The package leaves the allocator's settings (``mallopt``,
+malloc environment variables) to the host process.
 
 Generation t of an attempt draws from the ``PCG64`` stream seeded by a
 ``np.random.SeedSequence`` with entropy ``attempt_seed`` and
@@ -119,6 +126,14 @@ _LOG_COUNT_FLOOR = math.log(_COUNT_FLOOR)
 # States of at least this many classes take the large-state paths of
 # ``_rebuild`` and ``_logsumexp`` (see the module docstring for why 4096).
 _LARGE_STATE_CLASSES = 4096
+# Logdet states of at least this many classes take their full-size arrays
+# from the run's ``_Buffers``.  One ``step_logdet`` (min of 9, in a loop that
+# keeps glibc's heap warm, shared 2-vCPU VM), fresh against buffered arrays:
+# 930 classes 230/250 us; 16,384 463/487; 24,576 877/645; 32,768 1061/803;
+# 65,536 1697/1391; 131,072 4241/2743.  The bookkeeping costs more than it
+# saves until the arrays pass glibc's initial 128 KB mmap threshold (16,384
+# float64s); 32,768 leaves a margin.
+_BUFFERED_STATE_CLASSES = 32768
 # np.exp is exactly 0.0 at and below this; its first nonzero value is at
 # about -745.1332 (the smallest subnormal, 5e-324).
 _EXP_UNDERFLOW = -746.0
@@ -306,7 +321,48 @@ def _poisson(rng: np.random.Generator, lam) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
+class _Buffers:
+    """Full-size arrays that a run's large logdet generations reuse.
+
+    ``take(n, dtype)`` returns a length-n view of the free array of that
+    dtype given back last, when it is long enough, or of a new one with 1/64
+    spare, so a state that grows by a few classes a generation keeps its
+    arrays; a free array found too short is dropped, so a growing state
+    leaves none behind.  ``give`` takes back the views ``take`` handed out
+    once their last reader is done, and ignores anything else.  Views keep
+    their bases' alignment, so every ufunc computes the bits a fresh array
+    gets.
+    """
+
+    __slots__ = ("_free", "_owned")
+
+    def __init__(self):
+        self._free = []
+        self._owned = {}  # id -> base, which also keeps the ids unique
+
+    def take(self, n: int, dtype=np.float64) -> np.ndarray:
+        # the most recently given first: its memory is the likeliest in cache
+        for i in range(len(self._free) - 1, -1, -1):
+            if self._free[i].dtype == dtype:
+                base = self._free.pop(i)
+                if base.size >= n:
+                    return base[:n]
+                # a generation's arrays are all about n long, so one too
+                # short now stays too short while the state grows: drop it
+                del self._owned[id(base)]
+        base = np.empty(n + (n >> 6), dtype=dtype)
+        self._owned[id(base)] = base
+        return base[:n]
+
+    def give(self, *arrays) -> None:
+        for a in arrays:
+            base = a.base
+            if (base is not None and self._owned.get(id(base)) is base
+                    and not any(b is base for b in self._free)):
+                self._free.append(base)
+
+
+def _rebuild(t, log_fit, count, birth, mode, buffers: _Buffers | None = None) -> PopulationState:
     """Sort classes by log-fitness descending, merge duplicate keys, refresh totals.
 
     Merge contract: one stable sort of the negated keys orders the classes
@@ -327,15 +383,20 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
     strictly descending head at least that long, as the survivors
     ``step_logdet`` puts first) skip the full sort too: ``_merge_into_head``
     sorts only the tail and places it in the head, with the same bits.
+
+    With ``buffers`` (``step_logdet``'s, on large states) the sort check,
+    the merged columns and the totals' scratch array are its arrays, and
+    the scratch ones go back to it; the input columns stay the caller's.
     """
     if log_fit.size > 1:
-        descending = log_fit[1:] < log_fit[:-1]
+        descending = np.less(log_fit[1:], log_fit[:-1],
+                             out=None if buffers is None else buffers.take(log_fit.size - 1, bool))
         if not descending.all():
             merged = None
             if mode == MODE_LOGDET and log_fit.size >= _LARGE_STATE_CLASSES:
                 head = int(descending.argmin()) + 1
                 if head >= _LARGE_STATE_CLASSES:
-                    merged = _merge_into_head(head, log_fit, count, birth)
+                    merged = _merge_into_head(head, log_fit, count, birth, buffers)
             if merged is not None:
                 log_fit, count, birth = merged
             else:
@@ -348,8 +409,10 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
                     fold = np.add if mode == MODE_EXACT else np.logaddexp
                     count = fold.reduceat(count, starts)
                     birth = np.minimum.reduceat(birth, starts)
+        if buffers is not None:
+            buffers.give(descending)
     # one scratch array holds the shifted terms of both totals
-    terms = np.empty(log_fit.size)
+    terms = np.empty(log_fit.size) if buffers is None else buffers.take(log_fit.size)
     if mode == MODE_EXACT:
         total = count.sum()
         log_X = math.log(float(total)) if total > 0 else -np.inf
@@ -359,13 +422,15 @@ def _rebuild(t, log_fit, count, birth, mode) -> PopulationState:
         log_X = _logsumexp(count, out=terms)
         log_counts = count
     log_fitsum = _logsumexp(np.add(log_counts, log_fit, out=terms), out=terms)
+    if buffers is not None:
+        buffers.give(terms)
     return PopulationState(
         t=t, log_fit=log_fit, count=count, birth=birth, mode=mode,
         log_X=log_X, log_fitsum=log_fitsum,
     )
 
 
-def _merge_into_head(head, log_fit, count, birth):
+def _merge_into_head(head, log_fit, count, birth, buffers: _Buffers | None = None):
     """``_rebuild``'s logdet merge of a strictly descending head and a tail, or None.
 
     ``head`` is the length of the strictly descending prefix; ``count``
@@ -384,7 +449,8 @@ def _merge_into_head(head, log_fit, count, birth):
     ``_rebuild`` took 55-65% of the time of one that called this.
 
     Each output column is allocated once: the inserted keys are scattered to
-    their places and the head is copied in the slices between them.  With
+    their places and the head is copied in the slices between them (into
+    ``buffers``' arrays when given, as is the negated head).  With
     two or more keys ``np.insert`` copies through a boolean mask instead,
     which costs more for a few keys and less for many, so more than
     ``_SLICE_INSERT_KEYS`` (32) keys take it.  Per column (min of 7, shared
@@ -402,7 +468,10 @@ def _merge_into_head(head, log_fit, count, birth):
     if not (keys[1:] < keys[:-1]).all():
         return None
     head_fit = log_fit[:head]
-    pos = np.searchsorted(-head_fit, -keys)
+    ascending = np.negative(head_fit, out=None if buffers is None else buffers.take(head))
+    pos = np.searchsorted(ascending, -keys)
+    if buffers is not None:
+        buffers.give(ascending)
     hit = head_fit[np.minimum(pos, head - 1)] == keys
     at, src = pos[~hit], order[~hit]
     cols = (log_fit, count, birth)
@@ -415,7 +484,10 @@ def _merge_into_head(head, log_fit, count, birth):
         placed = at + np.arange(at.size)
         merged = []
         for c in cols:
-            out = np.empty(head + at.size, dtype=c.dtype)
+            if buffers is None:
+                out = np.empty(head + at.size, dtype=c.dtype)
+            else:
+                out = buffers.take(head + at.size, c.dtype)
             out[placed] = c[src]
             for j in range(at.size + 1):
                 out[bounds[j] + j:bounds[j + 1] + j] = c[bounds[j]:bounds[j + 1]]
@@ -638,28 +710,55 @@ def mutant_spectrum(log_lambda: float, cfg: SimConfig, rng: np.random.Generator,
 
 
 def step_logdet(state: PopulationState, cfg: SimConfig, rng: np.random.Generator,
-                table: _SpectrumTable | None):
+                table: _SpectrumTable | None, buffers: _Buffers | None = None):
     """One log-deterministic generation; returns (next_state, log_w_added).
 
     Class log-counts advance by their expectation, log(1-beta) + log F_i;
     only the mutant input stays stochastic.  ``table`` is passed on to
     ``mutant_spectrum``.  The state must be in logdet mode; ``_attempt``
     switches it.
+
+    States of ``_BUFFERED_STATE_CLASSES`` classes or more take every
+    full-size array from ``buffers`` when it is given (``run``'s) and give
+    back those the step is done with; the caller gives back the old state's
+    columns.  The bits are the same either way.
     """
     t_next = state.t + 1
+    n = state.n_classes
+    if n < _BUFFERED_STATE_CLASSES:
+        buffers = None
     # (count + log1p(-beta)) + log_fit in one buffer; IEEE addition commutes
-    log_counts = np.add(state.count, math.log1p(-cfg.beta))
+    log_counts = np.add(state.count, math.log1p(-cfg.beta),
+                        out=None if buffers is None else buffers.take(n))
     log_counts += state.log_fit
-    keep = log_counts >= _LOG_COUNT_FLOOR
-    if keep.all():
-        keep = slice(None)  # survivors as they are, no copies
+    above = np.greater_equal(log_counts, _LOG_COUNT_FLOOR,
+                             out=None if buffers is None else buffers.take(n, bool))
+    # survivors as they are, no copies, when none drops
+    keep = slice(None) if above.all() else above
 
     log_lambda = math.log(cfg.beta) + state.log_fitsum
     new_fit, new_counts, log_w = mutant_spectrum(log_lambda, cfg, rng, table)
-    log_fit = np.concatenate((state.log_fit[keep], new_fit))
-    log_counts = np.concatenate((log_counts[keep], new_counts))
-    birth = np.concatenate((state.birth[keep], np.full(new_fit.size, t_next, dtype=np.int64)))
-    return _rebuild(t_next, log_fit, log_counts, birth, MODE_LOGDET), log_w
+    if buffers is None:
+        log_fit = np.concatenate((state.log_fit[keep], new_fit))
+        log_counts = np.concatenate((log_counts[keep], new_counts))
+        birth = np.concatenate((state.birth[keep], np.full(new_fit.size, t_next, dtype=np.int64)))
+        return _rebuild(t_next, log_fit, log_counts, birth, MODE_LOGDET), log_w
+    # the same columns, survivors then new classes, in buffers' arrays
+    kept = n if keep is not above else int(np.count_nonzero(above))
+    cols = []
+    for old, new in ((state.log_fit, new_fit), (log_counts, new_counts), (state.birth, t_next)):
+        col = buffers.take(kept + new_fit.size, old.dtype)
+        if kept < n:
+            np.compress(above, old, out=col[:kept])
+        else:
+            col[:n] = old
+        col[kept:] = new
+        cols.append(col)
+    buffers.give(log_counts, above)
+    step = _rebuild(t_next, *cols, MODE_LOGDET, buffers)
+    if step.log_fit is not cols[0]:
+        buffers.give(*cols)
+    return step, log_w
 
 
 # NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx, after
@@ -859,14 +958,17 @@ def _generation_rng(rng: np.random.Generator, sink, words: bytes) -> np.random.G
     return rng
 
 
-def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, words: bytes):
+def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, words: bytes,
+             buffers: _Buffers):
     """One survival attempt; returns (rows, extinct_t).
 
     ``words`` holds the ``_substream_states`` bytes of the attempt's first
     generations, 32 from generation 1 on, and ``pool`` its (1, 4) pool.  An
     attempt that outlives them hashes its next chunk, twice as many
     generations, up to t_max.  Each generation ``_generation_rng`` resets the
-    run's ``rng`` to its substream through ``sink``.
+    run's ``rng`` to its substream through ``sink``.  Logdet generations
+    take their large arrays from ``buffers``, which gets each old state's
+    columns back.
 
     The one place that decides the engine: it switches to logdet once the
     expected event count passes the cap, picks the step by mode, and stops
@@ -892,7 +994,10 @@ def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, w
         if state.mode == MODE_EXACT:
             state, log_w = step_exact(state, cfg, rng)
         else:
-            state, log_w = step_logdet(state, cfg, rng, table)
+            step, log_w = step_logdet(state, cfg, rng, table, buffers)
+            if state.n_classes >= _BUFFERED_STATE_CLASSES:
+                buffers.give(state.log_fit, state.count, state.birth)
+            state = step
         if not (state.log_X < math.inf and state.log_fitsum < math.inf):
             raise HorizonOverflow(f"log-fitness overflows float64 at generation {state.t}; "
                                   f"use t_max < {state.t}, or `branchlab recurse` "
@@ -939,9 +1044,10 @@ def run(cfg: SimConfig) -> RunRecord:
     # one generator for every attempt; each generation sets its whole state
     rng = np.random.Generator(np.random.PCG64(0))
     sink = _state_sink(rng)
+    buffers = _Buffers()
     with np.errstate(over="ignore", invalid="ignore"):
         for attempt, (pool, words) in enumerate(_attempt_substreams(cfg)):
-            rows, extinct_t = _attempt(cfg, pool, rng, sink, words)
+            rows, extinct_t = _attempt(cfg, pool, rng, sink, words, buffers)
             if extinct_t is None or not cfg.restart_on_extinction:
                 break
         else:

@@ -14,12 +14,19 @@ logdet merges may take ``_merge_into_head``; exact ones always sort.  The
 in-place writes of a logdet generation are guarded twice: a repeated call
 on the same input must leave it untouched and give the same result, and
 tracemalloc pins the generation's peak allocation on a large state.
+
+``_rebuild`` and ``step_logdet`` with a run's ``_Buffers`` are twin-tested
+against the same calls allocating afresh, into buffers holding garbage;
+``run`` with the buffers on every logdet generation (cutoffs patched low)
+must match ``run`` with none, and no step may write its input state, which
+a column given back too early would allow.
 """
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -127,7 +134,8 @@ def test_logdet_merge(classes):
 
 
 def _with_cutoff(cutoff, func, *args):
-    with mock.patch.object(simulate, "_LARGE_STATE_CLASSES", cutoff):
+    with mock.patch.object(simulate, "_LARGE_STATE_CLASSES", cutoff), \
+            mock.patch.object(simulate, "_BUFFERED_STATE_CLASSES", cutoff):
         return func(*args)
 
 
@@ -301,3 +309,130 @@ def test_large_logdet_step_allocation_peak():
             tracemalloc.stop()
     assert merge.call_count == 1
     assert peak <= 8 * state.n_classes * 8
+
+
+def _stale_buffers():
+    """``_Buffers`` whose free arrays hold garbage, as a restarted run's may."""
+    buffers = simulate._Buffers()
+    arrays = [buffers.take(n, dtype) for n in (40, 700, 900) for dtype in (float, np.int64, bool)]
+    for a in arrays:
+        a[...] = 7 if a.dtype != float else math.nan
+    buffers.give(*arrays)
+    return buffers
+
+
+@settings(max_examples=100, deadline=None)
+@given(_head_and_tail(), st.booleans())
+def test_buffered_rebuild_matches_fresh(case, insert):
+    # sort, merge and no-merge paths, slices or np.insert, into stale arrays
+    mode, log_fit, count, birth = case
+    with np.errstate(invalid="ignore"), \
+            mock.patch.object(simulate, "_SLICE_INSERT_KEYS", 0 if insert else 32):
+        fresh = _with_cutoff(1, _rebuild, 5, log_fit, count, birth, mode)
+        buffered = _with_cutoff(1, _rebuild, 5, log_fit, count, birth, mode, _stale_buffers())
+    assert _state_bits(buffered) == _state_bits(fresh)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 400), st.integers(0, 2**32 - 1))
+def test_buffered_logdet_steps_match_fresh(n, seed):
+    # six generations on the large side, giving back each old state's columns
+    # as _attempt does, against the same steps allocating afresh
+    cfg = _mmm_config()
+    fresh = buffered = _logdet_state(n, seed)
+    buffers = _stale_buffers()
+    tables = [simulate._SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade) for _ in range(2)]
+    for k in range(6):
+        fresh, w_fresh = _with_cutoff(1, simulate.step_logdet, fresh, cfg,
+                                      np.random.default_rng([seed, k]), tables[0])
+        step, w_buffered = _with_cutoff(1, simulate.step_logdet, buffered, cfg,
+                                        np.random.default_rng([seed, k]), tables[1], buffers)
+        buffers.give(buffered.log_fit, buffered.count, buffered.birth)
+        buffered = step
+        assert np.float64(w_buffered).tobytes() == np.float64(w_fresh).tobytes()
+        assert _state_bits(buffered) == _state_bits(fresh)
+
+
+def test_buffers_hand_out_and_take_back_their_own_arrays():
+    buffers = simulate._Buffers()
+    a = buffers.take(640)
+    assert a.size == 640 and a.dtype == np.float64 and a.base.size == 650
+    small = buffers.take(10)
+    buffers.give(small, a)
+    # the last one given first, of the dtype asked for only
+    assert buffers.take(600).base is a.base
+    c = buffers.take(5, np.int64)
+    assert c.dtype == np.int64 and c.base is not small.base
+    # a free array too short is dropped for good
+    assert buffers.take(20).base is not small.base
+    buffers.give(small)
+    assert buffers.take(5).base is not small.base
+    # arrays it did not hand out are ignored, and none is freed twice
+    d = buffers.take(10)
+    buffers.give(np.empty(1000), np.empty(1000)[:10], d, d, d[:5])
+    first, second = buffers.take(10), buffers.take(10)
+    assert first.base is d.base and second.base is not d.base
+
+
+def test_buffered_large_logdet_step_allocates_no_full_size_array():
+    # once its buffers hold a generation's arrays, a large logdet step
+    # allocates less than one array of n float64s
+    state = _logdet_state(120_000, seed=4)
+    cfg = _mmm_config()
+    table = simulate._SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade)
+    buffers = simulate._Buffers()
+    for k in range(3):
+        tracemalloc.start()
+        try:
+            step, _ = simulate.step_logdet(state, cfg, np.random.default_rng(k), table, buffers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffers.give(state.log_fit, state.count, state.birth)
+        state = step
+    assert peak < state.n_classes * 8 // 2
+
+
+def test_buffered_steps_keep_unmerged_columns():
+    # a new class below every survivor leaves the keys descending, so the
+    # state keeps the step's own columns; they must not be reused meanwhile
+    cfg = _mmm_config()
+    fresh = buffered = _logdet_state(300, seed=6)
+    buffers = _stale_buffers()
+    # one new class a generation, below the last, for each side in turn
+    below = [(np.array([-k]), np.array([0.0]), -k) for k in (1.0, 2.0, 3.0, 4.0) for _ in "ab"]
+    with mock.patch.object(simulate, "mutant_spectrum", side_effect=below), \
+            mock.patch.object(simulate, "_merge_into_head") as merge:
+        for _ in range(4):
+            fresh, _ = _with_cutoff(1, simulate.step_logdet, fresh, cfg, None, None)
+            step, _ = _with_cutoff(1, simulate.step_logdet, buffered, cfg, None, None, buffers)
+            buffers.give(buffered.log_fit, buffered.count, buffered.birth)
+            buffered = step
+            assert _state_bits(buffered) == _state_bits(fresh)
+    assert merge.call_count == 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_on_the_large_side_matches_the_plain_side(seed):
+    # run's buffers, and _attempt giving back each old state's columns, on
+    # every logdet generation of a small MMM run (60-100 classes)
+    cfg = simulate.SimConfig(model="mmm", tail=TailModel("pareto", 1.0), beta=0.1,
+                             log_f=math.log(2.0), t_max=24, seed=seed, exact_event_cap=1000)
+    step_logdet = simulate.step_logdet
+
+    def untouched_input(state, *args):
+        # a column given back too early would be reused while still read
+        before = _state_bits(state)
+        step = step_logdet(state, *args)
+        assert _state_bits(state) == before
+        return step
+
+    with mock.patch.object(simulate._Buffers, "take", autospec=True,
+                           side_effect=simulate._Buffers.take) as take, \
+            mock.patch.object(simulate, "step_logdet", untouched_input):
+        large = _with_cutoff(8, simulate.run, cfg)
+    assert take.call_count > 0
+    plain = _with_cutoff(10**9, simulate.run, cfg)
+    assert large.mode.tolist().count(1) >= 10
+    for column in ("t", "log_X", "log_W", "n_classes", "mode", "dominant_age"):
+        assert getattr(large, column).tobytes() == getattr(plain, column).tobytes()
