@@ -24,7 +24,13 @@ in ``_step_small`` with the array path's bits; the cutoff is where
 ``np.add.reduce`` stops summing left to right and sums in blocks of 8.  The
 founder and every state ``_step_small`` makes keep their class columns as
 Python tuples, so a run of small generations builds no array; a state builds
-its arrays only when they are read (see ``PopulationState``).
+its arrays only when they are read (see ``PopulationState``).  The small
+step places each new mutant into the sorted survivors by a scan, reads
+log(count) from a table that one ``np.log`` of an array builds at import
+(4096 entries, each with the bits of the scalar call), and sums the totals
+on Python floats, where the top term adds exactly 1.0 and a single class
+needs no ``exp`` or ``log``; its docstring says why each shortcut keeps the
+bits.  ``step_exact`` stays the one call per exact generation, small or not.
 
 States of at least ``_LARGE_STATE_CLASSES`` (4096) classes, such as the
 MMM state an exact phase hands to logdet mode, take two large-state paths
@@ -76,7 +82,6 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -95,6 +100,13 @@ _NORMAL_APPROX_MEAN = 1e9
 # Exact generations with fewer classes than this, survivors and mutants
 # together, take ``_step_small`` (see the module docstring for why 8).
 _SMALL_STATE_CLASSES = 8
+# ``_step_small`` reads log(n) for counts n below this from ``_LOG_COUNTS``.
+# Of the class counts its states hold on a restart-heavy fmm run (pareto
+# alpha 3, beta 0.9, log_f log 1.2, t_max 40), 98% are below 10 and 99.8%
+# below 1000.  The table's 4096 Python floats take about 130 KB.
+_LOG_COUNTS_SIZE = 4096
+with np.errstate(divide="ignore"):
+    _LOG_COUNTS = tuple(np.log(np.arange(_LOG_COUNTS_SIZE, dtype=float)).tolist())
 
 # Exact counts are int64.  An exact generation starts with at most
 # exact_event_cap expected events, so its survivors total about
@@ -199,12 +211,15 @@ class PopulationState:
     ``log_fit``, ``count`` or ``birth`` always gives arrays, float64, int64
     (or float64 log-counts in logdet mode) and int64, built from tuples on
     the first read and kept, with the bytes ``_rebuild`` gives for the same
-    classes.  ``dominant_age`` and the small branch of ``step_exact`` read
-    the tuples (``cols``) directly and build no array; ``cols`` is None for
-    array-built states.  ``n_classes`` is set once, from either form.
+    classes.  The small branch of ``step_exact`` reads the tuples (``cols``)
+    directly and builds no array; ``cols`` is None for array-built states.
+    ``n_classes`` and ``dominant_age``, the age of the largest class (the
+    first of tied ones, as ``argmax`` picks) or -1 when the population is
+    empty, are set once, from either form, so ``_attempt`` reads a
+    generation's row from attributes alone.
     """
 
-    __slots__ = ("t", "mode", "log_X", "log_fitsum", "n_classes", "cols",
+    __slots__ = ("t", "mode", "log_X", "log_fitsum", "n_classes", "dominant_age", "cols",
                  "_log_fit", "_count", "_birth")
 
     def __init__(self, t: int, log_fit, count, birth, mode: str,
@@ -217,9 +232,11 @@ class PopulationState:
         if type(log_fit) is tuple:
             self.cols = (log_fit, count, birth)
             self._log_fit = self._count = self._birth = None
+            self.dominant_age = t - birth[count.index(max(count))] if count else -1
         else:
             self.cols = None
             self._log_fit, self._count, self._birth = log_fit, count, birth
+            self.dominant_age = int(t - birth[count.argmax()]) if count.size else -1
 
     @property
     def log_fit(self) -> np.ndarray:
@@ -242,15 +259,6 @@ class PopulationState:
     @property
     def extinct(self) -> bool:
         return self.mode == MODE_EXACT and self.n_classes == 0
-
-    def dominant_age(self) -> int:
-        """Age of the largest class (the first of tied ones), -1 when the population is empty."""
-        if self.cols is not None:
-            count = self.cols[1]
-            return self.t - self.cols[2][count.index(max(count))] if count else -1
-        if self._count.size == 0:
-            return -1
-        return int(self.t - self._birth[self._count.argmax()])
 
 
 @dataclass
@@ -424,10 +432,7 @@ def _rebuild(t, log_fit, count, birth, mode, buffers: _Buffers | None = None) ->
     log_fitsum = _logsumexp(np.add(log_counts, log_fit, out=terms), out=terms)
     if buffers is not None:
         buffers.give(terms)
-    return PopulationState(
-        t=t, log_fit=log_fit, count=count, birth=birth, mode=mode,
-        log_X=log_X, log_fitsum=log_fitsum,
-    )
+    return PopulationState(t, log_fit, count, birth, mode, log_X, log_fitsum)
 
 
 def _merge_into_head(head, log_fit, count, birth, buffers: _Buffers | None = None):
@@ -507,8 +512,7 @@ def initial_state(cfg: SimConfig) -> PopulationState:
     -0.0 into 0.0, as its log-sum-exp does).
     """
     log_f = float(cfg.log_f)
-    return PopulationState(t=0, log_fit=(log_f,), count=(1,), birth=(0,), mode=MODE_EXACT,
-                           log_X=0.0, log_fitsum=log_f + 0.0)
+    return PopulationState(0, (log_f,), (1,), (0,), MODE_EXACT, 0.0, log_f + 0.0)
 
 
 def to_logdet(state: PopulationState) -> PopulationState:
@@ -583,12 +587,13 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     n_new = len(mutant_fit)
     if state.n_classes + n_new < _SMALL_STATE_CLASSES:
         cols = state.cols or (state.log_fit.tolist(), state.count.tolist(), state.birth.tolist())
-        lam = [(1.0 - cfg.beta) * n * np.exp(f) for f, n in zip(cols[0], cols[1])]
+        survive = 1.0 - cfg.beta
+        lam = [survive * n * np.exp(f) for f, n in zip(cols[0], cols[1])]
         # a NaN mean fails this too and raises in the array path's draw
-        if all(mean <= _NORMAL_APPROX_MEAN for mean in lam):
+        if all(map(_NORMAL_APPROX_MEAN.__ge__, lam)):
             if type(mutant_fit) is not tuple:
                 mutant_fit = mutant_fit.tolist()
-            return _step_small(state.t + 1, cols, lam, mutant_fit, rng), log_w
+            return _step_small(t_next, cols, lam, mutant_fit, rng), log_w
     lam = (1.0 - cfg.beta) * state.count * np.exp(state.log_fit)
     survivors = _poisson(rng, lam).astype(np.int64, copy=False)
 
@@ -606,35 +611,62 @@ def _step_small(t_next: int, cols: tuple, lam: list, mutant_fit,
     ``cols`` holds the state's (log_fit, count, birth) columns as Python
     sequences and ``mutant_fit`` the new mutants' log-fitnesses as Python
     floats.  Scalar ``rng.poisson`` draws of the means ``lam`` (none above
-    ``_NORMAL_APPROX_MEAN``), in class order, equal one array draw.  Survivors,
-    then mutants, merge as ``_rebuild``'s merge contract says; the totals take
-    its NumPy ufuncs on floats (``math.exp`` rounds differently), summed left
-    to right.  The new state keeps its columns as tuples.
+    ``_NORMAL_APPROX_MEAN``), in class order, equal one array draw.  The new
+    state keeps its columns as tuples.
+
+    The result has ``_rebuild``'s bits, by these shortcuts:
+
+    * The kept survivors are sorted with unique keys already, so each mutant
+      is placed by a scan instead of a sort.  A mutant whose key equals a
+      class's folds into it, count + 1, and the class keeps its birth, which
+      is never later than the mutant's t_next.  Exact counts fold by integer
+      addition, which gives the same sum in any order, so placing the
+      mutants in turn equals one stable sort and fold.
+    * log(count) comes from ``_LOG_COUNTS``, built by one ``np.log`` of an
+      array, whose entries have the bits of the scalar ``np.log(float(n))``
+      that ``_rebuild`` takes of each int64 count; larger counts call
+      ``np.log``.
+    * The totals take NumPy's ufuncs on floats (``math.exp`` rounds
+      differently) and sum on Python floats left to right, as
+      ``np.add.reduce`` sums fewer than 8 doubles.  The top term adds 1.0 in
+      its place in the sum, which is ``np.exp(0.0)``.  One class's log
+      fitness sum is its term, which is top + log(1.0): the term is never
+      -0.0, since log(n) is +0.0 or more.  At a +inf top (an overflowed
+      mutant) the array path's exp(inf - inf) makes the sum NaN and these
+      shortcuts give +inf; ``_attempt`` raises ``HorizonOverflow`` at that
+      generation with the same text for both.
     """
-    draws = zip(cols[0], map(rng.poisson, lam), cols[2])
-    rows = [(f, n, b) for f, n, b in draws if n > 0]
-    rows += [(f, 1, t_next) for f in mutant_fit]
-    rows.sort(key=itemgetter(0), reverse=True)  # stable: equal keys keep input order
-    merged = []
-    for f, n, b in rows:
-        if merged and merged[-1][0] == f:
-            last = merged[-1]
-            last[1] += n
-            last[2] = min(last[2], b)
+    fits, counts, births = [], [], []
+    for f, mean, b in zip(cols[0], lam, cols[2]):
+        n = rng.poisson(mean)
+        if n:
+            fits.append(f)
+            counts.append(n)
+            births.append(b)
+    for f in mutant_fit:
+        i, k = 0, len(fits)
+        while i < k and fits[i] > f:
+            i += 1
+        if i < k and fits[i] == f:
+            counts[i] += 1
         else:
-            merged.append([f, n, b])
-    log_fit, count, birth = zip(*merged) if merged else ((), (), ())
-    log_X = log_fitsum = -np.inf
-    if merged:
-        log_X = math.log(float(sum(count)))
-        terms = [np.log(float(n)) + f for f, n in zip(log_fit, count)]
+            fits.insert(i, f)
+            counts.insert(i, 1)
+            births.insert(i, t_next)
+    if not fits:
+        return PopulationState(t_next, (), (), (), MODE_EXACT)
+    terms = [(_LOG_COUNTS[n] if n < _LOG_COUNTS_SIZE else float(np.log(float(n)))) + f
+             for f, n in zip(fits, counts)]
+    if len(terms) == 1:
+        log_fitsum = terms[0]
+    else:
         top = max(terms)
         total = 0.0
         for v in terms:
-            total += np.exp(v - top)
+            total += 1.0 if v == top else float(np.exp(v - top))
         log_fitsum = top + math.log(total)
-    return PopulationState(t=t_next, log_fit=log_fit, count=count, birth=birth,
-                           mode=MODE_EXACT, log_X=log_X, log_fitsum=log_fitsum)
+    return PopulationState(t_next, tuple(fits), tuple(counts), tuple(births), MODE_EXACT,
+                           math.log(float(sum(counts))), log_fitsum)
 
 
 class _SpectrumTable:
@@ -981,7 +1013,7 @@ def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, w
     # fmm adds only the fittest mutant, so it has no spectrum to bin
     table = _SpectrumTable(cfg.tail, cfg.mmm_bins_per_decade) if cfg.model == "mmm" else None
     state = initial_state(cfg)
-    rows = [(0, state.log_X, -np.inf, state.n_classes, 0, state.dominant_age())]
+    rows = [(0, state.log_X, -np.inf, state.n_classes, 0, state.dominant_age)]
     offset = 0
     for _ in range(cfg.t_max):
         if offset == len(words):
@@ -1004,7 +1036,7 @@ def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, w
                                   "for longer horizons")
         rows.append((
             state.t, state.log_X, log_w, state.n_classes,
-            0 if state.mode == MODE_EXACT else 1, state.dominant_age(),
+            0 if state.mode == MODE_EXACT else 1, state.dominant_age,
         ))
         if state.extinct:
             return rows, state.t

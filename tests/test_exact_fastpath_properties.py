@@ -243,8 +243,70 @@ def _bits(x) -> bytes:
     return np.array([x]).tobytes()
 
 
+def test_log_count_table_has_the_scalar_log_bits():
+    # _step_small reads log(n) from one np.log of an array, where _rebuild
+    # takes np.log of each int64 count; the bits agree on x86-64 Linux with
+    # NumPy 2.4, and another libm or NumPy build may round the two apart
+    table = simulate._LOG_COUNTS
+    assert len(table) == simulate._LOG_COUNTS_SIZE and table[0] == -math.inf
+    with np.errstate(divide="ignore"):
+        want = [np.log(float(n)) for n in range(len(table))]
+    assert _bits(table) == _bits(want)
+    assert all(type(v) is float for v in table)
+
+
+# survivor i's mean about 4096: the draw gives a class of the count named,
+# just below, at and past the end of the log(count) table
+_TABLE_END = _exact_case("fmm", 0.01, 5, [4096.0, 2.0], [8.0, 0.0], [0, 2], [None])
+_TABLE_END_FOLD = _exact_case("fmm", 0.01, 5, [4096.0, 2.0], [8.0, 0.0], [0, 2], [0])
+_TABLE_END_SEEDS = [(_TABLE_END, 112, 4095), (_TABLE_END, 110, 4096), (_TABLE_END, 24, 4097),
+                    (_TABLE_END_FOLD, 112, 4096)]  # 4095 drawn, then the mutant folds in
+# three survivors that all survive seed 0; the mutant folds into the first,
+# folds into the last, or is drawn below every survivor
+_FOLD_AT = [_exact_case("fmm", 0.05, 6, [12.0, 10.0, 8.0], [5.0] * 3, [0, 3, 6], [pick])
+            for pick in (0, 2, None)]
+
+
+def _small_step(case, seed):
+    """``step_exact`` on the case's state with its mutant picks, and the state."""
+    model, beta, t, log_fit, count, birth, picks = case
+    cfg = SimConfig(model=model, tail=TailModel("pareto", 1.5), beta=beta, log_f=0.0,
+                    t_max=1, seed=0)
+    state = _rebuild(t, np.array(log_fit), np.array(count), np.array(birth), MODE_EXACT)
+    with _picked_mutants(state.log_fit.tolist(), picks, []):
+        return step_exact(state, cfg, np.random.default_rng(seed))[0], state
+
+
+@pytest.mark.parametrize("case, seed, count", _TABLE_END_SEEDS)
+def test_table_end_examples_reach_their_counts(case, seed, count):
+    got, _ = _small_step(case, seed)
+    assert got.cols is not None and count in got.cols[1]
+
+
+def test_fold_examples_place_the_mutant():
+    # picks change the mutant's key, not the draws, so the survivors draw alike
+    below, state = _small_step(_FOLD_AT[2], 0)
+    keys, counts, births = below.cols
+    assert keys[:3] == tuple(state.log_fit.tolist())  # all three survive
+    assert keys[3] < keys[2] and counts[3] == 1 and births == (0, 3, 6, 7)
+    for case, i in ((_FOLD_AT[0], 0), (_FOLD_AT[1], 2)):
+        got, _ = _small_step(case, 0)
+        assert got.cols == (keys[:3], tuple(n + (j == i) for j, n in enumerate(counts[:3])),
+                            births[:3])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_exact_cases(), _SEED)
+@example(*_TABLE_END_SEEDS[0][:2])
+@example(*_TABLE_END_SEEDS[1][:2])
+@example(*_TABLE_END_SEEDS[2][:2])
+@example(*_TABLE_END_SEEDS[3][:2])
+@example(_FOLD_AT[0], 0)
+@example(_FOLD_AT[1], 0)
+@example(_FOLD_AT[2], 0)
+# the top term is the third: adding its 1.0 first, not in its place, rounds the
+# total of this draw differently
+@example(_exact_case("fmm", 0.05, 4, [5.0, 5.0, 1e6], [-12.0, -12.1, 0.0], [0, 1, 2], [0]), 2)
 # 7 classes that all survive and one fittest mutant: 8 classes take the array
 # path, whose pairwise sum here differs in the last bit from a left fold
 @example(_exact_case("fmm", 0.05, 20, [10.0] * 7, [-2.5, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5],
@@ -314,7 +376,7 @@ def test_tuple_columns_match_rebuild(classes):
                      np.array(birth, dtype=np.int64), MODE_EXACT)
     # the tuples answer these without building an array, the same as the arrays do
     assert lazy.n_classes == built.n_classes == len(log_fit)
-    assert lazy.dominant_age() == built.dominant_age()
+    assert lazy.dominant_age == built.dominant_age
     assert lazy.extinct == built.extinct == (not log_fit)
     for name in ("log_fit", "count", "birth"):
         a, b = getattr(lazy, name), getattr(built, name)
@@ -352,6 +414,17 @@ _CROSSING = [
 ]
 
 
+# fmm runs that raise HorizonOverflow at the generation given.  In the first
+# three the small step carries keys near 1e200-1e300 and the logdet step after
+# it overflows.  In the last two a +inf mutant enters a small step, alone and
+# beside a survivor: the array path's totals are NaN there, the small step's
+# +inf, and both raise at that generation with the same text.
+_OVERFLOW_AT = [(1e-300, 1.0, 0.5, 3), (1e-300, 0.0, 0.5, 2), (1e-200, -0.5, 0.9, 2),
+                (1e-310, -0.5, 0.9, 1), (1e-310, 0.0, 0.5, 1)]
+_OVERFLOW = [SimConfig(model="fmm", tail=TailModel("pareto", alpha), beta=beta, log_f=log_f,
+                       t_max=5, seed=3) for alpha, log_f, beta, _ in _OVERFLOW_AT]
+
+
 def _run_with_cutoff(cfg, cutoff):
     """``run(cfg)`` (or its typed error) and the run generator's final state.
 
@@ -374,6 +447,11 @@ def _run_with_cutoff(cfg, cutoff):
                                   st.integers(min_value=2, max_value=7)))
 @example(_CROSSING[0], simulate._SMALL_STATE_CLASSES)
 @example(_CROSSING[1], simulate._SMALL_STATE_CLASSES)
+@example(_OVERFLOW[0], simulate._SMALL_STATE_CLASSES)
+@example(_OVERFLOW[1], simulate._SMALL_STATE_CLASSES)
+@example(_OVERFLOW[2], simulate._SMALL_STATE_CLASSES)
+@example(_OVERFLOW[3], simulate._SMALL_STATE_CLASSES)
+@example(_OVERFLOW[4], simulate._SMALL_STATE_CLASSES)
 def test_run_matches_array_path_run(cfg, cutoff):
     got, got_state = _run_with_cutoff(cfg, cutoff)
     want, want_state = _run_with_cutoff(cfg, 0)
@@ -385,6 +463,21 @@ def test_run_matches_array_path_run(cfg, cutoff):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert (got.outcome, got.restarts) == (want.outcome, want.restarts)
+
+
+@pytest.mark.parametrize("cfg, at", zip(_OVERFLOW, [row[3] for row in _OVERFLOW_AT]))
+def test_overflow_examples_raise_where_stated(cfg, at):
+    small, made = simulate._step_small, []
+
+    def spy(*args):
+        made.append(small(*args))
+        return made[-1]
+
+    with mock.patch.object(simulate, "_step_small", spy):
+        got, _ = _run_with_cutoff(cfg, simulate._SMALL_STATE_CLASSES)
+    assert got[0] is HorizonOverflow and f"at generation {at};" in got[1]
+    # the last two overflow in a small step, whose +inf mutant is the top term
+    assert (made[-1].t == at and made[-1].log_fitsum == math.inf) == (cfg.tail.alpha < 1e-300)
 
 
 @pytest.mark.parametrize("cfg", _CROSSING, ids=["mmm", "fmm"])

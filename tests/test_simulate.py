@@ -355,6 +355,7 @@ class TestRun:
         # counts both names
         attempts, resets = [], []
         attempt, reset = simulate._attempt, simulate._generation_rng
+        simulate._direct_state_writes()  # the once-per-process probe resets a generator too
 
         def counted_attempt(*args):
             rows, extinct_t = attempt(*args)
@@ -375,6 +376,36 @@ class TestRun:
         if t_max == 40:
             assert rec.restarts > simulate._BLOCK_ATTEMPTS
             assert max(attempts[:-1]) > simulate._FIRST_GENERATIONS
+
+    @pytest.mark.parametrize("cfg", [
+        _cfg(tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2), t_max=40, seed=1424),
+        _cfg(model="mmm", log_f=math.log(2.0), t_max=12, seed=3),
+    ], ids=["fmm_restarts", "mmm_to_logdet"])
+    def test_one_step_call_per_generation(self, monkeypatch, cfg):
+        # each generation of every attempt calls step_exact or step_logdet
+        # through the module global once, as its row's mode says; the traced
+        # benchmark counts both names, and the small exact step runs inside
+        # step_exact
+        modes, steps = [], []
+        attempt = simulate._attempt
+
+        def counted_attempt(*args):
+            rows, extinct_t = attempt(*args)
+            modes.extend(row[4] for row in rows[1:])
+            return rows, extinct_t
+
+        def counted(step, mode):
+            def call(*args):
+                steps.append(mode)
+                return step(*args)
+            return call
+
+        monkeypatch.setattr(simulate, "_attempt", counted_attempt)
+        monkeypatch.setattr(simulate, "step_exact", counted(simulate.step_exact, 0))
+        monkeypatch.setattr(simulate, "step_logdet", counted(simulate.step_logdet, 1))
+        rec = run(cfg)
+        assert steps == modes
+        assert 0 in steps and (1 in steps) == (rec.mode[-1] == 1)
 
     def test_too_many_restarts(self):
         # weak mutants (alpha 5) cannot rescue a strongly subcritical run
