@@ -7,7 +7,9 @@ sampler, kept here as independent oracles; the other checks compare a float
 call with a one-element array call on cloned generators.  The small-state
 step of ``step_exact``, one step and whole runs, is compared with its array
 path, which the same call takes when ``_SMALL_STATE_CLASSES`` is patched
-to 0; states built on tuple columns are compared with ``_rebuild``'s.
+to 0; states built on tuple columns are compared with ``_rebuild``'s.  An
+mmm step sorts its draw in place before the merge; on both paths its state
+and log W are compared with ``_reference_rebuild`` of the draw unsorted.
 """
 import math
 from unittest import mock
@@ -30,6 +32,7 @@ from branchlab.simulate import (
     step_exact,
 )
 from branchlab.tails import TailModel, inverse_log_tail, sample_fitness, sample_max_of_n
+from test_rebuild_properties import _reference_rebuild
 
 
 def _reference_poisson(rng, lam):
@@ -338,6 +341,113 @@ def test_small_step_matches_array_step(case, seed):
         assert _bits(a) == _bits(b)
     assert (got.t, got.mode) == (want.t, want.mode)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# keys an MMM step can draw, few enough that they tie: +0.0 (-log(u)/alpha
+# underflowed), the smallest subnormal and normal, and ordinary keys.  MMM
+# keys are never -0.0 or NaN, so equal keys have equal bits.
+_MMM_KEYS = [0.0, 5e-324, 2.2250738585072014e-308, 0.25, 0.5, 1.0, 1.5]
+
+
+@st.composite
+def _mmm_presort_cases(draw):
+    """(t, beta, log_fit, count, birth, keys, cutoff) for one exact mmm step.
+
+    The survivors' keys are unique and descending; the mutants cycle through
+    ``keys`` in the order drawn, which repeats keys of their own and of
+    survivors.  Cutoff 0 sends every step to the array path.
+    """
+    log_fit = sorted(set(draw(st.lists(st.sampled_from(_MMM_KEYS), min_size=1, max_size=7))),
+                     reverse=True)
+    n = len(log_fit)
+    t = draw(st.integers(min_value=0, max_value=20))
+    count = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n))
+    birth = draw(st.lists(st.integers(min_value=0, max_value=t), min_size=n, max_size=n))
+    keys = draw(st.lists(st.sampled_from(_MMM_KEYS), min_size=1, max_size=12))
+    beta = draw(st.floats(min_value=0.05, max_value=0.6))
+    cutoff = draw(st.sampled_from([simulate._SMALL_STATE_CLASSES, 0]))
+    return t, beta, log_fit, count, birth, keys, cutoff
+
+
+# three survivors on mutant keys, all kept by seeds 0 and 1.  Seed 0 draws
+# 3 mutants (the small step), seed 1 draws 8 (the array path); their keys
+# tie among themselves and with the survivors.
+_PRESORT_TIES = (3, 0.4, [1.5, 1.0, 0.0], [2, 2, 1], [0, 1, 3],
+                 [0.0, 1.0, 5e-324, 0.0, 1.5, 5e-324], simulate._SMALL_STATE_CLASSES)
+_PRESORT_SEEDS = [(0, 3, True), (1, 8, False)]  # seed, mutants, small step
+
+
+def _presort_step(case, seed):
+    """``step_exact`` on the case's state with the mmm draw patched to its keys.
+
+    Returns (state, next state, log W, mutant count, whether the small step
+    ran, the merge's input keys or None, the generator).
+    """
+    t, beta, log_fit, count, birth, keys, cutoff = case
+    cfg = SimConfig(model="mmm", tail=TailModel("pareto", 1.5), beta=beta, log_f=0.0,
+                    t_max=1, seed=0)
+    state = _rebuild(t, np.array(log_fit), np.array(count), np.array(birth), MODE_EXACT)
+    sizes = []
+
+    def fitness(model, rng, size=None):
+        rng.random(size)  # the uniforms the real draw takes
+        sizes.append(size)
+        return np.resize(np.array(keys), size)  # a fresh array, as sample_fitness returns
+
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(simulate, "sample_fitness", fitness), \
+            mock.patch.object(simulate, "_SMALL_STATE_CLASSES", cutoff), \
+            mock.patch.object(simulate, "_step_small", wraps=simulate._step_small) as small, \
+            mock.patch.object(simulate, "_rebuild", wraps=simulate._rebuild) as merge:
+        got, got_w = step_exact(state, cfg, rng)
+    merged_keys = merge.call_args.args[1] if merge.called else None
+    return state, got, got_w, sum(sizes), small.called, merged_keys, rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mmm_presort_cases(), _SEED)
+@example(_PRESORT_TIES, _PRESORT_SEEDS[0][0])
+@example(_PRESORT_TIES, _PRESORT_SEEDS[1][0])
+@example(_PRESORT_TIES[:-1] + (0,), _PRESORT_SEEDS[0][0])
+def test_sorted_mutants_match_rebuild_of_the_unsorted_draw(case, seed):
+    # step_exact sorts an mmm draw in place and merges two descending runs;
+    # the state must be _reference_rebuild's of the survivors and the draw
+    # as it came, and log W the draw's maximum
+    t, beta, _, _, _, keys, cutoff = case
+    state, got, got_w, m, small, merged_keys, rng = _presort_step(case, seed)
+    ref = np.random.default_rng(seed)
+    assert m == int(ref.poisson(beta * math.exp(state.log_fitsum)))
+    ref.random(m)
+    survivors = ref.poisson((1.0 - beta) * state.count * np.exp(state.log_fit))
+    keep = survivors > 0
+    mutants = np.resize(np.array(keys), m)
+    want = _rebuild(t + 1, *_reference_rebuild(
+        np.concatenate((state.log_fit[keep], mutants)),
+        np.concatenate((survivors[keep], np.ones(m, dtype=np.int64))),
+        np.concatenate((state.birth[keep], np.full(m, t + 1, dtype=np.int64))),
+        MODE_EXACT), MODE_EXACT)
+    want_w = float(mutants.max()) if m else -math.inf
+
+    assert small == (state.n_classes + m < cutoff)
+    if merged_keys is not None:
+        # the array path merges the kept survivors, then the mutants descending
+        tail = merged_keys[int(keep.sum()):]
+        assert tail.size == m and np.all(tail[1:] <= tail[:-1])
+    for name in ("log_fit", "count", "birth"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for a, b in ((got.log_X, want.log_X), (got.log_fitsum, want.log_fitsum), (got_w, want_w)):
+        assert _bits(a) == _bits(b)
+    assert (got.t, got.mode, got.dominant_age) == (want.t, want.mode, want.dominant_age)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed, m, small_step", _PRESORT_SEEDS)
+def test_presort_examples_take_both_paths(seed, m, small_step):
+    _, got, _, got_m, small, _, _ = _presort_step(_PRESORT_TIES, seed)
+    assert (got_m, small) == (m, small_step)
+    # every survivor is kept, with its birth
+    assert got.birth[np.isin(got.log_fit, _PRESORT_TIES[2])].tolist() == _PRESORT_TIES[4]
 
 
 def test_nan_survivor_mean_fails_in_the_array_draw():

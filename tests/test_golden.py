@@ -7,9 +7,9 @@ Linux with NumPy 2.4; another libm or NumPy build may round differently.
 
 The mmm cases cover the class merge in ``simulate._rebuild``: an exact phase
 of off-grid classes handed to logdet mode (in ``mmm_exact_handover`` replica
-0's last exact merge sorts 419,280 new classes into 6,230 survivors, and
-replica 1 hands 8,356 classes over, whose four logdet merges take
-``_merge_into_head``), an early switch
+0's last exact step sorts its 419,280 new classes in place, and its merge's
+stable sort places them among 6,230 survivors; replica 1 hands 8,356 classes
+over, whose four logdet merges take ``_merge_into_head``), an early switch
 (``--exact-event-cap 1000``) that merges spectrum bins every generation,
 and a run in logdet mode from the first generation.  ``mmm_logdet_paretolog``
 and ``mmm_logdet_bpd3`` run in logdet mode with a paretolog tail and with

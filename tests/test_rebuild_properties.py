@@ -101,6 +101,14 @@ def _assert_bitwise_equal(a, b):
 # strictly descending keys skip the sort; unique unsorted keys skip the folds
 @example((np.array([3.0, 1.0, -2.0]), np.array([4, 0, 7]), np.array([2, 0, 1], dtype=np.int64)))
 @example((np.array([1.0, 3.0, -2.0]), np.array([4, 0, 7]), np.array([2, 0, 1], dtype=np.int64)))
+# an mmm step's input: unique descending survivors, then its mutants sorted
+# descending (count 1, birth t), repeating keys among themselves and a
+# survivor's; the top mutant passes every survivor, or none of them
+@example((np.array([3.0, 1.0, 0.0, 4.0, 1.0, 1.0, 5e-324, 5e-324, 0.0, 0.0]),
+          np.array([4, 2, 7, 1, 1, 1, 1, 1, 1, 1]),
+          np.array([0, 2, 3, 5, 5, 5, 5, 5, 5, 5], dtype=np.int64)))
+@example((np.array([3.0, 2.0, 2.0, 2.0, 0.5, 0.5]), np.array([6, 1, 1, 1, 1, 1]),
+          np.array([1, 2, 5, 5, 5, 5], dtype=np.int64)))
 def test_exact_merge(classes):
     log_fit, count, birth = classes
     state = _rebuild(5, log_fit, count, birth, MODE_EXACT)
