@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
@@ -511,6 +510,10 @@ def _cmd_simulate(p) -> int:
         _sim_config(p, p["t_max"], replica_seed(p["seed"], k)) for k in range(p["replicas"])
     ]
     if p["jobs"] > 1:
+        # imported only here: it loads multiprocessing, logging, socket,
+        # subprocess and about 30 other modules that nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
             records = list(pool.map(simulate.run, configs))
     else:

@@ -34,7 +34,20 @@ log(count) from a table that one ``np.log`` of an array builds at import
 (4096 entries, each with the bits of the scalar call), and sums the totals
 on Python floats, where the top term adds exactly 1.0 and a single class
 needs no ``exp`` or ``log``; its docstring says why each shortcut keeps the
-bits.  ``step_exact`` stays the one call per exact generation, small or not.
+bits.  ``step_exact`` stays the one call per exact generation of ``_attempt``,
+small or not.
+
+Survival conditioning restarts an extinct attempt, and a run founded near
+criticality is mostly attempts that die within a few small generations.  So
+``run`` screens each fmm attempt first: ``_dies_small`` runs it on the small
+step's list-level core, ``_small_classes``, with ``_attempt``'s substreams
+and draws in ``_attempt``'s order, and builds no state, row or tuple.  An
+attempt that dies there is a restart and nothing more.  Any other one, the
+survivor included, stops at the first generation that leaves the small
+branch and runs through ``_attempt`` from generation 0, so every row and
+every error text comes from there.  On the restart-heavy fmm argv of the
+benchmark (6,685 attempts for 40 replicas) all 6,645 extinct attempts die in
+the screen, and ``_attempt`` runs 40 times.
 
 States of at least ``_LARGE_STATE_CLASSES`` (4096) classes, such as the
 MMM state an exact phase hands to logdet mode, take two large-state paths
@@ -595,11 +608,9 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     events exp(log_fitsum) <= exact_event_cap); ``_attempt`` checks all three.
     """
     t_next = state.t + 1
-    events = math.exp(state.log_fitsum)
     # mutants are drawn before survivors: paired runs then share the
     # most influential draws when fed per-generation substreams
-    mean = cfg.beta * events
-    m = int(rng.poisson(mean) if mean <= _NORMAL_APPROX_MEAN else _poisson(rng, mean)[0])
+    m = _mutant_count(cfg.beta, state.log_fitsum, rng)
     log_w = -np.inf
     mutant_fit = ()  # a tuple for fmm's one mutant, an array for mmm's
     if m >= 1:
@@ -614,10 +625,8 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     n_new = len(mutant_fit)
     if state.n_classes + n_new < _SMALL_STATE_CLASSES:
         cols = state.cols or (state.log_fit.tolist(), state.count.tolist(), state.birth.tolist())
-        survive = 1.0 - cfg.beta
-        lam = [survive * n * np.exp(f) for f, n in zip(cols[0], cols[1])]
-        # a NaN mean fails this too and raises in the array path's draw
-        if all(map(_NORMAL_APPROX_MEAN.__ge__, lam)):
+        lam = _small_means(cols, 1.0 - cfg.beta)
+        if lam is not None:
             if type(mutant_fit) is not tuple:
                 mutant_fit = mutant_fit.tolist()
             return _step_small(t_next, cols, lam, mutant_fit, rng), log_w
@@ -631,15 +640,58 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     return _rebuild(t_next, log_fit, count, birth, MODE_EXACT), log_w
 
 
+def _mutant_count(beta: float, log_fitsum: float, rng: np.random.Generator) -> int:
+    """An exact generation's mutant count, Poisson(beta * exp(log_fitsum)).
+
+    One scalar ``rng.poisson`` draw, or ``_poisson``'s normal approximation
+    for a mean above ``_NORMAL_APPROX_MEAN``.
+    """
+    mean = beta * math.exp(log_fitsum)
+    return int(rng.poisson(mean) if mean <= _NORMAL_APPROX_MEAN else _poisson(rng, mean)[0])
+
+
+def _small_means(cols: tuple, survive: float):
+    """The survivor means of a small exact step as a list, or None.
+
+    ``cols`` holds a state's (log_fit, count, birth) columns as Python
+    sequences and ``survive`` is 1 - beta.  None when a mean passes
+    ``_NORMAL_APPROX_MEAN``: such a generation takes the array path.  A NaN
+    mean fails the test too and raises in the array path's draw.
+    """
+    lam = []
+    for f, n in zip(cols[0], cols[1]):
+        mean = survive * n * np.exp(f)
+        if not mean <= _NORMAL_APPROX_MEAN:
+            return None
+        lam.append(mean)
+    return lam
+
+
 def _step_small(t_next: int, cols: tuple, lam: list, mutant_fit,
                 rng: np.random.Generator) -> PopulationState:
     """``step_exact``'s survivor draw and merge on Python scalars, same bits.
 
     ``cols`` holds the state's (log_fit, count, birth) columns as Python
-    sequences and ``mutant_fit`` the new mutants' log-fitnesses as Python
-    floats.  Scalar ``rng.poisson`` draws of the means ``lam`` (none above
-    ``_NORMAL_APPROX_MEAN``), in class order, equal one array draw.  The new
-    state keeps its columns as tuples.
+    sequences, ``lam`` the survivor means from ``_small_means`` and
+    ``mutant_fit`` the new mutants' log-fitnesses as Python floats.  The
+    classes and totals come from ``_small_classes``; the new state keeps its
+    columns as tuples.
+    """
+    fits, counts, births, log_fitsum = _small_classes(t_next, cols, lam, mutant_fit, rng)
+    if not fits:
+        return PopulationState(t_next, (), (), (), MODE_EXACT)
+    return PopulationState(t_next, tuple(fits), tuple(counts), tuple(births), MODE_EXACT,
+                           math.log(float(sum(counts))), log_fitsum)
+
+
+def _small_classes(t_next: int, cols: tuple, lam: list, mutant_fit,
+                   rng: np.random.Generator):
+    """A small exact step's classes as lists: (fits, counts, births, log_fitsum).
+
+    The arguments are ``_step_small``'s.  Scalar ``rng.poisson`` draws of
+    the means ``lam`` (none above ``_NORMAL_APPROX_MEAN``), in class order,
+    equal one array draw.  An extinct step gives empty lists and a log
+    fitness sum of -inf.
 
     The result has ``_rebuild``'s bits, by these shortcuts:
 
@@ -681,19 +733,17 @@ def _step_small(t_next: int, cols: tuple, lam: list, mutant_fit,
             counts.insert(i, 1)
             births.insert(i, t_next)
     if not fits:
-        return PopulationState(t_next, (), (), (), MODE_EXACT)
-    terms = [(_LOG_COUNTS[n] if n < _LOG_COUNTS_SIZE else float(np.log(float(n)))) + f
-             for f, n in zip(fits, counts)]
+        return fits, counts, births, -math.inf
+    terms = []
+    for f, n in zip(fits, counts):
+        terms.append((_LOG_COUNTS[n] if n < _LOG_COUNTS_SIZE else float(np.log(float(n)))) + f)
     if len(terms) == 1:
-        log_fitsum = terms[0]
-    else:
-        top = max(terms)
-        total = 0.0
-        for v in terms:
-            total += 1.0 if v == top else float(np.exp(v - top))
-        log_fitsum = top + math.log(total)
-    return PopulationState(t_next, tuple(fits), tuple(counts), tuple(births), MODE_EXACT,
-                           math.log(float(sum(counts))), log_fitsum)
+        return fits, counts, births, terms[0]
+    top = max(terms)
+    total = 0.0
+    for v in terms:
+        total += 1.0 if v == top else float(np.exp(v - top))
+    return fits, counts, births, top + math.log(total)
 
 
 class _SpectrumTable:
@@ -1017,6 +1067,14 @@ def _generation_rng(rng: np.random.Generator, sink, words: bytes) -> np.random.G
     return rng
 
 
+def _next_chunk(pool: np.ndarray, words: bytes, t: int, t_max: int) -> bytes:
+    """The states of an attempt's next chunk, from generation t, once ``words`` ran out.
+
+    Twice as many generations as ``words`` held, up to t_max.
+    """
+    return _substream_states(pool, t, min(len(words) // 16, t_max + 1 - t)).tobytes()
+
+
 def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, words: bytes,
              buffers: _Buffers):
     """One survival attempt; returns (rows, extinct_t).
@@ -1044,8 +1102,7 @@ def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, w
     offset = 0
     for _ in range(cfg.t_max):
         if offset == len(words):
-            n = min(len(words) // 16, cfg.t_max - state.t)
-            words, offset = _substream_states(pool, state.t + 1, n).tobytes(), 0
+            words, offset = _next_chunk(pool, words, state.t + 1, cfg.t_max), 0
         _generation_rng(rng, sink, words[offset:offset + 32])
         offset += 32
         if state.mode == MODE_EXACT and state.log_fitsum > log_cap:
@@ -1068,6 +1125,48 @@ def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, w
         if state.extinct:
             return rows, state.t
     return rows, None
+
+
+def _dies_small(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink,
+                words: bytes):
+    """The generation an fmm attempt dies at on small exact steps alone, or None.
+
+    Takes ``_attempt``'s arguments but its buffers and runs the attempt as
+    ``_attempt`` does, with the same substreams and the same draws in the
+    same order, for as long as each generation takes ``step_exact``'s small
+    branch; the classes stay lists, and no state or row is built.  None as
+    soon as a generation would not: a log fitness sum above the cap (the
+    logdet switch), a step on the array path, or a log fitness sum that is
+    not finite (where ``_attempt`` raises).  None too for an attempt alive
+    at t_max.  ``run`` then runs the attempt through ``_attempt`` from
+    generation 0, so every row and every error text comes from there.
+    """
+    beta, tail, t_max = cfg.beta, cfg.tail, cfg.t_max
+    log_cap = math.log(cfg.exact_event_cap)
+    survive = 1.0 - beta
+    founder = initial_state(cfg)
+    cols, log_fitsum = founder.cols, founder.log_fitsum
+    offset = 0
+    for t in range(1, t_max + 1):
+        if offset == len(words):
+            words, offset = _next_chunk(pool, words, t, t_max), 0
+        _generation_rng(rng, sink, words[offset:offset + 32])
+        offset += 32
+        if not log_fitsum <= log_cap:
+            return None
+        m = _mutant_count(beta, log_fitsum, rng)
+        mutant_fit = (sample_max_of_n(tail, m, rng),) if m else ()
+        if len(cols[0]) + len(mutant_fit) >= _SMALL_STATE_CLASSES:
+            return None
+        lam = _small_means(cols, survive)
+        if lam is None:
+            return None
+        *cols, log_fitsum = _small_classes(t, cols, lam, mutant_fit, rng)
+        if not cols[0]:
+            return t
+        if not log_fitsum < math.inf:
+            return None
+    return None
 
 
 def _attempt_substreams(cfg: SimConfig):
@@ -1099,13 +1198,21 @@ def run(cfg: SimConfig) -> RunRecord:
     Restarts reseed deterministically from seed + restart index, realizing
     survival conditioning.  Raises TooManyRestarts after 10^4 extinct
     attempts, which signals negligible survival probability.
+
+    With restarts on, each fmm attempt goes through ``_dies_small`` first,
+    and only one that it does not see die runs through ``_attempt``; the
+    record and every error are ``_attempt``'s either way.  mmm runs, and
+    runs that keep their extinct attempt, call ``_attempt`` alone.
     """
     # one generator for every attempt; each generation sets its whole state
     rng = np.random.Generator(np.random.PCG64(0))
     sink = _state_sink(rng)
     buffers = _Buffers()
+    screen = cfg.model == "fmm" and cfg.restart_on_extinction
     with np.errstate(over="ignore", invalid="ignore"):
         for attempt, (pool, words) in enumerate(_attempt_substreams(cfg)):
+            if screen and _dies_small(cfg, pool, rng, sink, words) is not None:
+                continue
             rows, extinct_t = _attempt(cfg, pool, rng, sink, words, buffers)
             if extinct_t is None or not cfg.restart_on_extinction:
                 break

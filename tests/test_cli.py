@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from branchlab import simulate
 from branchlab.cli import (
     _CSV_BLOCK_ROWS, _SCHEMAS, _option, _write_csv, _write_json, main, parse_args,
     replica_seed, splitmix64,
@@ -308,6 +309,18 @@ class TestOutputs:
         assert seq.code == par.code == 0
         assert seq.files["out"] == par.files["out"]
 
+    def test_parallel_jobs_match_sequential_on_restarts(self):
+        # golden fmm_restart_blocks with 3 replicas: replicas that screen and
+        # restart attempts in worker processes write the --jobs 1 bytes
+        argv = ["simulate", "--model", "fmm", "--tail", "pareto:alpha=3", "--beta", "0.9",
+                "--log-f", "0.1823215567939546", "--t-max", "20", "--replicas", "3",
+                "--seed", "1424", "--out", "{out}"]
+        seq, par = _cli(argv + ["--jobs", "1"]), _cli(argv + ["--jobs", "2"])
+        assert seq.code == par.code == 0
+        assert seq.files == par.files
+        summary = json.loads(seq.files["out.summary.json"])
+        assert summary["restarts_total"] > 3 * simulate._BLOCK_ATTEMPTS
+
     def test_freq_recursion_outputs(self):
         run = _cli(["freq", "--from", "recursion", "--alpha", "1",
                     "--t", "9,12", "--out", "{out}"])
@@ -379,8 +392,9 @@ class TestOutputs:
 
 
 class TestEntryPoint:
-    # the two tests here that start a child interpreter are the ones whose
-    # subject is the child: the `python -m` entry, and a pipe its reader closes
+    # the three tests here that start a child interpreter are the ones whose
+    # subject is the child: the `python -m` entry, the modules a fresh import
+    # loads, and a pipe its reader closes
 
     def test_module_invocation(self):
         env = dict(os.environ)
@@ -391,6 +405,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "alpha,T,nu,nu_approx,rel_err"
+
+    def test_import_loads_no_process_pool(self):
+        # only `simulate --jobs K` with K > 1 imports ProcessPoolExecutor,
+        # which loads multiprocessing and about 30 other modules
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, branchlab.cli; print(sorted(m for m in "
+             "('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"],
+            capture_output=True, text=True, timeout=_TIMEOUT_S,
+        )
+        assert proc.returncode == 0 and proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["recurse", "--help"]],
                              ids=["top", "recurse"])

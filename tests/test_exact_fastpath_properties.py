@@ -539,15 +539,26 @@ def _run_with_cutoff(cfg, cutoff):
     """``run(cfg)`` (or its typed error) and the run generator's final state.
 
     At most 30 restarts, so a run that would need thousands stops early.
+    The generator is the one each generation's ``_generation_rng`` call
+    resets: a run whose attempts all die in ``_dies_small`` never calls
+    ``_attempt``.
     """
+    simulate._direct_state_writes()  # the once-per-process probe resets a generator of its own
+    reset, generators = simulate._generation_rng, set()
+
+    def tracked(rng, sink, words):
+        generators.add(rng)
+        return reset(rng, sink, words)
+
     with mock.patch.object(simulate, "_SMALL_STATE_CLASSES", cutoff), \
             mock.patch.object(simulate, "MAX_RESTARTS", 30), \
-            mock.patch.object(simulate, "_attempt", wraps=simulate._attempt) as attempt:
+            mock.patch.object(simulate, "_generation_rng", tracked):
         try:
             result = simulate.run(cfg)
         except (TooManyRestarts, HorizonOverflow) as exc:
             result = (type(exc), str(exc))
-    return result, attempt.call_args.args[2].bit_generator.state
+    (rng,) = generators
+    return result, rng.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,6 +12,7 @@ From the linear and half seeds the recursion locks into its T-cycle after a
 transient of order T**2 steps, which ``detect_period`` finds within a horizon
 of T**2 + 3T.
 """
+import math
 from unittest import mock
 
 import numpy as np
@@ -19,8 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from branchlab import recursion
-from branchlab.growth import period_T
-from branchlab.recursion import SeedSequence, detect_period, extract_phi, solve_chi
+from branchlab.growth import alpha_critical, period_T
+from branchlab.recursion import (
+    SeedSequence, build_ctex_seed, detect_period, extract_phi, solve_chi,
+)
 
 # seed values from e^-745 (subnormal) to e^709, the range exp keeps positive and finite
 _SEED = st.lists(st.floats(-745.0, 709.0), min_size=1, max_size=30).map(
@@ -67,3 +70,53 @@ def test_cycle_locks_in_within_t_squared(alpha, kind):
     t1, cycle = detect_period(series)  # raises unless one full cycle verifies
     assert t1 <= max(1, T * (T - 1))
     extract_phi(cycle, series.nu, alpha)  # raises outside the multiplier box
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+@st.composite
+def _admissible(draw):
+    """(alpha, phi): T = period_T(alpha) multipliers in [(T+1)/T, T/(T-1)] whose
+    product is T/alpha, the set ``build_ctex_seed`` admits.
+
+    Alpha is log-uniform in [1e-3, 20] or within 3 floats of alpha_critical(T),
+    where the box holds one multiplier set.  The log-multipliers start at their
+    mean, log(T/alpha)/T, and move along a drawn zero-sum direction by a drawn
+    fraction of the way to the box's edge.
+    """
+    alpha = draw(st.one_of(
+        st.floats(-3.0, math.log10(20.0)).map(lambda e: 10.0**e),
+        st.builds(lambda T, k: _ulps(alpha_critical(T), k),
+                  st.integers(min_value=1, max_value=54), st.integers(min_value=-3, max_value=3))))
+    T = period_T(alpha)
+    mean = math.log(T / alpha) / T
+    if T == 1:
+        return alpha, np.array([1.0 / alpha])
+    lo, hi = math.log((T + 1) / T), math.log(T / (T - 1))
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=T, max_size=T)))
+    d = u - u.mean()
+    if not d.any():
+        return alpha, np.full(T, math.exp(mean))
+    # zero sum: the largest entry and the smallest are both at least 1/(T-1) in size
+    d /= np.abs(d).max()
+    room = max(min((hi - mean) / d.max(), (lo - mean) / d.min()), 0.0)
+    return alpha, np.exp(mean + draw(st.floats(0.0, 1.0)) * room * d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_admissible())
+@example((1.0, np.array([4.0 / 3.0, 1.5, 1.5])))  # the alpha = 1 cycle
+def test_ctex_round_trip_recovers_phi(case):
+    # the constructive seed of an admissible set locks the recursion into the
+    # cycle of that set: detect_period and extract_phi read it back
+    alpha, phi = case
+    T = phi.size
+    series = solve_chi(alpha, build_ctex_seed(alpha, phi), 4 * T)
+    _, cycle = detect_period(series)
+    got = extract_phi(cycle, series.nu, alpha)
+    assert min(np.max(np.abs(np.roll(phi, r) - got)) for r in range(T)) <= 1e-8

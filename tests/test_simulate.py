@@ -349,33 +349,54 @@ class TestRun:
 
     @pytest.mark.parametrize("t_max", [0, 1, 16, 40])
     def test_one_substream_reset_per_generation(self, monkeypatch, t_max):
-        # run calls _attempt once per attempt, and each attempt calls
-        # _generation_rng through the module global once per generation it
-        # runs, past its first chunk of states too; the traced benchmark
-        # counts both names
-        attempts, resets = [], []
-        attempt, reset = simulate._attempt, simulate._generation_rng
+        # run screens each fmm attempt with _dies_small and calls _attempt
+        # for each one the screen does not see die; both call
+        # _generation_rng through the module global once per generation
+        # they run, past their first chunk of states too; the traced
+        # benchmark counts both names
+        calls, resets = [], []  # (name, result, resets made) in call order
+        screen, attempt, reset = simulate._dies_small, simulate._attempt, simulate._generation_rng
         simulate._direct_state_writes()  # the once-per-process probe resets a generator too
 
-        def counted_attempt(*args):
-            rows, extinct_t = attempt(*args)
-            attempts.append(len(rows) - 1)
-            return rows, extinct_t
+        def counted(name, fn):
+            def call(*args):
+                before = len(resets)
+                result = fn(*args)
+                calls.append((name, result, len(resets) - before))
+                return result
+            return call
 
         def counted_reset(*args):
             resets.append(args[0])
             return reset(*args)
 
-        monkeypatch.setattr(simulate, "_attempt", counted_attempt)
+        monkeypatch.setattr(simulate, "_dies_small", counted("screen", screen))
+        monkeypatch.setattr(simulate, "_attempt", counted("attempt", attempt))
         monkeypatch.setattr(simulate, "_generation_rng", counted_reset)
         rec = run(_cfg(tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2),
                        t_max=t_max, seed=1424))
-        assert len(attempts) == rec.restarts + 1
-        assert len(resets) == sum(attempts)
+        assert len(resets) == sum(n for _, _, n in calls)
+        screened = [(died, n) for name, died, n in calls if name == "screen"]
+        attempts = [len(result[0]) - 1 for name, result, _ in calls if name == "attempt"]
+        assert len(screened) == rec.restarts + 1
+        # each attempt is screened, then run through _attempt unless it died
+        order = [name for name, _, _ in calls]
+        want = []
+        for died, _ in screened:
+            want += ["screen"] if died is not None else ["screen", "attempt"]
+        assert order == want
+        # a screen that sees its attempt die ran to that generation; one that
+        # does not ran at most as far as the attempt's run through _attempt
+        died = [t for t, n in screened if t is not None]
+        assert all(n == t for t, n in screened if t is not None)
+        stopped = [n for t, n in screened if t is None]
+        assert all(min(t_max, 1) <= n <= gens for n, gens in zip(stopped, attempts))
+        assert [n for name, _, n in calls if name == "attempt"] == attempts
+        assert len(died) + len(attempts) == rec.restarts + 1
         assert attempts[-1] == t_max
         if t_max == 40:
             assert rec.restarts > simulate._BLOCK_ATTEMPTS
-            assert max(attempts[:-1]) > simulate._FIRST_GENERATIONS
+            assert max(died) > simulate._FIRST_GENERATIONS
 
     @pytest.mark.parametrize("cfg", [
         _cfg(tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2), t_max=40, seed=1424),
