@@ -517,7 +517,7 @@ def _cmd_simulate(p) -> int:
         with ProcessPoolExecutor(max_workers=p["jobs"]) as pool:
             records = list(pool.map(simulate.run, configs))
     else:
-        records = [simulate.run(cfg) for cfg in configs]
+        records = simulate.run_replicas(configs)
 
     mode_names = np.array([simulate.MODE_EXACT, simulate.MODE_LOGDET], dtype=object)
     _write_csv(

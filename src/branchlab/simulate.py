@@ -39,15 +39,18 @@ small or not.
 
 Survival conditioning restarts an extinct attempt, and a run founded near
 criticality is mostly attempts that die within a few small generations.  So
-``run`` screens each fmm attempt first: ``_dies_small`` runs it on the small
+each fmm attempt is screened first: ``_dies_small`` runs it on the small
 step's list-level core, ``_small_classes``, with ``_attempt``'s substreams
 and draws in ``_attempt``'s order, and builds no state, row or tuple.  An
 attempt that dies there is a restart and nothing more.  Any other one, the
 survivor included, stops at the first generation that leaves the small
 branch and runs through ``_attempt`` from generation 0, so every row and
-every error text comes from there.  On the restart-heavy fmm argv of the
-benchmark (6,685 attempts for 40 replicas) all 6,645 extinct attempts die in
-the screen, and ``_attempt`` runs 40 times.
+every error text comes from there.  ``_screen`` screens the attempts of
+several runs round by round: ``run_replicas`` (the CLI's ``simulate --jobs
+1``) screens every replica before ``run`` replays each one's attempt, and
+``run`` on its own is the one-run case.  On the restart-heavy fmm argv of
+the benchmark (6,685 attempts for 40 replicas) all 6,645 extinct attempts
+die in the screen, and ``_attempt`` runs 40 times.
 
 States of at least ``_LARGE_STATE_CLASSES`` (4096) classes, such as the
 MMM state an exact phase hands to logdet mode, take two large-state paths
@@ -81,17 +84,19 @@ malloc environment variables) to the host process.
 
 Generation t of an attempt draws from the ``PCG64`` stream seeded by a
 ``np.random.SeedSequence`` with entropy ``attempt_seed`` and
-``spawn_key=(t,)``, without constructing either per generation.  NumPy
-hashes each attempt seed into its entropy pool; ``_substream_states`` mixes t
-into the pools of a block of attempts and computes their streams' states for
-a chunk of generations in one pass of NumPy integer arithmetic.  ``run``
-takes blocks of 1, 2, 4, ... up to 64 attempts and their first 16
-generations, and an attempt that lives longer hashes its own next chunks.
-Each generation ``_generation_rng`` copies its 32 bytes into the C state of
-the one generator the run reuses, where a once-per-process probe finds the
-layout it expects, and goes through the public ``bit_generator.state``
-setter otherwise; ``tests/test_substream_properties.py`` pins both paths to
-``SeedSequence``'s states and draws.
+``spawn_key=(t,)``, without constructing either.  ``_seed_pools`` computes
+NumPy's hash of a block of attempt seeds into their entropy pools, and
+``_substream_states`` mixes t into the pools and computes their streams'
+states for a chunk of generations, each in one pass of NumPy integer
+arithmetic over the block.  A round of ``_screen`` takes each pending run's
+next 1, 2, 4, ... up to 64 attempts and hashes their pools and first 16
+generations in slices of up to 256 attempts, and an attempt that lives
+longer hashes its own next chunks.  Each generation ``_generation_rng``
+copies its 32 bytes into the C state of the one generator the run reuses,
+where a once-per-process probe finds the layout it expects, and goes
+through the public ``bit_generator.state`` setter otherwise;
+``tests/test_substream_properties.py`` pins pools, states and draws to
+``SeedSequence``'s, on both paths.
 """
 from __future__ import annotations
 
@@ -102,7 +107,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HorizonOverflow, TooManyRestarts
+from .errors import BranchlabError, DomainError, HorizonOverflow, TooManyRestarts
 from .tails import TailModel, inverse_log_tail, log_tail, sample_fitness, sample_max_of_n
 
 MODE_EXACT = "exact"
@@ -528,15 +533,21 @@ def _merge_into_head(head, log_fit, count, birth, buffers: _Buffers | None = Non
     return merged
 
 
-def initial_state(cfg: SimConfig) -> PopulationState:
-    """Single founder individual at the configured log-fitness.
+def _founder(cfg: SimConfig) -> tuple:
+    """The founder's tuple class columns and log fitness sum: (cols, log_fitsum).
 
-    Built directly on tuple columns, with the totals ``_rebuild`` gives one
-    class of count 1: log X = 0 and log fitness sum = log_f (``+ 0.0`` turns
-    -0.0 into 0.0, as its log-sum-exp does).
+    The totals are those ``_rebuild`` gives one class of count 1: log X = 0
+    and log fitness sum = log_f (``+ 0.0`` turns -0.0 into 0.0, as its
+    log-sum-exp does).
     """
     log_f = float(cfg.log_f)
-    return PopulationState(0, (log_f,), (1,), (0,), MODE_EXACT, 0.0, log_f + 0.0)
+    return ((log_f,), (1,), (0,)), log_f + 0.0
+
+
+def initial_state(cfg: SimConfig) -> PopulationState:
+    """Single founder individual at the configured log-fitness, on ``_founder``'s columns."""
+    cols, log_fitsum = _founder(cfg)
+    return PopulationState(0, *cols, MODE_EXACT, 0.0, log_fitsum)
 
 
 def to_logdet(state: PopulationState) -> PopulationState:
@@ -893,9 +904,11 @@ def _hash_consts(init: int, mult: int, n: int) -> tuple:
 
 # Hashmix k xors with _HASH_A[k] and multiplies by _HASH_A[k + 1].  The first
 # 16 constants are the ones NumPy's pool mixing uses (4 entropy words, then 12
-# cross-mixes); each 32-bit word of the spawn key then takes four more, one per
-# pool word: [word of t][pool word][1].
+# cross-mixes, three per source word: [hashmix][1]); each 32-bit word of the
+# spawn key then takes four more, one per pool word: [word of t][pool word][1].
 _HASH_A = _hash_consts(_INIT_A, _MULT_A, 24)
+_POOL_XOR = np.array(_HASH_A[:16], dtype=np.uint32)[:, None]
+_POOL_MUL = np.array(_HASH_A[1:17], dtype=np.uint32)[:, None]
 _SPAWN_XOR = np.array(_HASH_A[16:24], dtype=np.uint32).reshape(2, 4, 1)
 _SPAWN_MUL = np.array(_HASH_A[17:25], dtype=np.uint32).reshape(2, 4, 1)
 # generate_state's output word i xors with _HASH_B[i], multiplies by
@@ -906,20 +919,29 @@ _STATE_MUL = np.array(_HASH_B[1:9], dtype=np.uint32).reshape(2, 4, 1, 1)
 _MULT_HI, _MULT_LO = _PCG64_MULT >> 64, _PCG64_MULT & (1 << 64) - 1
 _MULT_LO0, _MULT_LO1 = _MULT_LO & _MASK32, _MULT_LO >> 32
 
-# ``run`` hashes the first min(_FIRST_GENERATIONS, t_max) substream states of
-# its attempts in blocks of 1, 2, 4, ... up to _BLOCK_ATTEMPTS attempts, one
-# ``_substream_states`` call a block; an attempt that outlives them hashes its
-# own next chunk.  A call costs about 55-80 us plus 0.07-0.1 us a state, and
-# each attempt in a block's unused tail a pool (about 3 us).  On the
+# A round of ``_screen`` hashes the first min(_FIRST_GENERATIONS, t_max)
+# substream states of each pending run's next 1, 2, 4, ... up to
+# _BLOCK_ATTEMPTS attempts; an attempt that outlives them hashes its own next
+# chunk.  A ``_substream_states`` call costs about 55-80 us plus 0.07-0.1 us a
+# state, a ``_seed_pools`` call about 40 us plus 0.03 us a seed.  On the
 # restart-heavy fmm argv of the benchmark (pareto alpha 3, beta 0.9, log_f
 # log 1.2, t_max 40, 40 replicas; 6,685 attempts, 33,907 generations), 2,472
 # attempts outlive 4 generations, 1,192 outlive 8, 326 outlive 16 and 88
-# outlive 24.  Median CPU of whole passes, chunk/block (two program seeds, 6
-# and 8 alternating rounds, shared 2-vCPU VM): 8/64 0.93 and 0.82 s; 16/64
-# 0.79 and 0.65 s; 24/64 0.70 s; 32/64 0.81 and 0.69 s; 40/64 0.81 s; 16/16
-# 0.87 s; 16/32 0.86 and 0.71 s; 16/128 0.86 and 0.76 s.
+# outlive 24; a seed-1 pass hashes 7,500 pools in 43 slices and makes 361
+# chunk calls.  CPU min of 7 in-process passes of that argv, median of 4
+# alternating processes each, chunk/block, bench seeds 1 and 4 (shared 2-vCPU
+# VM): 8/64 0.302 and 0.320 s; 16/64 0.254 and 0.275; 24/64 0.240 and 0.270;
+# 32/64 0.243 and 0.260, with 1.6 MB more peak RSS; 16/32 0.246 and 0.281;
+# 16/128 0.255 and 0.299.  16 against 24 in 10 alternating pairs (min of 9
+# passes): seed 1 0.240/0.230 s, 24 faster in 10 pairs; seed 4 0.246/0.241
+# (7 of 10) and 0.310/0.301 (6 of 10); bench seed 2 0.247/0.244 (8 of 10),
+# peak RSS 0.2-0.4 MB higher at 24.  Only seed 1 separates them, so 16 stays.
 _BLOCK_ATTEMPTS = 64
 _FIRST_GENERATIONS = 16
+# ``_screen`` hashes a round's attempts in slices of at most this many.  On
+# the argv above, slices of 64, 128, 256 and 512 attempts read the same CPU
+# time within noise, but 512 raised peak RSS by 1.8 MB against 0.1 MB at 256.
+_SLICE_ATTEMPTS = 256
 
 
 def _spawn_mix(pool, word, k):
@@ -930,6 +952,33 @@ def _spawn_mix(pool, word, k):
     mixed = pool * _MIX_MULT_L - h[:, None, :]
     mixed ^= mixed >> 16
     return mixed
+
+
+def _seed_pools(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(int(s)).pool`` for each s of a uint64 array, shape (K, 4) uint32.
+
+    NumPy's ``mix_entropy`` on an integer seed: the entropy words are the
+    seed's low and high 32-bit words (no high word below 2**32, which
+    hashes as the 0 that pads the pool anyway), each pool word starts as
+    the hashmix of its entropy word, and each source word in turn is
+    hashmixed into the three others.  Source and constants are the same for
+    all three, so each source word takes one pass over a (3, K) array.
+    """
+    words = np.zeros((4, seeds.size), dtype=np.uint32)
+    words[0] = seeds & _MASK32
+    words[1] = seeds >> 32
+    pool = (words ^ _POOL_XOR[:4]) * _POOL_MUL[:4]
+    pool ^= pool >> 16
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        k = 4 + 3 * src
+        h = (pool[src] ^ _POOL_XOR[k:k + 3]) * _POOL_MUL[k:k + 3]
+        h ^= h >> 16
+        h *= _MIX_MULT_R
+        mixed = pool[dst] * _MIX_MULT_L - h
+        mixed ^= mixed >> 16
+        pool[dst] = mixed
+    return pool.T
 
 
 def _substream_states(pools: np.ndarray, t0: int, n: int) -> np.ndarray:
@@ -1127,25 +1176,25 @@ def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, w
     return rows, None
 
 
-def _dies_small(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink,
-                words: bytes):
+def _dies_small(cfg: SimConfig, founder: tuple, pool: np.ndarray, rng: np.random.Generator,
+                sink, words: bytes):
     """The generation an fmm attempt dies at on small exact steps alone, or None.
 
-    Takes ``_attempt``'s arguments but its buffers and runs the attempt as
-    ``_attempt`` does, with the same substreams and the same draws in the
-    same order, for as long as each generation takes ``step_exact``'s small
-    branch; the classes stay lists, and no state or row is built.  None as
-    soon as a generation would not: a log fitness sum above the cap (the
-    logdet switch), a step on the array path, or a log fitness sum that is
-    not finite (where ``_attempt`` raises).  None too for an attempt alive
-    at t_max.  ``run`` then runs the attempt through ``_attempt`` from
-    generation 0, so every row and every error text comes from there.
+    Takes ``_attempt``'s arguments but its buffers, and ``founder``, the
+    run's ``_founder(cfg)``, and runs the attempt as ``_attempt`` does, with
+    the same substreams and the same draws in the same order, for as long
+    as each generation takes ``step_exact``'s small branch; the classes stay
+    lists, and no state or row is built.  None as soon as a generation would
+    not: a log fitness sum above the cap (the logdet switch), a step on the
+    array path, or a log fitness sum that is not finite (where ``_attempt``
+    raises).  None too for an attempt alive at t_max.  ``run`` then runs the
+    attempt through ``_attempt`` from generation 0, so every row and every
+    error text comes from there.
     """
     beta, tail, t_max = cfg.beta, cfg.tail, cfg.t_max
     log_cap = math.log(cfg.exact_event_cap)
     survive = 1.0 - beta
-    founder = initial_state(cfg)
-    cols, log_fitsum = founder.cols, founder.log_fitsum
+    cols, log_fitsum = founder
     offset = 0
     for t in range(1, t_max + 1):
         if offset == len(words):
@@ -1169,56 +1218,106 @@ def _dies_small(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink
     return None
 
 
-def _attempt_substreams(cfg: SimConfig):
-    """(pool, words) for ``_attempt``, attempt by attempt, MAX_RESTARTS + 1 of them.
+def _screen(cfgs, first: int, rng: np.random.Generator, sink) -> list:
+    """Each run's next attempts for ``_attempt``, from attempt ``first`` on.
 
-    Attempt a seeds ``(cfg.seed + a) % 2**64``.  Blocks of 1, 2, 4, ... up to
-    ``_BLOCK_ATTEMPTS`` attempts take their pools from ``SeedSequence`` and
-    their first ``min(_FIRST_GENERATIONS, t_max)`` states from one
-    ``_substream_states`` call, so a run that survives its first attempt
-    hashes one pool, and a run that stops early leaves at most one block's
-    tail unused.
+    Returns, per config, a list of the (attempt, pool, words) that
+    ``_attempt`` takes.  For an fmm run that restarts it holds the first
+    attempt that ``_dies_small`` does not see die, or nothing when every
+    attempt up to MAX_RESTARTS dies there; for any other run, every attempt
+    of its first round, in order.  ``rng`` and ``sink`` are the screen's
+    generator, as ``_attempt`` takes them.
+
+    Attempt a of a run seeds (cfg.seed + a) % 2**64.  The attempts go in
+    rounds of min(a + 1, ``_BLOCK_ATTEMPTS``) attempts from the round's
+    first attempt a (1, 2, 4, ... from attempt 0), which each run still
+    pending screens in order until one does not die.  A round's attempts,
+    run after run, are hashed in slices of up to ``_SLICE_ATTEMPTS``, each
+    when the screen first reaches it: one ``_seed_pools`` call for their
+    pools and one ``_substream_states`` call for their first
+    min(``_FIRST_GENERATIONS``, t_max) states, at the largest t_max of the
+    round's runs.
+
+    An error the screen raises hands that attempt to ``_attempt``, which
+    makes the same draws up to it and raises it again, so runs of several
+    configs (``run_replicas``) raise their errors in config order.
     """
-    n = min(_FIRST_GENERATIONS, cfg.t_max)
-    first, size = 0, 1
-    while first <= MAX_RESTARTS:
-        size = min(size, MAX_RESTARTS + 1 - first)
-        pools = np.array([np.random.SeedSequence((cfg.seed + a) % (1 << 64)).pool
-                          for a in range(first, first + size)])
-        words = _substream_states(pools, 1, n).tobytes()
-        for k in range(size):
-            yield pools[k:k + 1], words[32 * n * k:32 * n * (k + 1)]
+    found = [[] for _ in cfgs]
+    founders = [_founder(cfg) for cfg in cfgs]
+    pending = list(range(len(cfgs)))
+    while pending and first <= MAX_RESTARTS:
+        size = min(first + 1, _BLOCK_ATTEMPTS, MAX_RESTARTS + 1 - first)
+        bases = np.array([cfgs[i].seed % (1 << 64) for i in pending], dtype=np.uint64)
+        n = min(_FIRST_GENERATIONS, max(cfgs[i].t_max for i in pending))
+        hashed = 0  # the round's attempts, run after run, below this are hashed
+        for j, i in enumerate(pending):
+            cfg = cfgs[i]
+            screened = cfg.model == "fmm" and cfg.restart_on_extinction
+            width = 32 * min(_FIRST_GENERATIONS, cfg.t_max)
+            for p in range(j * size, (j + 1) * size):
+                if p >= hashed:
+                    low, hashed = p, min(p + _SLICE_ATTEMPTS, len(pending) * size)
+                    flat = np.arange(low, hashed)
+                    # flat attempt p is attempt first + p % size of pending run p // size
+                    attempts = (flat % size + first).astype(np.uint64)
+                    pools = _seed_pools(bases[flat // size] + attempts)
+                    states = _substream_states(pools, 1, n).tobytes()
+                pool = pools[p - low:p - low + 1]
+                words = states[32 * n * (p - low):32 * n * (p - low) + width]
+                if screened:
+                    try:
+                        if _dies_small(cfg, founders[i], pool, rng, sink, words) is not None:
+                            continue
+                    except BranchlabError:
+                        pass
+                found[i].append((first + p - j * size, pool, words))
+                if screened:
+                    break
+        pending = [i for i in pending if not found[i]]
         first += size
-        size = min(2 * size, _BLOCK_ATTEMPTS)
+    return found
 
 
-def run(cfg: SimConfig) -> RunRecord:
+def _restarts(cfg: SimConfig, attempts: list, rng: np.random.Generator, sink):
+    """``attempts``, a ``_screen`` entry of cfg, then each next ``_screen`` entry in turn.
+
+    The attempts ``run`` takes through ``_attempt``: a list that runs out
+    screens on from the attempt after its last, until the screen finds none.
+    """
+    while attempts:
+        yield from attempts
+        attempts = _screen([cfg], attempts[-1][0] + 1, rng, sink)[0]
+
+
+def run(cfg: SimConfig, screened: list | None = None) -> RunRecord:
     """Simulate one run, restarting on extinction when configured.
 
     Restarts reseed deterministically from seed + restart index, realizing
-    survival conditioning.  Raises TooManyRestarts after 10^4 extinct
-    attempts, which signals negligible survival probability.
+    survival conditioning.  Raises TooManyRestarts when none of the
+    MAX_RESTARTS + 1 attempts (10^4 restarts) survives, which signals
+    negligible survival probability.
 
-    With restarts on, each fmm attempt goes through ``_dies_small`` first,
-    and only one that it does not see die runs through ``_attempt``; the
-    record and every error are ``_attempt``'s either way.  mmm runs, and
-    runs that keep their extinct attempt, call ``_attempt`` alone.
+    With restarts on, each fmm attempt goes through ``_dies_small`` first
+    (in ``_screen``), and only one that it does not see die runs through
+    ``_attempt``; the record and every error are ``_attempt``'s either way.
+    mmm runs, and runs that keep their extinct attempt, call ``_attempt``
+    alone.  ``screened`` is this run's entry of a ``_screen`` of several
+    runs (``run_replicas``); without it the run screens its own attempts.
     """
     # one generator for every attempt; each generation sets its whole state
     rng = np.random.Generator(np.random.PCG64(0))
     sink = _state_sink(rng)
     buffers = _Buffers()
-    screen = cfg.model == "fmm" and cfg.restart_on_extinction
     with np.errstate(over="ignore", invalid="ignore"):
-        for attempt, (pool, words) in enumerate(_attempt_substreams(cfg)):
-            if screen and _dies_small(cfg, pool, rng, sink, words) is not None:
-                continue
+        if screened is None:
+            screened = _screen([cfg], 0, rng, sink)[0]
+        for attempt, pool, words in _restarts(cfg, screened, rng, sink):
             rows, extinct_t = _attempt(cfg, pool, rng, sink, words, buffers)
             if extinct_t is None or not cfg.restart_on_extinction:
                 break
         else:
             raise TooManyRestarts(
-                f"no surviving run in {MAX_RESTARTS} attempts (seed {cfg.seed}); "
+                f"no surviving run in {MAX_RESTARTS + 1} attempts (seed {cfg.seed}); "
                 "survival probability is negligible for these parameters"
             )
     cols = list(zip(*rows))
@@ -1232,6 +1331,25 @@ def run(cfg: SimConfig) -> RunRecord:
         outcome="survived" if extinct_t is None else "extinct",
         restarts=attempt,
     )
+
+
+def run_replicas(cfgs) -> list[RunRecord]:
+    """``[run(cfg) for cfg in cfgs]``, with every run's restart screen made first.
+
+    One ``_screen`` of all the configs, on a generator of its own, finds
+    each run's first attempt that the screen does not see die; then ``run``
+    takes each config with its entry, in order.  The records, and the
+    first error raised, are those of ``run`` on each config alone.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        screened = _screen(cfgs, 0, rng, _state_sink(rng))
+    records = []
+    for k, cfg in enumerate(cfgs):
+        # drop each entry as its run takes it: the list empties as the records grow
+        entry, screened[k] = screened[k], None
+        records.append(run(cfg, entry))
+    return records
 
 
 def mc_verify_galton(theta: float, x: float, n: int, replicas: int, rng: np.random.Generator):

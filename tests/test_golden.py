@@ -21,9 +21,9 @@ log-fitness grid as the run goes.  ``fmm_logdet_jobs2`` repeats
 restarts 54 times, so its attempt seeds wrap through 2**64 - 1 to 0, 1, ...:
 they cover seeds of two 32-bit words, of one word, and the seed 0.
 ``fmm_restart_blocks`` restarts 161 times, so its attempts' pools and first
-substream states, hashed in blocks of 1, 2, 4, ... up to 64 attempts, fill
-a 64-attempt block and end inside the next; at t-max 20 the attempts that
-outlive their first 16 generations hash a chunk of their own.
+substream states, hashed in screen rounds of 1, 2, 4, ... up to 64
+attempts, fill a 64-attempt round and end inside the next; at t-max 20 the
+attempts that outlive their first 16 generations hash a chunk of their own.
 ``nu_large_alpha`` reaches horizons T of about 54000, where the
 search in ``growth.period_T`` starts far from T = 1.  ``fmm_exact_big_means``
 raises the exact-mode cap to 1e18, so exact generations draw the mutant

@@ -4,7 +4,8 @@
 runs the attempt on small exact steps alone and says at which generation it
 dies, or None at the first generation that would leave ``step_exact``'s
 small branch, and then ``_attempt`` replays the attempt from generation 0.
-Each attempt here is compared with ``_attempt`` on the array path
+Each attempt here, on the pool and states ``simulate._screen`` hands out for
+it, is compared with ``_attempt`` on the array path
 (``_SMALL_STATE_CLASSES`` patched to 0), whose steps are spied to tell which
 generations the small branch would have taken.  The screen must say "dies"
 exactly when that attempt dies on such generations alone, at the same
@@ -28,7 +29,7 @@ from branchlab.simulate import _NORMAL_APPROX_MEAN, SimConfig
 from branchlab.tails import TailModel
 
 _CUTOFF = simulate._SMALL_STATE_CLASSES
-# attempts compared per example: blocks of 1, 2 and 4 and one past them
+# attempts compared per example: screen rounds of 1, 2 and 4 and one past them
 _ATTEMPTS = 8
 
 
@@ -73,7 +74,19 @@ def _generator():
     return rng, simulate._state_sink(rng)
 
 
-def _screen(cfg, pool, words, ties):
+def _attempts(cfg, attempts):
+    """(pool, words) of cfg's first ``attempts`` attempts, as ``simulate._screen`` gives them."""
+    rng, sink = _generator()
+    found, first = [], 0
+    with mock.patch.object(simulate, "_dies_small", lambda *args: None):
+        while len(found) < attempts:
+            (first, pool, words), = simulate._screen([cfg], first, rng, sink)[0]
+            found.append((pool, words))
+            first += 1
+    return found
+
+
+def _screen_attempt(cfg, pool, words, ties):
     """(``_dies_small``'s result, the generations it reset, its generator's state)."""
     rng, sink = _generator()
     reset, resets = simulate._generation_rng, []
@@ -83,7 +96,7 @@ def _screen(cfg, pool, words, ties):
         return reset(*args)
 
     with mock.patch.object(simulate, "_generation_rng", counted), _mutants(cfg, ties, []):
-        died = simulate._dies_small(cfg, pool, rng, sink, words)
+        died = simulate._dies_small(cfg, simulate._founder(cfg), pool, rng, sink, words)
     return died, len(resets), rng.bit_generator.state
 
 
@@ -128,8 +141,8 @@ def _compare(cfg, ties, attempts=_ATTEMPTS):
     path; returns each attempt's (screen result, generation it stopped at)."""
     seen = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for pool, words in itertools.islice(simulate._attempt_substreams(cfg), attempts):
-            died, resets, state = _screen(cfg, pool, words, ties)
+        for pool, words in _attempts(cfg, attempts):
+            died, resets, state = _screen_attempt(cfg, pool, words, ties)
             want, stop, want_state = _array_attempt(cfg, pool, words, ties)
             assert (died, resets) == (want, stop)
             if died is not None:

@@ -5,12 +5,13 @@ distributional laws are checked against closed-form CDFs by inversion.
 """
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from branchlab import simulate
-from branchlab.errors import DomainError, HorizonOverflow, TooManyRestarts
+from branchlab.errors import DomainError, HorizonOverflow, NonConvergence, TooManyRestarts
 from branchlab.simulate import (
     MAX_EXACT_EVENT_CAP,
     MMM_MAX_EXACT_EVENT_CAP,
@@ -41,6 +42,10 @@ def _cfg(**kw):
     base = dict(model="fmm", tail=PARETO1, beta=0.1, log_f=50.0, t_max=40, seed=1)
     base.update(kw)
     return SimConfig(**base)
+
+
+# an mmm run that restarts 5 times, then hands its exact phase to logdet mode
+_MMM_RESTARTS = _cfg(model="mmm", log_f=0.1, t_max=16, seed=5, exact_event_cap=1000.0)
 
 
 def _table(cfg):
@@ -311,50 +316,69 @@ class TestRun:
         assert rec.outcome == "survived" and rec.restarts > 0
 
     def test_runs_seed_no_generator_per_generation(self, monkeypatch):
-        # every substream is set on the run's one generator: a restarting fmm
-        # run and an mmm run through the handover to logdet each build their
-        # pools per block of attempts, one SeedSequence per attempt seed in
-        # order and no spawn key, leave at most one block's tail unused, make
-        # one PCG64 per run and never call default_rng
+        # every substream is set on the run's one generator: restarting fmm
+        # runs, an mmm run through the handover to logdet and an mmm run that
+        # restarts into logdet each hash their pools with _seed_pools, attempt
+        # seeds in order and each once, construct no SeedSequence, leave at
+        # most one round's tail of attempts unused, make one PCG64 per run and
+        # never call default_rng
         simulate._direct_state_writes()  # the once-per-process probe makes its own PCG64
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a generator was seeded per generation")
+            raise AssertionError("a generator was seeded per generation or attempt")
 
-        made, seeded = [], []
-        pcg64, seed_sequence = np.random.PCG64, np.random.SeedSequence
+        made, seeded, rounds = [], [], []
+        pcg64, seed_pools = np.random.PCG64, simulate._seed_pools
 
         def counted(*args, **kwargs):
             made.append(args)
             return pcg64(*args, **kwargs)
 
-        def counted_seed_sequence(*args, **kwargs):
-            seeded.append((args, kwargs))
-            return seed_sequence(*args, **kwargs)
+        def counted_seed_pools(seeds):
+            rounds.append(seeds.size)
+            seeded.extend(seeds.tolist())
+            return seed_pools(seeds)
 
-        monkeypatch.setattr(np.random, "SeedSequence", counted_seed_sequence)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         monkeypatch.setattr(np.random, "PCG64", counted)
-        fmm = run(_cfg(beta=0.9, log_f=math.log(1.5), t_max=25, seed=3))
-        assert fmm.restarts > 0
-        assert seeded == [((3 + k,), {}) for k in range(len(seeded))]
-        assert fmm.restarts + 1 <= len(seeded) < fmm.restarts + simulate._BLOCK_ATTEMPTS
-        assert len(made) == 1
-        seeded.clear()
-        mmm = run(_cfg(model="mmm", log_f=math.log(2.0), t_max=12, seed=3))
-        assert mmm.mode[1] == 0 and mmm.mode[-1] == 1
-        assert seeded == [((3 + k,), {}) for k in range(len(seeded))]
-        assert mmm.restarts + 1 <= len(seeded) < mmm.restarts + simulate._BLOCK_ATTEMPTS
-        assert len(made) == 2
+        monkeypatch.setattr(simulate, "_seed_pools", counted_seed_pools)
+        restarts = []
+        for cfg in [_cfg(beta=0.9, log_f=math.log(1.5), t_max=25, seed=3),
+                    _cfg(tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2),
+                         t_max=40, seed=1424),
+                    _cfg(model="mmm", log_f=math.log(2.0), t_max=12, seed=3), _MMM_RESTARTS]:
+            seeded.clear()
+            rounds.clear()
+            rec = run(cfg)
+            restarts.append(rec.restarts)
+            assert seeded == [cfg.seed + k for k in range(len(seeded))]
+            assert rec.restarts + 1 <= len(seeded) < rec.restarts + simulate._BLOCK_ATTEMPTS
+            # rounds of 1, 2, 4, ... attempts, screened or not
+            assert rounds[:7] == [1, 2, 4, 8, 16, 32, 64][:len(rounds)]
+            assert len(made) == len(restarts)
+            if cfg.model == "mmm":
+                assert rec.mode[1] == 0 and rec.mode[-1] == 1
+        assert 0 < restarts[0] and simulate._BLOCK_ATTEMPTS < restarts[1] and 0 < restarts[3]
 
     @pytest.mark.parametrize("t_max", [0, 1, 16, 40])
     def test_one_substream_reset_per_generation(self, monkeypatch, t_max):
+        self._check_resets(monkeypatch, t_max, "run")
+
+    @pytest.mark.parametrize("t_max", [0, 1, 16, 40])
+    def test_one_substream_reset_per_generation_replicas(self, monkeypatch, t_max):
+        self._check_resets(monkeypatch, t_max, "run_replicas")
+
+    @staticmethod
+    def _check_resets(monkeypatch, t_max, entry):
         # run screens each fmm attempt with _dies_small and calls _attempt
         # for each one the screen does not see die; both call
         # _generation_rng through the module global once per generation
         # they run, past their first chunk of states too; the traced
-        # benchmark counts both names
-        calls, resets = [], []  # (name, result, resets made) in call order
+        # benchmark counts both names.  run_replicas screens two replicas'
+        # attempts round by round before it runs either, and each replica's
+        # calls keep the order a run of it alone makes
+        calls, resets = [], []  # (name, config, result, resets made) in call order
         screen, attempt, reset = simulate._dies_small, simulate._attempt, simulate._generation_rng
         simulate._direct_state_writes()  # the once-per-process probe resets a generator too
 
@@ -362,7 +386,7 @@ class TestRun:
             def call(*args):
                 before = len(resets)
                 result = fn(*args)
-                calls.append((name, result, len(resets) - before))
+                calls.append((name, args[0], result, len(resets) - before))
                 return result
             return call
 
@@ -373,30 +397,41 @@ class TestRun:
         monkeypatch.setattr(simulate, "_dies_small", counted("screen", screen))
         monkeypatch.setattr(simulate, "_attempt", counted("attempt", attempt))
         monkeypatch.setattr(simulate, "_generation_rng", counted_reset)
-        rec = run(_cfg(tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2),
-                       t_max=t_max, seed=1424))
-        assert len(resets) == sum(n for _, _, n in calls)
-        screened = [(died, n) for name, died, n in calls if name == "screen"]
-        attempts = [len(result[0]) - 1 for name, result, _ in calls if name == "attempt"]
-        assert len(screened) == rec.restarts + 1
-        # each attempt is screened, then run through _attempt unless it died
-        order = [name for name, _, _ in calls]
-        want = []
-        for died, _ in screened:
-            want += ["screen"] if died is not None else ["screen", "attempt"]
-        assert order == want
-        # a screen that sees its attempt die ran to that generation; one that
-        # does not ran at most as far as the attempt's run through _attempt
-        died = [t for t, n in screened if t is not None]
-        assert all(n == t for t, n in screened if t is not None)
-        stopped = [n for t, n in screened if t is None]
-        assert all(min(t_max, 1) <= n <= gens for n, gens in zip(stopped, attempts))
-        assert [n for name, _, n in calls if name == "attempt"] == attempts
-        assert len(died) + len(attempts) == rec.restarts + 1
-        assert attempts[-1] == t_max
-        if t_max == 40:
-            assert rec.restarts > simulate._BLOCK_ATTEMPTS
-            assert max(died) > simulate._FIRST_GENERATIONS
+        cfgs = [_cfg(tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2),
+                     t_max=t_max, seed=seed) for seed in (1424, 5)]
+        if entry == "run":
+            cfgs = cfgs[:1]
+            recs = [run(cfgs[0])]
+        else:
+            recs = simulate.run_replicas(cfgs)
+        assert len(resets) == sum(n for _, _, _, n in calls)
+        # every replica is screened up to its first attempt before any runs
+        first_run = [name for name, _, _, _ in calls].index("attempt")
+        for cfg in cfgs:
+            names = [name for name, c, _, _ in calls if c is cfg]
+            assert sum(c is cfg for _, c, _, _ in calls[:first_run]) == names.index("attempt")
+        for cfg, rec in zip(cfgs, recs):
+            mine = [(name, result, n) for name, c, result, n in calls if c is cfg]
+            screened = [(died, n) for name, died, n in mine if name == "screen"]
+            attempts = [len(result[0]) - 1 for name, result, _ in mine if name == "attempt"]
+            assert len(screened) == rec.restarts + 1
+            # each attempt is screened, then run through _attempt unless it died
+            want = []
+            for died, _ in screened:
+                want += ["screen"] if died is not None else ["screen", "attempt"]
+            assert [name for name, _, _ in mine] == want
+            # a screen that sees its attempt die ran to that generation; one that
+            # does not ran at most as far as the attempt's run through _attempt
+            died = [t for t, n in screened if t is not None]
+            assert all(n == t for t, n in screened if t is not None)
+            stopped = [n for t, n in screened if t is None]
+            assert all(min(t_max, 1) <= n <= gens for n, gens in zip(stopped, attempts))
+            assert [n for name, _, n in mine if name == "attempt"] == attempts
+            assert len(died) + len(attempts) == rec.restarts + 1
+            assert attempts[-1] == t_max
+            if t_max == 40 and cfg is cfgs[0]:
+                assert rec.restarts > simulate._BLOCK_ATTEMPTS
+                assert max(died) > simulate._FIRST_GENERATIONS
 
     @pytest.mark.parametrize("cfg", [
         _cfg(tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2), t_max=40, seed=1424),
@@ -434,6 +469,34 @@ class TestRun:
                    log_f=math.log(1.2), t_max=50, seed=11)
         with pytest.raises(TooManyRestarts):
             run(cfg)
+
+    @pytest.mark.parametrize("model", ["fmm", "mmm"])
+    def test_too_many_restarts_counts_its_attempts(self, monkeypatch, model):
+        # MAX_RESTARTS restarts are MAX_RESTARTS + 1 attempts, each seeded,
+        # screened (fmm) and run (mmm) once, and the message gives that count
+        # fmm: test_too_many_restarts' config; mmm: a founder line far below
+        # criticality that draws a mutant in about 0.4% of its generations
+        beta, log_f = (0.99, math.log(1.2)) if model == "fmm" else (0.01, -1.0)
+        cfg = _cfg(model=model, tail=TailModel("pareto", 5.0), beta=beta, log_f=log_f,
+                   t_max=50, seed=11)
+        monkeypatch.setattr(simulate, "MAX_RESTARTS", 6)
+        seeded, seed_pools = [], simulate._seed_pools
+
+        def counted(seeds):
+            seeded.extend(seeds.tolist())
+            return seed_pools(seeds)
+
+        monkeypatch.setattr(simulate, "_seed_pools", counted)
+        with mock.patch.object(simulate, "_dies_small", wraps=simulate._dies_small) as screen, \
+                mock.patch.object(simulate, "_attempt", wraps=simulate._attempt) as attempt, \
+                pytest.raises(TooManyRestarts) as exc:
+            run(cfg)
+        assert str(exc.value).startswith("no surviving run in 7 attempts (seed 11);")
+        assert seeded == list(range(11, 18))
+        if model == "fmm":
+            assert screen.call_count == 7 and attempt.call_count == 0
+        else:
+            assert screen.call_count == 0 and attempt.call_count == 7
 
     def test_bit_identical_determinism(self):
         cfg = _cfg(model="mmm", t_max=15, seed=77)
@@ -499,6 +562,78 @@ class TestRun:
         diff = mmm.mean(axis=0) - fmm.mean(axis=0)
         assert np.all(diff[1:] > 0.0)
         assert np.all((mmm - fmm)[:, 1:] >= 0.0)
+
+
+class TestRunReplicas:
+    """``run_replicas`` screens every run's attempts round by round, then runs
+    each; its records and its first error must be those of ``run`` on each
+    config alone, in order."""
+
+    _FMM = dict(tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2))
+    CONFIGS = [
+        _cfg(t_max=40, seed=1424, **_FMM),  # more than 64 restarts
+        _cfg(t_max=16, seed=1424, restart_on_extinction=False, **_FMM),
+        _MMM_RESTARTS,
+        _cfg(t_max=0, seed=7, **_FMM),
+        _cfg(t_max=1, seed=7, **_FMM),
+        _cfg(t_max=40, seed=2**64 - 2, **_FMM),  # attempt seeds wrap to 0, 1, ...
+        _cfg(t_max=16, seed=2**64 - 1, **_FMM),
+        _cfg(model="mmm", t_max=12, seed=3, log_f=math.log(2.0)),
+        _cfg(t_max=16, seed=54, **_FMM),
+    ]
+
+    @staticmethod
+    def _outcome(fn):
+        """Each record's bytes, or the type and text of the error raised."""
+        try:
+            records = fn()
+        except TooManyRestarts as exc:
+            return type(exc), str(exc)
+        return [(rec.outcome, rec.restarts,
+                 *((a.dtype.str, a.tobytes()) for a in (rec.t, rec.log_X, rec.log_W,
+                                                         rec.n_classes, rec.mode,
+                                                         rec.dominant_age)))
+                for rec in records]
+
+    @pytest.mark.parametrize("max_restarts", [None, 20])
+    def test_records_match_runs_one_by_one(self, monkeypatch, max_restarts):
+        if max_restarts is not None:
+            # replica 0 now runs out of attempts: both raise its error
+            monkeypatch.setattr(simulate, "MAX_RESTARTS", max_restarts)
+        want = self._outcome(lambda: [run(cfg) for cfg in self.CONFIGS])
+        got = self._outcome(lambda: simulate.run_replicas(self.CONFIGS))
+        assert got == want
+        if max_restarts is None:
+            assert want[0][1] > simulate._BLOCK_ATTEMPTS and want[2][1] > 0
+            assert want[1][0] == "extinct" and want[5][1] > 2
+        else:
+            assert want == (TooManyRestarts, "no surviving run in 21 attempts (seed 1424); "
+                            "survival probability is negligible for these parameters")
+
+    @pytest.mark.parametrize("max_restarts", [None, 20])
+    def test_screen_errors_keep_replica_order(self, monkeypatch, max_restarts):
+        # a screen error is raised by run, when its replica's turn comes: a
+        # paretolog replica whose tail inversion fails raises after replica
+        # 0's TooManyRestarts, and itself when replica 0 survives
+        sample = simulate.sample_max_of_n
+
+        def failing(tail, n, rng):
+            if tail.family == "paretolog":
+                raise NonConvergence("tail inversion stalled")
+            return sample(tail, n, rng)
+
+        monkeypatch.setattr(simulate, "sample_max_of_n", failing)
+        if max_restarts is not None:
+            monkeypatch.setattr(simulate, "MAX_RESTARTS", max_restarts)
+        cfgs = [self.CONFIGS[0],
+                _cfg(t_max=16, seed=9, **{**self._FMM, "tail": TailModel("paretolog", 3.0, 1.0)})]
+        outcomes = []
+        for fn in (lambda: [run(cfg) for cfg in cfgs], lambda: simulate.run_replicas(cfgs)):
+            with pytest.raises((TooManyRestarts, NonConvergence)) as exc:
+                fn()
+            outcomes.append((exc.type, str(exc.value)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] is (NonConvergence if max_restarts is None else TooManyRestarts)
 
 
 class TestGaltonWatsonBounds:

@@ -1,8 +1,9 @@
 """Property tests for the per-generation substreams of ``simulate``.
 
-``simulate._substream_states`` hashes blocks of attempts x generations: it
-mixes each t into each attempt's pool, NumPy's
-``np.random.SeedSequence(seed).pool``, and computes the ``PCG64`` state that
+``simulate._seed_pools`` hashes attempt seeds into their pools, NumPy's
+``np.random.SeedSequence(seed).pool``.  ``simulate._substream_states``
+hashes blocks of attempts x generations: it mixes each t into each
+attempt's pool and computes the ``PCG64`` state that
 ``np.random.SeedSequence(seed, spawn_key=(t,))`` seeds.
 ``simulate._generation_rng`` then writes one such state on a generator
 reused across generations and attempts, into its C state where the probe
@@ -38,8 +39,28 @@ def _oracle(seed, t):
 
 
 def _pools(seeds):
-    # the attempt pools as simulate._attempt_substreams builds them
-    return np.array([np.random.SeedSequence(seed).pool for seed in seeds])
+    # the attempt pools as simulate._screen hashes them
+    return simulate._seed_pools(np.array(seeds, dtype=np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=_SEEDS, count=st.integers(min_value=1, max_value=40))
+@example(start=0, count=2)
+@example(start=2**32 - 1, count=3)
+@example(start=2**64 - 1, count=1)
+@example(start=2**64 - 3, count=6)
+def test_seed_pools_match_seed_sequence(start, count):
+    """The pools of a range of attempt seeds, built as ``_screen`` builds them.
+
+    The range start, start + 1, ... is added in uint64, so it wraps through
+    2**64 to 0, 1, ... as attempt seeds (seed + attempt) % 2**64 do; the
+    examples cover 0, 1, 2**32 - 1, 2**32, 2**32 + 1 and 2**64 - 1.
+    """
+    seeds = np.uint64(start) + np.arange(count, dtype=np.uint64)
+    got = simulate._seed_pools(seeds)
+    assert got.shape == (count, 4) and got.dtype == np.uint32
+    want = [np.random.SeedSequence((start + k) % 2**64).pool for k in range(count)]
+    assert got.tolist() == np.array(want).tolist()
 
 
 def _write(words, rng, direct=True):
