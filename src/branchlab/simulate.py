@@ -23,34 +23,35 @@ meets two descending runs, survivors and mutants, and merges them instead
 of sorting every key, with the same bits (see ``step_exact``).
 
 Exact generations of fewer than ``_SMALL_STATE_CLASSES`` (8) classes, the
-bulk of a restart-heavy run founded below criticality, run on Python scalars
-in ``_step_small`` with the array path's bits; the cutoff is where
-``np.add.reduce`` stops summing left to right and sums in blocks of 8.  The
-founder and every state ``_step_small`` makes keep their class columns as
-Python tuples, so a run of small generations builds no array; a state builds
-its arrays only when they are read (see ``PopulationState``).  The small
-step places each new mutant into the sorted survivors by a scan, reads
-log(count) from a table that one ``np.log`` of an array builds at import
-(4096 entries, each with the bits of the scalar call), and sums the totals
-on Python floats, where the top term adds exactly 1.0 and a single class
-needs no ``exp`` or ``log``; its docstring says why each shortcut keeps the
-bits.  ``step_exact`` stays the one call per exact generation of ``_attempt``,
-small or not.
+bulk of a restart-heavy run founded below criticality, run on Python lists
+in ``_small_generation`` with the array path's draws and bits; the cutoff is
+where ``np.add.reduce`` stops summing left to right and sums in blocks of 8.
+It draws the mutants first and hands them to the array path when the
+generation leaves the small branch.  The founder and every small state keep
+their class columns as Python tuples, so a run of small generations builds
+no array; a state builds its arrays only when they are read (see
+``PopulationState``).  A small generation places each new mutant into the
+sorted survivors by a scan, reads log(count) from a table that one
+``np.log`` of an array builds at import (4096 entries, each with the bits of
+the scalar call), and sums the totals on Python floats, where the top term
+adds exactly 1.0 and a single class needs no ``exp`` or ``log``; its
+docstring says why each shortcut keeps the bits.  ``step_exact`` stays the
+one call per exact generation of ``_attempt``, small or not.
 
 Survival conditioning restarts an extinct attempt, and a run founded near
 criticality is mostly attempts that die within a few small generations.  So
-each fmm attempt is screened first: ``_dies_small`` runs it on the small
-step's list-level core, ``_small_classes``, with ``_attempt``'s substreams
-and draws in ``_attempt``'s order, and builds no state, row or tuple.  An
-attempt that dies there is a restart and nothing more.  Any other one, the
-survivor included, stops at the first generation that leaves the small
-branch and runs through ``_attempt`` from generation 0, so every row and
-every error text comes from there.  ``_screen`` screens the attempts of
-several runs round by round: ``run_replicas`` (the CLI's ``simulate --jobs
-1``) screens every replica before ``run`` replays each one's attempt, and
-``run`` on its own is the one-run case.  On the restart-heavy fmm argv of
-the benchmark (6,685 attempts for 40 replicas) all 6,645 extinct attempts
-die in the screen, and ``_attempt`` runs 40 times.
+each fmm attempt is screened first: ``_dies_small`` runs it on
+``_small_generation`` with ``_attempt``'s substreams and draws in
+``_attempt``'s order, and builds no state, row or tuple.  An attempt that
+dies there is a restart and nothing more.  Any other one, the survivor
+included, stops at the first generation that leaves the small branch and
+runs through ``_attempt`` from generation 0, so every row and every error
+text comes from there.  ``_screen`` screens the attempts of several runs
+round by round: ``run_replicas`` (the CLI's ``simulate --jobs 1``) screens
+every replica before ``run`` replays each one's attempt, and ``run`` on its
+own is the one-run case.  On the restart-heavy fmm argv of the benchmark
+(6,685 attempts for 40 replicas) all 6,645 extinct attempts die in the
+screen, and ``_attempt`` runs 40 times.
 
 States of at least ``_LARGE_STATE_CLASSES`` (4096) classes, such as the
 MMM state an exact phase hands to logdet mode, take two large-state paths
@@ -90,8 +91,11 @@ NumPy's hash of a block of attempt seeds into their entropy pools, and
 states for a chunk of generations, each in one pass of NumPy integer
 arithmetic over the block.  A round of ``_screen`` takes each pending run's
 next 1, 2, 4, ... up to 64 attempts and hashes their pools and first 16
-generations in slices of up to 256 attempts, and an attempt that lives
-longer hashes its own next chunks.  Each generation ``_generation_rng``
+generations in slices of up to 256 attempts.  Attempts that outlive their
+states wait; at the round's end, or once the waiting runs hold over 1024
+attempts, one call hashes the next chunks of all that start at one
+generation.  ``_attempt`` takes every chunk the screen hashed for its
+attempt.  Each generation ``_generation_rng``
 copies its 32 bytes into the C state of the one generator the run reuses,
 where a once-per-process probe finds the layout it expects, and goes
 through the public ``bit_generator.state`` setter otherwise;
@@ -120,9 +124,9 @@ MAX_RESTARTS = 10_000
 _NORMAL_APPROX_MEAN = 1e9
 
 # Exact generations with fewer classes than this, survivors and mutants
-# together, take ``_step_small`` (see the module docstring for why 8).
+# together, take ``_small_generation`` (see the module docstring for why 8).
 _SMALL_STATE_CLASSES = 8
-# ``_step_small`` reads log(n) for counts n below this from ``_LOG_COUNTS``.
+# ``_small_generation`` reads log(n) for counts n below this from ``_LOG_COUNTS``.
 # Of the class counts its states hold on a restart-heavy fmm run (pareto
 # alpha 3, beta 0.9, log_f log 1.2, t_max 40), 98% are below 10 and 99.8%
 # below 1000.  The table's 4096 Python floats take about 130 KB.
@@ -229,7 +233,7 @@ class PopulationState:
 
     Column contract: the three class columns are given either as NumPy
     arrays (``_rebuild``, ``to_logdet``) or, for exact states, as Python
-    tuples of floats and ints (``initial_state``, ``_step_small``).  Reading
+    tuples of floats and ints (``initial_state``, small steps).  Reading
     ``log_fit``, ``count`` or ``birth`` always gives arrays, float64, int64
     (or float64 log-counts in logdet mode) and int64, built from tuples on
     the first read and kept, with the bytes ``_rebuild`` gives for the same
@@ -612,35 +616,24 @@ def step_exact(state: PopulationState, cfg: SimConfig, rng: np.random.Generator)
     equal keys have equal payloads (count 1, birth t + 1), and an MMM key is
     never -0.0 (-log(u) / alpha is positive or underflows to +0.0, and
     paretolog's iterates stay at or above +0.0), so equal keys have equal
-    bits.  ``_step_small`` folds each mutant by a scan and gives the same
-    state in any mutant order.
+    bits.  ``_small_generation`` folds each mutant by a scan and gives the
+    same state in any mutant order.
 
     The state must be exact, non-empty and at or below the cap (expected
     events exp(log_fitsum) <= exact_event_cap); ``_attempt`` checks all three.
     """
     t_next = state.t + 1
+    cols = state.cols or (state.log_fit, state.count, state.birth)
+    if state.cols is None and state.n_classes < _SMALL_STATE_CLASSES:
+        cols = [c.tolist() for c in cols]  # lists where the state may stay small
     # mutants are drawn before survivors: paired runs then share the
     # most influential draws when fed per-generation substreams
-    m = _mutant_count(cfg.beta, state.log_fitsum, rng)
-    log_w = -np.inf
-    mutant_fit = ()  # a tuple for fmm's one mutant, an array for mmm's
-    if m >= 1:
-        if cfg.model == "fmm":
-            log_w = sample_max_of_n(cfg.tail, m, rng)
-            mutant_fit = (log_w,)
-        else:
-            mutant_fit = sample_fitness(cfg.tail, rng, size=m)
-            mutant_fit.sort()
-            mutant_fit = mutant_fit[::-1]
-            log_w = float(mutant_fit[0])
+    small, log_fitsum, mutant_fit = _small_generation(t_next, cols, state.log_fitsum, cfg, rng)
+    log_w = float(mutant_fit[0]) if len(mutant_fit) else -np.inf
+    if small is not None:
+        log_X = math.log(float(sum(small[1]))) if small[0] else -np.inf
+        return PopulationState(t_next, *map(tuple, small), MODE_EXACT, log_X, log_fitsum), log_w
     n_new = len(mutant_fit)
-    if state.n_classes + n_new < _SMALL_STATE_CLASSES:
-        cols = state.cols or (state.log_fit.tolist(), state.count.tolist(), state.birth.tolist())
-        lam = _small_means(cols, 1.0 - cfg.beta)
-        if lam is not None:
-            if type(mutant_fit) is not tuple:
-                mutant_fit = mutant_fit.tolist()
-            return _step_small(t_next, cols, lam, mutant_fit, rng), log_w
     lam = (1.0 - cfg.beta) * state.count * np.exp(state.log_fit)
     survivors = _poisson(rng, lam).astype(np.int64, copy=False)
 
@@ -661,50 +654,22 @@ def _mutant_count(beta: float, log_fitsum: float, rng: np.random.Generator) -> i
     return int(rng.poisson(mean) if mean <= _NORMAL_APPROX_MEAN else _poisson(rng, mean)[0])
 
 
-def _small_means(cols: tuple, survive: float):
-    """The survivor means of a small exact step as a list, or None.
-
-    ``cols`` holds a state's (log_fit, count, birth) columns as Python
-    sequences and ``survive`` is 1 - beta.  None when a mean passes
-    ``_NORMAL_APPROX_MEAN``: such a generation takes the array path.  A NaN
-    mean fails the test too and raises in the array path's draw.
-    """
-    lam = []
-    for f, n in zip(cols[0], cols[1]):
-        mean = survive * n * np.exp(f)
-        if not mean <= _NORMAL_APPROX_MEAN:
-            return None
-        lam.append(mean)
-    return lam
-
-
-def _step_small(t_next: int, cols: tuple, lam: list, mutant_fit,
-                rng: np.random.Generator) -> PopulationState:
-    """``step_exact``'s survivor draw and merge on Python scalars, same bits.
+def _small_generation(t_next: int, cols, log_fitsum: float, cfg: SimConfig,
+                      rng: np.random.Generator):
+    """One exact generation on Python lists: (cols, log_fitsum, mutants).
 
     ``cols`` holds the state's (log_fit, count, birth) columns as Python
-    sequences, ``lam`` the survivor means from ``_small_means`` and
-    ``mutant_fit`` the new mutants' log-fitnesses as Python floats.  The
-    classes and totals come from ``_small_classes``; the new state keeps its
-    columns as tuples.
-    """
-    fits, counts, births, log_fitsum = _small_classes(t_next, cols, lam, mutant_fit, rng)
-    if not fits:
-        return PopulationState(t_next, (), (), (), MODE_EXACT)
-    return PopulationState(t_next, tuple(fits), tuple(counts), tuple(births), MODE_EXACT,
-                           math.log(float(sum(counts))), log_fitsum)
+    sequences, or, for a state of ``_SMALL_STATE_CLASSES`` classes or more,
+    as arrays of which only the length is read.  The mutants (fmm's fittest,
+    mmm's draw sorted descending) are drawn as ``step_exact`` draws them.
+    The small branch returns the next state's columns as lists and its log
+    fitness sum (empty and -inf when it dies).  State and mutants of
+    ``_SMALL_STATE_CLASSES`` classes or more, or a survivor mean above
+    ``_NORMAL_APPROX_MEAN`` or NaN (which raises in the array draw), return
+    (None, None, mutants), and the array path goes on from there.  Scalar
+    ``rng.poisson`` draws, in class order, equal one array draw.
 
-
-def _small_classes(t_next: int, cols: tuple, lam: list, mutant_fit,
-                   rng: np.random.Generator):
-    """A small exact step's classes as lists: (fits, counts, births, log_fitsum).
-
-    The arguments are ``_step_small``'s.  Scalar ``rng.poisson`` draws of
-    the means ``lam`` (none above ``_NORMAL_APPROX_MEAN``), in class order,
-    equal one array draw.  An extinct step gives empty lists and a log
-    fitness sum of -inf.
-
-    The result has ``_rebuild``'s bits, by these shortcuts:
+    The classes and totals have ``_rebuild``'s bits, by these shortcuts:
 
     * The kept survivors are sorted with unique keys already, so each mutant
       is placed by a scan instead of a sort.  A mutant whose key equals a
@@ -726,6 +691,24 @@ def _small_classes(t_next: int, cols: tuple, lam: list, mutant_fit,
       shortcuts give +inf; ``_attempt`` raises ``HorizonOverflow`` at that
       generation with the same text for both.
     """
+    m = _mutant_count(cfg.beta, log_fitsum, rng)
+    mutants = ()  # a tuple for fmm's one mutant, an array for mmm's
+    if m:
+        if cfg.model == "fmm":
+            mutants = (sample_max_of_n(cfg.tail, m, rng),)
+        else:
+            mutants = sample_fitness(cfg.tail, rng, size=m)
+            mutants.sort()
+            mutants = mutants[::-1]
+    if len(cols[0]) + len(mutants) >= _SMALL_STATE_CLASSES:
+        return None, None, mutants
+    survive = 1.0 - cfg.beta
+    lam = []
+    for f, n in zip(cols[0], cols[1]):
+        mean = survive * n * np.exp(f)
+        if not mean <= _NORMAL_APPROX_MEAN:
+            return None, None, mutants
+        lam.append(mean)
     fits, counts, births = [], [], []
     for f, mean, b in zip(cols[0], lam, cols[2]):
         n = rng.poisson(mean)
@@ -733,7 +716,9 @@ def _small_classes(t_next: int, cols: tuple, lam: list, mutant_fit,
             fits.append(f)
             counts.append(n)
             births.append(b)
-    for f in mutant_fit:
+    if type(mutants) is not tuple:
+        mutants = mutants.tolist()
+    for f in mutants:
         i, k = 0, len(fits)
         while i < k and fits[i] > f:
             i += 1
@@ -744,17 +729,17 @@ def _small_classes(t_next: int, cols: tuple, lam: list, mutant_fit,
             counts.insert(i, 1)
             births.insert(i, t_next)
     if not fits:
-        return fits, counts, births, -math.inf
+        return (fits, counts, births), -math.inf, mutants
     terms = []
     for f, n in zip(fits, counts):
         terms.append((_LOG_COUNTS[n] if n < _LOG_COUNTS_SIZE else float(np.log(float(n)))) + f)
     if len(terms) == 1:
-        return fits, counts, births, terms[0]
+        return (fits, counts, births), terms[0], mutants
     top = max(terms)
     total = 0.0
     for v in terms:
         total += 1.0 if v == top else float(np.exp(v - top))
-    return fits, counts, births, top + math.log(total)
+    return (fits, counts, births), top + math.log(total), mutants
 
 
 class _SpectrumTable:
@@ -921,27 +906,33 @@ _MULT_LO0, _MULT_LO1 = _MULT_LO & _MASK32, _MULT_LO >> 32
 
 # A round of ``_screen`` hashes the first min(_FIRST_GENERATIONS, t_max)
 # substream states of each pending run's next 1, 2, 4, ... up to
-# _BLOCK_ATTEMPTS attempts; an attempt that outlives them hashes its own next
-# chunk.  A ``_substream_states`` call costs about 55-80 us plus 0.07-0.1 us a
-# state, a ``_seed_pools`` call about 40 us plus 0.03 us a seed.  On the
+# _BLOCK_ATTEMPTS attempts, in slices of whole runs of up to _SLICE_ATTEMPTS
+# attempts, then the next chunks of the attempts that outlive them, one call
+# per (first generation, length): at the round's end, or before the next
+# slice once the waiting runs keep over _WAITING_ATTEMPTS attempts' first
+# states.  A ``_substream_states`` call costs about 55-80 us plus 0.07-0.1 us
+# a state, a ``_seed_pools`` call about 40 us plus 0.03 us a seed.  On the
 # restart-heavy fmm argv of the benchmark (pareto alpha 3, beta 0.9, log_f
 # log 1.2, t_max 40, 40 replicas; 6,685 attempts, 33,907 generations), 2,472
 # attempts outlive 4 generations, 1,192 outlive 8, 326 outlive 16 and 88
-# outlive 24; a seed-1 pass hashes 7,500 pools in 43 slices and makes 361
-# chunk calls.  CPU min of 7 in-process passes of that argv, median of 4
-# alternating processes each, chunk/block, bench seeds 1 and 4 (shared 2-vCPU
-# VM): 8/64 0.302 and 0.320 s; 16/64 0.254 and 0.275; 24/64 0.240 and 0.270;
-# 32/64 0.243 and 0.260, with 1.6 MB more peak RSS; 16/32 0.246 and 0.281;
-# 16/128 0.255 and 0.299.  16 against 24 in 10 alternating pairs (min of 9
-# passes): seed 1 0.240/0.230 s, 24 faster in 10 pairs; seed 4 0.246/0.241
-# (7 of 10) and 0.310/0.301 (6 of 10); bench seed 2 0.247/0.244 (8 of 10),
-# peak RSS 0.2-0.4 MB higher at 24.  Only seed 1 separates them, so 16 stays.
+# outlive 24; a seed-1 pass hashes 7,500 pools in 43 slices and makes 79
+# next-chunk calls (361 one attempt a call).  CPU min of 7 in-process passes,
+# median of 4 alternating processes, bench seeds 1 and 4 (shared 2-vCPU VM),
+# chunk/block with one call an attempt: 8/64 0.302 and 0.320 s; 16/64 0.254
+# and 0.275; 24/64 0.240 and 0.270; 32/64 0.243 and 0.260, with 1.6 MB more
+# peak RSS; 16/32 0.246 and 0.281; 16/128 0.255 and 0.299.  Grouped, 16
+# against 24 in 10 alternating pairs (CPU min of 9 passes): seed 1
+# 0.237/0.246 s (24 faster in 5 of 10), seed 4 0.241/0.247 (4 of 10), bench
+# seed 2 0.243/0.241 (5 of 10); 24 makes 40 next-chunk calls on seed 1 and
+# takes 0.3-0.5 MB more peak RSS, so 16 stays.  Slices of 64 to 512 attempts
+# read the same CPU; 512 took 1.8 MB more peak RSS than 256.  A budget of
+# 1024 keeps the 79 calls (512: 84); at 10,000 replicas peak RSS read 90.6
+# MB, 348 with no budget and 82.5 with one call an attempt (the chunks handed
+# to ``_attempt``, about 670 bytes a run).
 _BLOCK_ATTEMPTS = 64
 _FIRST_GENERATIONS = 16
-# ``_screen`` hashes a round's attempts in slices of at most this many.  On
-# the argv above, slices of 64, 128, 256 and 512 attempts read the same CPU
-# time within noise, but 512 raised peak RSS by 1.8 MB against 0.1 MB at 256.
 _SLICE_ATTEMPTS = 256
+_WAITING_ATTEMPTS = 1024
 
 
 def _spawn_mix(pool, word, k):
@@ -1116,12 +1107,9 @@ def _generation_rng(rng: np.random.Generator, sink, words: bytes) -> np.random.G
     return rng
 
 
-def _next_chunk(pool: np.ndarray, words: bytes, t: int, t_max: int) -> bytes:
-    """The states of an attempt's next chunk, from generation t, once ``words`` ran out.
-
-    Twice as many generations as ``words`` held, up to t_max.
-    """
-    return _substream_states(pool, t, min(len(words) // 16, t_max + 1 - t)).tobytes()
+def _chunk_length(words: bytes, t: int, t_max: int) -> int:
+    """Next chunk length from generation t: twice the generations ``words`` held, up to t_max."""
+    return min(len(words) // 16, t_max + 1 - t)
 
 
 def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, words: bytes,
@@ -1149,9 +1137,10 @@ def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, w
     state = initial_state(cfg)
     rows = [(0, state.log_X, -np.inf, state.n_classes, 0, state.dominant_age)]
     offset = 0
-    for _ in range(cfg.t_max):
+    for t in range(1, cfg.t_max + 1):
         if offset == len(words):
-            words, offset = _next_chunk(pool, words, state.t + 1, cfg.t_max), 0
+            words = _substream_states(pool, t, _chunk_length(words, t, cfg.t_max)).tobytes()
+            offset = 0
         _generation_rng(rng, sink, words[offset:offset + 32])
         offset += 32
         if state.mode == MODE_EXACT and state.log_fitsum > log_cap:
@@ -1176,46 +1165,71 @@ def _attempt(cfg: SimConfig, pool: np.ndarray, rng: np.random.Generator, sink, w
     return rows, None
 
 
-def _dies_small(cfg: SimConfig, founder: tuple, pool: np.ndarray, rng: np.random.Generator,
-                sink, words: bytes):
-    """The generation an fmm attempt dies at on small exact steps alone, or None.
+def _dies_small(cfg: SimConfig, founder: tuple, rng: np.random.Generator, sink, words: bytes):
+    """The generation an fmm attempt dies at on small exact steps alone, or None; a generator.
 
-    Takes ``_attempt``'s arguments but its buffers, and ``founder``, the
-    run's ``_founder(cfg)``, and runs the attempt as ``_attempt`` does, with
-    the same substreams and the same draws in the same order, for as long
-    as each generation takes ``step_exact``'s small branch; the classes stay
-    lists, and no state or row is built.  None as soon as a generation would
-    not: a log fitness sum above the cap (the logdet switch), a step on the
-    array path, or a log fitness sum that is not finite (where ``_attempt``
+    Runs the attempt as ``_attempt`` does, from ``founder`` (the run's
+    ``_founder(cfg)``), with the same substreams and draws in the same
+    order, one ``_small_generation`` a generation, and builds no state or
+    row.  ``words`` holds its first states; where they run out, at
+    generation t, it yields (t, n) and takes the next n states' bytes by
+    ``send``.  None as soon as a generation would leave the small branch: a
+    log fitness sum above the cap (the logdet switch), a step on the array
+    path, or a log fitness sum that is not finite (where ``_attempt``
     raises).  None too for an attempt alive at t_max.  ``run`` then runs the
     attempt through ``_attempt`` from generation 0, so every row and every
     error text comes from there.
     """
-    beta, tail, t_max = cfg.beta, cfg.tail, cfg.t_max
+    t_max = cfg.t_max
     log_cap = math.log(cfg.exact_event_cap)
-    survive = 1.0 - beta
     cols, log_fitsum = founder
     offset = 0
     for t in range(1, t_max + 1):
         if offset == len(words):
-            words, offset = _next_chunk(pool, words, t, t_max), 0
+            words, offset = (yield t, _chunk_length(words, t, t_max)), 0
         _generation_rng(rng, sink, words[offset:offset + 32])
         offset += 32
         if not log_fitsum <= log_cap:
             return None
-        m = _mutant_count(beta, log_fitsum, rng)
-        mutant_fit = (sample_max_of_n(tail, m, rng),) if m else ()
-        if len(cols[0]) + len(mutant_fit) >= _SMALL_STATE_CLASSES:
+        cols, log_fitsum, _ = _small_generation(t, cols, log_fitsum, cfg, rng)
+        if cols is None:
             return None
-        lam = _small_means(cols, survive)
-        if lam is None:
-            return None
-        *cols, log_fitsum = _small_classes(t, cols, lam, mutant_fit, rng)
         if not cols[0]:
             return t
         if not log_fitsum < math.inf:
             return None
     return None
+
+
+def _screen_round(cfg: SimConfig, founder: tuple, first: int, pools: np.ndarray, states: bytes,
+                  n: int, rng: np.random.Generator, sink):
+    """One round of a run's attempts for ``_attempt``: a generator that returns them.
+
+    Attempt first + k has pool ``pools[k]`` and first n states at
+    ``states[32 * n * k:]``.  A restarting fmm run screens them in turn with
+    ``_dies_small``, yields (pool, t, n') where one waits for its next n'
+    states and takes their bytes by ``send``, and returns [(attempt, pool,
+    words)] for the first that does not die in the screen, or raises there,
+    with every state hashed for it, or [].  Any other run returns all.
+    """
+    width = 32 * min(_FIRST_GENERATIONS, cfg.t_max)
+    if cfg.model != "fmm" or not cfg.restart_on_extinction:
+        return [(first + k, pools[k:k + 1], states[32 * n * k:32 * n * k + width])
+                for k in range(len(pools))]
+    for k in range(len(pools)):
+        pool, words = pools[k:k + 1], states[32 * n * k:32 * n * k + width]
+        screen, chunk = _dies_small(cfg, founder, rng, sink, words), None
+        try:
+            while True:
+                chunk = yield (pool, *screen.send(chunk))
+                words += chunk
+        except StopIteration as stop:
+            if stop.value is not None:
+                continue
+        except BranchlabError:
+            pass
+        return [(first + k, pool, words)]
+    return []
 
 
 def _screen(cfgs, first: int, rng: np.random.Generator, sink) -> list:
@@ -1231,12 +1245,14 @@ def _screen(cfgs, first: int, rng: np.random.Generator, sink) -> list:
     Attempt a of a run seeds (cfg.seed + a) % 2**64.  The attempts go in
     rounds of min(a + 1, ``_BLOCK_ATTEMPTS``) attempts from the round's
     first attempt a (1, 2, 4, ... from attempt 0), which each run still
-    pending screens in order until one does not die.  A round's attempts,
-    run after run, are hashed in slices of up to ``_SLICE_ATTEMPTS``, each
-    when the screen first reaches it: one ``_seed_pools`` call for their
-    pools and one ``_substream_states`` call for their first
-    min(``_FIRST_GENERATIONS``, t_max) states, at the largest t_max of the
-    round's runs.
+    pending screens in order (``_screen_round``) until one does not die.
+    Slices of whole runs are hashed as they start: one ``_seed_pools`` call
+    and one ``_substream_states`` call for the first
+    min(``_FIRST_GENERATIONS``, t_max) states, at the round's largest t_max.
+    An attempt that outlives its states waits; at the round's end, or once
+    waiting runs keep over ``_WAITING_ATTEMPTS`` attempts, one call per
+    (first generation, length) hashes the waiting attempts' next chunks.  No
+    attempt is screened before the one ahead of it in its run dies.
 
     An error the screen raises hands that attempt to ``_attempt``, which
     makes the same draws up to it and raises it again, so runs of several
@@ -1245,34 +1261,38 @@ def _screen(cfgs, first: int, rng: np.random.Generator, sink) -> list:
     found = [[] for _ in cfgs]
     founders = [_founder(cfg) for cfg in cfgs]
     pending = list(range(len(cfgs)))
+    waiting = []  # (run, its round, pool, t, length) of each attempt that ran out of states
+
+    def resume(i, screen, chunk=None):
+        try:
+            waiting.append((i, screen, *screen.send(chunk)))
+        except StopIteration as stop:
+            found[i] = stop.value
+
     while pending and first <= MAX_RESTARTS:
         size = min(first + 1, _BLOCK_ATTEMPTS, MAX_RESTARTS + 1 - first)
-        bases = np.array([cfgs[i].seed % (1 << 64) for i in pending], dtype=np.uint64)
         n = min(_FIRST_GENERATIONS, max(cfgs[i].t_max for i in pending))
-        hashed = 0  # the round's attempts, run after run, below this are hashed
-        for j, i in enumerate(pending):
-            cfg = cfgs[i]
-            screened = cfg.model == "fmm" and cfg.restart_on_extinction
-            width = 32 * min(_FIRST_GENERATIONS, cfg.t_max)
-            for p in range(j * size, (j + 1) * size):
-                if p >= hashed:
-                    low, hashed = p, min(p + _SLICE_ATTEMPTS, len(pending) * size)
-                    flat = np.arange(low, hashed)
-                    # flat attempt p is attempt first + p % size of pending run p // size
-                    attempts = (flat % size + first).astype(np.uint64)
-                    pools = _seed_pools(bases[flat // size] + attempts)
-                    states = _substream_states(pools, 1, n).tobytes()
-                pool = pools[p - low:p - low + 1]
-                words = states[32 * n * (p - low):32 * n * (p - low) + width]
-                if screened:
-                    try:
-                        if _dies_small(cfg, founders[i], pool, rng, sink, words) is not None:
-                            continue
-                    except BranchlabError:
-                        pass
-                found[i].append((first + p - j * size, pool, words))
-                if screened:
-                    break
+        per_slice = max(_SLICE_ATTEMPTS // size, 1)
+        for low in range(0, len(pending), per_slice):
+            runs = pending[low:low + per_slice]
+            bases = np.array([cfgs[i].seed % (1 << 64) for i in runs], dtype=np.uint64)
+            pools = _seed_pools((bases[:, None] + np.arange(first, first + size, dtype=np.uint64))
+                                .ravel())
+            states = _substream_states(pools, 1, n).tobytes()
+            for j, i in enumerate(runs):
+                at = j * size  # row at + k is attempt first + k of run i
+                resume(i, _screen_round(cfgs[i], founders[i], first, pools[at:at + size],
+                                        states[32 * n * at:32 * n * (at + size)], n, rng, sink))
+            while waiting and (len(waiting) * size > _WAITING_ATTEMPTS
+                               or low + per_slice >= len(pending)):
+                groups = {}
+                for i, screen, pool, t, length in waiting:
+                    groups.setdefault((t, length), []).append((i, screen, pool))
+                waiting.clear()
+                for (t, length), group in groups.items():
+                    chunks = _substream_states(np.concatenate([g[2] for g in group]), t, length)
+                    for k, (i, screen, _) in enumerate(group):
+                        resume(i, screen, chunks[k].tobytes())
         pending = [i for i in pending if not found[i]]
         first += size
     return found

@@ -12,6 +12,7 @@ mmm step sorts its draw in place before the merge; on both paths its state
 and log W are compared with ``_reference_rebuild`` of the draw unsorted.
 """
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -168,7 +169,7 @@ def test_initial_state_matches_rebuild_of_the_founder(log_f):
 @example([1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 @example([0.1, 0.2, 0.3, 1e-17, 1e-17, 1e-17, 1e-17])
 def test_add_reduce_sums_fewer_than_8_doubles_left_to_right(values):
-    # _step_small sums its totals left to right and relies on np.add.reduce
+    # _small_generation sums its totals left to right and relies on np.add.reduce
     # (in _logsumexp) doing the same below _SMALL_STATE_CLASSES terms
     fold = 0.0
     for v in values:
@@ -246,8 +247,26 @@ def _bits(x) -> bytes:
     return np.array([x]).tobytes()
 
 
+@contextmanager
+def _small_branch():
+    """Spy on ``_small_generation``, which every exact step calls once.
+
+    Yields a list that gets one entry per call: (t_next, log fitness sum)
+    when the generation took the small branch, or None when it left it.
+    """
+    generation, taken = simulate._small_generation, []
+
+    def spy(*args):
+        out = generation(*args)
+        taken.append(None if out[0] is None else (args[0], out[1]))
+        return out
+
+    with mock.patch.object(simulate, "_small_generation", spy):
+        yield taken
+
+
 def test_log_count_table_has_the_scalar_log_bits():
-    # _step_small reads log(n) from one np.log of an array, where _rebuild
+    # _small_generation reads log(n) from one np.log of an array, where _rebuild
     # takes np.log of each int64 count; the bits agree on x86-64 Linux with
     # NumPy 2.4, and another libm or NumPy build may round the two apart
     table = simulate._LOG_COUNTS
@@ -327,13 +346,14 @@ def test_small_step_matches_array_step(case, seed):
     rng, ref = _twins(seed)
     sizes = []
     with _picked_mutants(state.log_fit.tolist(), picks, sizes):
-        with mock.patch.object(simulate, "_step_small", wraps=simulate._step_small) as small:
+        with _small_branch() as taken:
             got, got_w = step_exact(state, cfg, rng)
         with mock.patch.object(simulate, "_SMALL_STATE_CLASSES", 0):
             want, want_w = step_exact(state, cfg, ref)
     n_new = sizes[0] if sizes else 0
-    assert small.call_count == (state.n_classes + n_new < simulate._SMALL_STATE_CLASSES
-                                and lam.max() <= _NORMAL_APPROX_MEAN)
+    assert len(taken) == 1
+    assert (taken[0] is not None) == (state.n_classes + n_new < simulate._SMALL_STATE_CLASSES
+                                      and lam.max() <= _NORMAL_APPROX_MEAN)
     for name in ("log_fit", "count", "birth"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -397,11 +417,12 @@ def _presort_step(case, seed):
     rng = np.random.default_rng(seed)
     with mock.patch.object(simulate, "sample_fitness", fitness), \
             mock.patch.object(simulate, "_SMALL_STATE_CLASSES", cutoff), \
-            mock.patch.object(simulate, "_step_small", wraps=simulate._step_small) as small, \
+            _small_branch() as taken, \
             mock.patch.object(simulate, "_rebuild", wraps=simulate._rebuild) as merge:
         got, got_w = step_exact(state, cfg, rng)
     merged_keys = merge.call_args.args[1] if merge.called else None
-    return state, got, got_w, sum(sizes), small.called, merged_keys, rng
+    assert len(taken) == 1
+    return state, got, got_w, sum(sizes), taken[0] is not None, merged_keys, rng
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,9 +477,10 @@ def test_nan_survivor_mean_fails_in_the_array_draw():
     state = PopulationState(t=0, log_fit=np.array([math.nan]), count=np.ones(1, dtype=np.int64),
                             birth=np.zeros(1, dtype=np.int64), mode=MODE_EXACT,
                             log_X=0.0, log_fitsum=0.0)
-    with mock.patch.object(simulate, "_step_small", side_effect=AssertionError):
+    with _small_branch() as taken:
         with pytest.raises(ValueError):
             step_exact(state, cfg, np.random.default_rng(0))
+    assert taken == [None]
 
 
 @st.composite
@@ -588,17 +610,12 @@ def test_run_matches_array_path_run(cfg, cutoff):
 
 @pytest.mark.parametrize("cfg, at", zip(_OVERFLOW, [row[3] for row in _OVERFLOW_AT]))
 def test_overflow_examples_raise_where_stated(cfg, at):
-    small, made = simulate._step_small, []
-
-    def spy(*args):
-        made.append(small(*args))
-        return made[-1]
-
-    with mock.patch.object(simulate, "_step_small", spy):
+    with _small_branch() as taken:
         got, _ = _run_with_cutoff(cfg, simulate._SMALL_STATE_CLASSES)
     assert got[0] is HorizonOverflow and f"at generation {at};" in got[1]
     # the last two overflow in a small step, whose +inf mutant is the top term
-    assert (made[-1].t == at and made[-1].log_fitsum == math.inf) == (cfg.tail.alpha < 1e-300)
+    made = [step for step in taken if step is not None]
+    assert (made[-1] == (at, math.inf)) == (cfg.tail.alpha < 1e-300)
 
 
 @pytest.mark.parametrize("cfg", _CROSSING, ids=["mmm", "fmm"])
@@ -606,12 +623,11 @@ def test_twin_examples_cross_paths(cfg):
     step, small_steps = simulate.step_exact, []
 
     def spy(state, cfg, rng):
-        before = small.call_count
         out = step(state, cfg, rng)
-        small_steps.append(state.cols is None and small.call_count > before)
+        small_steps.append(state.cols is None and taken[-1] is not None)
         return out
 
-    with mock.patch.object(simulate, "_step_small", wraps=simulate._step_small) as small, \
+    with _small_branch() as taken, \
             mock.patch.object(simulate, "step_exact", spy), \
             mock.patch.object(simulate, "to_logdet", wraps=simulate.to_logdet) as switch:
         simulate.run(cfg)

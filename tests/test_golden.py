@@ -23,7 +23,7 @@ they cover seeds of two 32-bit words, of one word, and the seed 0.
 ``fmm_restart_blocks`` restarts 161 times, so its attempts' pools and first
 substream states, hashed in screen rounds of 1, 2, 4, ... up to 64
 attempts, fill a 64-attempt round and end inside the next; at t-max 20 the
-attempts that outlive their first 16 generations hash a chunk of their own.
+attempts that outlive their first 16 generations wait for a next chunk of 4.
 ``nu_large_alpha`` reaches horizons T of about 54000, where the
 search in ``growth.period_T`` starts far from T = 1.  ``fmm_exact_big_means``
 raises the exact-mode cap to 1e18, so exact generations draw the mutant

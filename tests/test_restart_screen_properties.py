@@ -4,8 +4,10 @@
 runs the attempt on small exact steps alone and says at which generation it
 dies, or None at the first generation that would leave ``step_exact``'s
 small branch, and then ``_attempt`` replays the attempt from generation 0.
-Each attempt here, on the pool and states ``simulate._screen`` hands out for
-it, is compared with ``_attempt`` on the array path
+The screen pauses where its states run out, and here each pause gets its
+next chunk hashed at once (``_run_screen``).  Each attempt here, on the pool
+and first states ``simulate._screen`` hands out for it, is compared with
+``_attempt`` on the array path
 (``_SMALL_STATE_CLASSES`` patched to 0), whose steps are spied to tell which
 generations the small branch would have taken.  The screen must say "dies"
 exactly when that attempt dies on such generations alone, at the same
@@ -74,11 +76,29 @@ def _generator():
     return rng, simulate._state_sink(rng)
 
 
+def _never_dies(*args):
+    """A ``_dies_small`` that sees no attempt die, at once."""
+    return None
+    yield
+
+
+def _run_screen(screen, pool):
+    """Drive a ``_dies_small`` generator to its end, hashing each chunk it
+    asks for from ``pool``; returns its result."""
+    chunk = None
+    try:
+        while True:
+            t, n = screen.send(chunk)
+            chunk = simulate._substream_states(pool, t, n).tobytes()
+    except StopIteration as stop:
+        return stop.value
+
+
 def _attempts(cfg, attempts):
     """(pool, words) of cfg's first ``attempts`` attempts, as ``simulate._screen`` gives them."""
     rng, sink = _generator()
     found, first = [], 0
-    with mock.patch.object(simulate, "_dies_small", lambda *args: None):
+    with mock.patch.object(simulate, "_dies_small", _never_dies):
         while len(found) < attempts:
             (first, pool, words), = simulate._screen([cfg], first, rng, sink)[0]
             found.append((pool, words))
@@ -96,7 +116,8 @@ def _screen_attempt(cfg, pool, words, ties):
         return reset(*args)
 
     with mock.patch.object(simulate, "_generation_rng", counted), _mutants(cfg, ties, []):
-        died = simulate._dies_small(cfg, simulate._founder(cfg), pool, rng, sink, words)
+        died = _run_screen(simulate._dies_small(cfg, simulate._founder(cfg), rng, sink, words),
+                           pool)
     return died, len(resets), rng.bit_generator.state
 
 
@@ -160,21 +181,22 @@ _Step = namedtuple("_Step", "t mean counts log_fitsum folded")
 def _screen_steps(cfg, ties):
     """Per attempt of ``_compare``: (result, generations reset, ``_Step``s)."""
     steps, means = [], []
-    classes, count = simulate._small_classes, simulate._mutant_count
+    generation, count = simulate._small_generation, simulate._mutant_count
 
     def counted(beta, log_fitsum, rng):
         means.append(beta * math.exp(log_fitsum))
         return count(beta, log_fitsum, rng)
 
-    def spied(t, cols, lam, mutant_fit, rng):
-        out = classes(t, cols, lam, mutant_fit, rng)
-        fits, counts, births, log_fitsum = out
-        folded = any(births[fits.index(f)] < t for f in mutant_fit)
-        steps.append(_Step(t, means[-1], counts, log_fitsum, folded))
+    def spied(t, cols, log_fitsum, cfg, rng):
+        out = generation(t, cols, log_fitsum, cfg, rng)
+        if out[0] is not None:  # the small branch took this generation
+            (fits, counts, births), log_fitsum, mutant_fit = out
+            folded = any(births[fits.index(f)] < t for f in mutant_fit)
+            steps.append(_Step(t, means[-1], counts, log_fitsum, folded))
         return out
 
     per_attempt, start = [], 0
-    with mock.patch.multiple(simulate, _small_classes=spied, _mutant_count=counted):
+    with mock.patch.multiple(simulate, _small_generation=spied, _mutant_count=counted):
         for died, resets in _compare(cfg, ties):
             per_attempt.append((died, resets, steps[start:]))
             start = len(steps)
@@ -250,3 +272,112 @@ _SHOWS = {
 def test_examples_reach_their_edges(name):
     cfg, ties, attempt = _EDGES[name]
     assert _SHOWS[name](*_screen_steps(cfg, ties)[attempt], cfg)
+
+
+@st.composite
+def _mixed_configs(draw):
+    """fmm and mmm runs founded near criticality, restarting or not, at
+    horizons around the first chunk's 16 generations and past later chunks.
+
+    Weak, rare mutants (pareto alpha 50, beta 0.001) keep a screened attempt
+    on one or two classes for tens of generations.
+    """
+    alpha, beta = draw(st.one_of(
+        st.tuples(st.floats(min_value=2.0, max_value=4.0),
+                  st.floats(min_value=0.5, max_value=0.95)),
+        st.just((50.0, 0.001))))
+    return SimConfig(model=draw(st.sampled_from(["fmm", "mmm"])), tail=TailModel("pareto", alpha),
+                     beta=beta, log_f=-math.log1p(-beta) + draw(st.floats(min_value=-0.3,
+                                                                          max_value=0.1)),
+                     t_max=draw(st.sampled_from([0, 1, 15, 16, 17, 24, 25, 40, 100, 300])),
+                     seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+                     restart_on_extinction=draw(st.booleans()))
+
+
+def _weak(t_max, seed):
+    return SimConfig(model="fmm", tail=TailModel("pareto", 50.0), beta=0.001, log_f=-0.03,
+                     t_max=t_max, seed=seed)
+
+
+# runs whose screens wait for next chunks at generations 17, 49 and 113,
+# several of them at once, beside an mmm run and one that keeps its extinct
+# attempt; test_mixed_example_waits_at_several_chunks pins that
+_MIXED = [_fmm(3.0, 0.9, math.log(1.2), 40, 1424), _weak(300, 0), _weak(300, 2000),
+          _weak(100, 600), _fmm(3.0, 0.9, math.log(1.2), 25, 4 * 10**6),
+          _fmm(3.0, 0.9, math.log(1.2), 17, 6 * 10**6),
+          SimConfig(model="mmm", tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2),
+                    t_max=40, seed=7),
+          SimConfig(model="fmm", tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2),
+                    t_max=40, seed=8, restart_on_extinction=False)]
+
+
+def _entries(found):
+    return [(attempt, pool.tobytes(), words) for attempt, pool, words in found]
+
+
+def _screen_runs(cfgs, waiting=simulate._WAITING_ATTEMPTS, per_slice=simulate._SLICE_ATTEMPTS):
+    """``_screen`` entries of cfgs screened together, at most 81 attempts
+    each, with the given waiting budget and slice size."""
+    with mock.patch.multiple(simulate, MAX_RESTARTS=80, _WAITING_ATTEMPTS=waiting,
+                             _SLICE_ATTEMPTS=per_slice), \
+            np.errstate(over="ignore", invalid="ignore"):
+        return [_entries(found) for found in simulate._screen(cfgs, 0, *_generator())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_mixed_configs(), min_size=1, max_size=5),
+       st.sampled_from([0, 1, 64, simulate._WAITING_ATTEMPTS]), st.sampled_from([1, 64, 256]))
+@example(_MIXED, simulate._WAITING_ATTEMPTS, simulate._SLICE_ATTEMPTS)
+@example(_MIXED, 0, 1)
+def test_screen_of_several_runs_matches_each_run_alone(cfgs, waiting, per_slice):
+    # the attempt each run hands to _attempt, its pool and every state
+    # hashed for it, whichever runs wait for their next chunks beside it and
+    # however often the budget makes the screen hash them
+    assert _screen_runs(cfgs, waiting, per_slice) == [_screen_runs([cfg])[0] for cfg in cfgs]
+
+
+def _held_attempts(cfgs, waiting):
+    """Most attempts whose states the started, unfinished rounds of a
+    ``_screen`` of cfgs held at once, with the given waiting budget."""
+    held, most, screen_round = [0], [0], simulate._screen_round
+
+    def spied(cfg, founder, first, pools, *args):
+        held[0] += len(pools)
+        most[0] = max(most[0], held[0])
+        try:
+            return (yield from screen_round(cfg, founder, first, pools, *args))
+        finally:
+            held[0] -= len(pools)
+
+    with mock.patch.object(simulate, "_screen_round", spied):
+        found = _screen_runs(cfgs, waiting)
+    return most[0], found
+
+
+def test_waiting_runs_hold_at_most_the_budget():
+    # the screen's memory follows the budget, not the number of runs: past
+    # it, the waiting attempts' next chunks are hashed before more runs start
+    cfgs = [_fmm(3.0, 0.9, math.log(1.2), 40, 1000 * k) for k in range(40)]
+    budget = 256
+    most, found = _held_attempts(cfgs, budget)
+    assert most <= budget + simulate._SLICE_ATTEMPTS
+    unbounded, alone = _held_attempts(cfgs, math.inf)
+    assert unbounded > budget + simulate._SLICE_ATTEMPTS and found == alone
+
+
+def test_mixed_example_waits_at_several_chunks():
+    hashed, states = [], simulate._substream_states
+
+    def counted(pools, t0, n):
+        hashed.append((len(pools), t0, n))
+        return states(pools, t0, n)
+
+    with mock.patch.object(simulate, "_substream_states", counted):
+        found = _screen_runs(_MIXED)
+    waits = {(t0, n) for _, t0, n in hashed if t0 > 1}
+    assert {t0 for t0, _ in waits} == {17, 49, 113} and len(waits) >= 5
+    # waiting attempts of several runs share a call
+    assert any(k > 1 and t0 > 1 for k, t0, _ in hashed)
+    # a run hands over an attempt whose words hold a later chunk
+    assert any(len(words) > 32 * simulate._FIRST_GENERATIONS for entries in found
+               for _, _, words in entries)

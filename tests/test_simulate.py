@@ -377,8 +377,11 @@ class TestRun:
         # they run, past their first chunk of states too; the traced
         # benchmark counts both names.  run_replicas screens two replicas'
         # attempts round by round before it runs either, and each replica's
-        # calls keep the order a run of it alone makes
-        calls, resets = [], []  # (name, config, result, resets made) in call order
+        # calls keep the order a run of it alone makes.  A screen pauses
+        # where its states run out while other attempts screen on, so its
+        # resets are counted per stretch it runs, and it is listed when it
+        # ends (a replica's screens end in order)
+        calls, resets = [], []  # (name, config, result, resets made) in order
         screen, attempt, reset = simulate._dies_small, simulate._attempt, simulate._generation_rng
         simulate._direct_state_writes()  # the once-per-process probe resets a generator too
 
@@ -390,11 +393,24 @@ class TestRun:
                 return result
             return call
 
+        def counted_screen(*args):
+            it, made, chunk = screen(*args), 0, None
+            while True:
+                before = len(resets)
+                try:
+                    request = it.send(chunk)
+                except StopIteration as stop:
+                    made += len(resets) - before
+                    calls.append(("screen", args[0], stop.value, made))
+                    return stop.value
+                made += len(resets) - before
+                chunk = yield request
+
         def counted_reset(*args):
             resets.append(args[0])
             return reset(*args)
 
-        monkeypatch.setattr(simulate, "_dies_small", counted("screen", screen))
+        monkeypatch.setattr(simulate, "_dies_small", counted_screen)
         monkeypatch.setattr(simulate, "_attempt", counted("attempt", attempt))
         monkeypatch.setattr(simulate, "_generation_rng", counted_reset)
         cfgs = [_cfg(tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2),
@@ -609,6 +625,37 @@ class TestRunReplicas:
         else:
             assert want == (TooManyRestarts, "no surviving run in 21 attempts (seed 1424); "
                             "survival probability is negligible for these parameters")
+
+    def test_no_substream_state_is_hashed_twice(self, monkeypatch):
+        # the screen hashes the next chunks of a round's waiting attempts in
+        # one call per (first generation, length) and hands every chunk it
+        # hashed for an attempt to _attempt, which hashes only the
+        # generations past them: no (attempt, generation) state is hashed
+        # twice in the call
+        calls, hashed, handed = [], [], []
+        states, attempt = simulate._substream_states, simulate._attempt
+
+        def counted_states(pools, t0, n):
+            calls.append((t0, len(pools)))
+            hashed.extend((row.tobytes(), t) for row in pools for t in range(t0, t0 + n))
+            return states(pools, t0, n)
+
+        def counted_attempt(cfg, pool, rng, sink, words, buffers):
+            handed.append(len(words) // 32)
+            return attempt(cfg, pool, rng, sink, words, buffers)
+
+        monkeypatch.setattr(simulate, "_substream_states", counted_states)
+        monkeypatch.setattr(simulate, "_attempt", counted_attempt)
+        # fmm runs whose attempt seeds do not overlap, so a pool names one
+        # run's attempt: eight at t_max 40, whose screens wait for their next
+        # chunks together, and one at t_max 100, with longer chunks
+        cfgs = [_cfg(t_max=40, seed=k * 10**6 + 1424, **self._FMM) for k in range(8)]
+        simulate.run_replicas(cfgs + [_cfg(t_max=100, seed=99 * 10**6, **self._FMM)])
+        assert len(set(hashed)) == len(hashed)
+        assert any(t0 > 1 and k > 1 for t0, k in calls)
+        # attempts handed over with their first chunk only, and with the
+        # screen's next chunk up to t_max 40
+        assert {simulate._FIRST_GENERATIONS, 40} <= set(handed)
 
     @pytest.mark.parametrize("max_restarts", [None, 20])
     def test_screen_errors_keep_replica_order(self, monkeypatch, max_restarts):
