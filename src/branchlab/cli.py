@@ -557,10 +557,16 @@ def _snapshot_series(p, t_top: int) -> recursion.ChiSeries:
     return recursion.solve_chi(p["alpha"], seed, t_max)
 
 
+def _check_generations(ts, option: str) -> None:
+    """Refuse, naming the option, a list of generations that is empty or
+    holds one below 1, before anything is solved or run."""
+    if not ts or min(ts) < 1:
+        raise UsageError(f"{option} needs generations >= 1")
+
+
 def _cmd_freq(p) -> int:
     ts = sorted(set(p["t"]))
-    if not ts or ts[0] < 1:
-        raise UsageError("--t needs generations >= 1")
+    _check_generations(ts, "--t")
     if p["source"] == "recursion":
         if p["alpha"] is None:
             raise UsageError("recursion source needs --alpha")
@@ -584,6 +590,7 @@ def _cmd_collapse(p) -> int:
             pairs.append((int(a), int(b)))
     except ValueError as exc:
         raise UsageError("--t-pairs wants pairs like 300:303,300:301") from exc
+    _check_generations([t for pair in pairs for t in pair], "--t-pairs")
     series = _snapshot_series(p, max(max(a, b) for a, b in pairs))
     distances = [
         analysis.collapse_distance(analysis.freq_from_chi(series, a),

@@ -31,13 +31,20 @@ LOG_SEED_FLOOR = math.log(1e-300)
 _TIE_RTOL = 1e-12
 
 # Horizon bound of solve_chi, the one solve behind recurse, seed-ctex, freq
-# --from recursion and collapse.  A solve holds about 176 bytes and takes
-# about 5 us per step (recurse --alpha 1 peaked at 66 MB at t_max 2e5 and
-# 172 MB at 8e5), so this bound stays near 1.8 GB and a minute.
+# --from recursion and collapse.  A solve holds five float64 or int64 columns
+# (seed, log t, L, I, log_c) and lists of one chunk, about 34 bytes a step at
+# its peak (tracemalloc, t_max 2e4, 256-step chunks), and takes about 5 us per
+# step; recurse --alpha 1 peaked 11 MB above the interpreter at t_max 2e5,
+# 38 MB at 8e5 and 48 MB at 1e6 with --detect-period, so this bound stays
+# near 0.5 GB and a minute.
 MAX_T_MAX = 10_000_000
 
 # _solve_pass scans windows of fewer columns than this on Python floats.
 _SCALAR_WINDOW = 32
+
+# _solve_pass walks the horizon in chunks of this many steps: its lists hold
+# one chunk's seed values, I values and new L values, about 0.3 MB.
+_CHUNK_STEPS = 4096
 
 _max_of = np.maximum.reduce  # ndarray.max without its Python wrapper
 
@@ -139,6 +146,23 @@ def _solve_pass(alpha, la, t_max):
     0.12 s and alpha 8 from 0.34 to 0.25 s; 16 gained nothing at alpha 8,
     and 64 made alpha 20, whose windows run 55 to 79 columns, 50% slower.
 
+    The horizon goes in chunks of ``_CHUNK_STEPS`` steps, so the Python
+    state is window-sized, not horizon-sized.  A chunk reads its seed values
+    as one list.  ``L`` is a list of the columns from j on, trimmed at each
+    chunk's end: no later step reads a column before j.  ``logm`` holds the
+    ``_SCALAR_WINDOW`` values of log(t-i) that a scalar scan reads.  A
+    chunk's I values, and the L values no wide step has copied yet, go into
+    the arrays at its end; a wide step first copies into ``L_arr`` the
+    columns added since the last copy, so each column is copied once.  Only
+    where a value is kept changes: each column value is still the same two
+    operations on the same doubles, and the tolerance, written without the
+    ``max`` and ``abs`` calls, is the same double.  So the bits are those of
+    one pass over lists as long as the horizon, whatever the chunk size.
+    At t_max 4e4 (min of 5 runs, same VM) that pass took 55 ms at alpha 1
+    and the chunks 47 ms; alpha 8, 20 and 100 read within noise or faster
+    (0.12-0.16 s).  tracemalloc's peak over ``solve_chi`` went from 160 to
+    34 bytes a step (t_max 2e4, 256-step chunks; 54 with 4,096-step ones).
+
     The third value, always None, is kept because the benchmark's wrapper
     of this function unpacks three values.
     """
@@ -146,48 +170,61 @@ def _solve_pass(alpha, la, t_max):
     logm_arr = np.empty(t_max + 1)
     logm_arr[0] = -np.inf
     logm_arr[1:] = np.log(np.arange(1, t_max + 1, dtype=float))
-    logm = logm_arr.tolist()
-    la = la.tolist()
+    logm = logm_arr[:_SCALAR_WINDOW].tolist()  # all the scalar scan reads: t - i < cutoff
     L_arr = np.empty(t_max + 1)
     L_arr[0] = np.nan
-    L_arr[1] = la[1]
-    L = [math.nan] * (t_max + 1)
-    L[1] = la[1]
-    I = [0] * (t_max + 1)
-    j = 1
-    for t in range(2, t_max + 1):
-        short = t - j < _SCALAR_WINDOW
-        if short:
-            v = [L[i] + logm[t - i] - log_alpha for i in range(j, t)]
-            vmax = max(v)
-        else:
-            v = L_arr[j:t] + logm_arr[t - j : 0 : -1]
-            v -= log_alpha
-            vmax = float(_max_of(v))
-        a_t = la[t]
-        L_t = a_t if a_t > vmax else vmax
-        tol = _TIE_RTOL * max(1.0, abs(L_t))
-        # first: the first near-tie of the max; last: the largest near-tie of
-        # L_t, -1 when the seed term wins by more than tol
-        lo, hi = vmax - tol, L_t - tol
-        if short:
-            first = 0
-            while not v[first] >= lo:
-                first += 1
-            last = len(v) - 1
-            while last >= 0 and not v[last] >= hi:
-                last -= 1
-        else:
-            near = (v >= lo).nonzero()[0]
-            first = int(near[0])
-            if hi != lo:
-                near = near[v[near] >= hi]
-            last = int(near[-1]) if near.size else -1
-        if last >= 0:
-            I[t] = j + last
-        j += first
-        L[t] = L_arr[t] = L_t
-    return L_arr, np.array(I, dtype=np.int64), None
+    I_arr = np.zeros(t_max + 1, dtype=np.int64)
+    # L[i - base] = L_i for base <= i < t, and L_arr[:synced] is written
+    L = la[1:2].tolist()
+    L_arr[1] = L[0]
+    base = j = 1
+    synced = 2
+    for c0 in range(2, t_max + 1, _CHUNK_STEPS):
+        c1 = min(c0 + _CHUNK_STEPS, t_max + 1)
+        I = [0] * (c1 - c0)
+        for t, a_t in zip(range(c0, c1), la[c0:c1].tolist()):
+            short = t - j < _SCALAR_WINDOW
+            if short:
+                tb = t - base
+                v = [L[i] + logm[tb - i] - log_alpha for i in range(j - base, tb)]
+                vmax = max(v)
+            else:
+                if synced < t:
+                    L_arr[synced:t] = L[synced - base:]
+                v = L_arr[j:t] + logm_arr[t - j : 0 : -1]
+                v -= log_alpha
+                vmax = float(_max_of(v))
+            L_t = a_t if a_t > vmax else vmax
+            # _TIE_RTOL * max(1.0, abs(L_t)), without the two calls
+            tol = _TIE_RTOL * (L_t if L_t > 1.0 else -L_t if L_t < -1.0 else 1.0)
+            # first: the first near-tie of the max; last: the largest near-tie of
+            # L_t, -1 when the seed term wins by more than tol
+            lo, hi = vmax - tol, L_t - tol
+            if short:
+                first = 0
+                while not v[first] >= lo:
+                    first += 1
+                last = len(v) - 1
+                while last >= 0 and not v[last] >= hi:
+                    last -= 1
+            else:
+                near = (v >= lo).nonzero()[0]
+                first = int(near[0])
+                if hi != lo:
+                    near = near[v[near] >= hi]
+                last = int(near[-1]) if near.size else -1
+                L_arr[t] = L_t
+                synced = t + 1
+            if last >= 0:
+                I[t - c0] = j + last
+            j += first
+            L.append(L_t)
+        L_arr[synced:c1] = L[synced - base:]
+        I_arr[c0:c1] = I
+        # the next step reads columns j .. c1 - 1 only
+        del L[:j - base]
+        base, synced = j, c1
+    return L_arr, I_arr, None
 
 
 def solve_chi(alpha: float, seed: SeedSequence, t_max: int) -> ChiSeries:

@@ -48,10 +48,10 @@ included, stops at the first generation that leaves the small branch and
 runs through ``_attempt`` from generation 0, so every row and every error
 text comes from there.  ``_screen`` screens the attempts of several runs
 round by round: ``run_replicas`` (the CLI's ``simulate --jobs 1``) screens
-every replica before ``run`` replays each one's attempt, and ``run`` on its
-own is the one-run case.  On the restart-heavy fmm argv of the benchmark
-(6,685 attempts for 40 replicas) all 6,645 extinct attempts die in the
-screen, and ``_attempt`` runs 40 times.
+a block of replicas before ``run`` replays each one's attempt, block by
+block, and ``run`` on its own is the one-run case.  On the restart-heavy fmm
+argv of the benchmark (6,685 attempts for 40 replicas) all 6,645 extinct
+attempts die in the screen, and ``_attempt`` runs 40 times.
 
 States of at least ``_LARGE_STATE_CLASSES`` (4096) classes, such as the
 MMM state an exact phase hands to logdet mode, take two large-state paths
@@ -928,7 +928,10 @@ _MULT_LO0, _MULT_LO1 = _MULT_LO & _MASK32, _MULT_LO >> 32
 # read the same CPU; 512 took 1.8 MB more peak RSS than 256.  A budget of
 # 1024 keeps the 79 calls (512: 84); at 10,000 replicas peak RSS read 90.6
 # MB, 348 with no budget and 82.5 with one call an attempt (the chunks handed
-# to ``_attempt``, about 670 bytes a run).
+# to ``_attempt``, about 670 bytes a run).  ``run_replicas`` also screens and
+# replays the configs in blocks of _WAITING_ATTEMPTS, so the entries it holds
+# do not grow with the replicas: at 10,000 replicas (in-process cli.main,
+# bench seed 1) peak RSS read 89.5 MB, against 105.8 with one screen of all.
 _BLOCK_ATTEMPTS = 64
 _FIRST_GENERATIONS = 16
 _SLICE_ATTEMPTS = 256
@@ -1356,19 +1359,25 @@ def run(cfg: SimConfig, screened: list | None = None) -> RunRecord:
 def run_replicas(cfgs) -> list[RunRecord]:
     """``[run(cfg) for cfg in cfgs]``, with every run's restart screen made first.
 
-    One ``_screen`` of all the configs, on a generator of its own, finds
-    each run's first attempt that the screen does not see die; then ``run``
-    takes each config with its entry, in order.  The records, and the
-    first error raised, are those of ``run`` on each config alone.
+    The configs go in blocks of ``_WAITING_ATTEMPTS``.  One ``_screen`` of a
+    block's configs, on a generator of its own, finds each run's first
+    attempt that the screen does not see die; then ``run`` takes each
+    config with its entry, in order, before the next block is screened.  So
+    the screen entries held at once stay one block's, whatever the number
+    of configs.  The records, and the first error raised, are those of
+    ``run`` on each config alone.
     """
     rng = np.random.Generator(np.random.PCG64(0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        screened = _screen(cfgs, 0, rng, _state_sink(rng))
+    sink = _state_sink(rng)
     records = []
-    for k, cfg in enumerate(cfgs):
-        # drop each entry as its run takes it: the list empties as the records grow
-        entry, screened[k] = screened[k], None
-        records.append(run(cfg, entry))
+    for low in range(0, len(cfgs), _WAITING_ATTEMPTS):
+        block = cfgs[low:low + _WAITING_ATTEMPTS]
+        with np.errstate(over="ignore", invalid="ignore"):
+            screened = _screen(block, 0, rng, sink)
+        for k, cfg in enumerate(block):
+            # drop each entry as its run takes it: the list empties as the records grow
+            entry, screened[k] = screened[k], None
+            records.append(run(cfg, entry))
     return records
 
 

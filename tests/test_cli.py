@@ -553,6 +553,22 @@ class TestEntryPoint:
         assert "--seed" in run.err[0] and "BRANCHLAB_SEED" in run.err[0]
         assert run.stdout == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["freq", "--alpha", "1", "--t", "0"], "--t"),
+        (["freq", "--from", "run", "--t", "3,-2"], "--t"),
+        (["collapse", "--alpha", "1", "--t-pairs", "0:1"], "--t-pairs"),
+        (["collapse", "--alpha", "1", "--t-pairs", "300:303,5:-1"], "--t-pairs"),
+    ], ids=["freq", "freq_run", "collapse", "collapse_second_pair"])
+    def test_generation_below_one_is_a_usage_error(self, monkeypatch, argv, flag):
+        def refuse(*args):
+            raise AssertionError("solved or ran before the generations were checked")
+
+        monkeypatch.setattr("branchlab.recursion.solve_chi", refuse)
+        monkeypatch.setattr("branchlab.simulate.run", refuse)
+        run = _cli([*argv, "--out", "{out}"])
+        _assert_failed(run, 2, named=f"{flag} needs generations >= 1")
+        assert len(run.err) == 1
+
     def test_recurse_failed_period_check_writes_nothing(self):
         run = _cli(["recurse", "--alpha", "1", "--t-max", "5", "--detect-period",
                     "--out", "{out}"])

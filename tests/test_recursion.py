@@ -1,6 +1,7 @@
 """Recursion-solver tests against a direct quadratic-time oracle."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +95,19 @@ class TestSolveChi:
                 solve_chi(1.0, SeedSequence.linear(), t_max)
         with pytest.raises(AssertionError, match="ran"):  # the bound itself is allowed
             solve_chi(1.0, SeedSequence.linear(), recursion.MAX_T_MAX)
+
+    def test_solve_keeps_window_sized_python_state(self, monkeypatch):
+        # the arrays of a solve (seed, log t, L, I, log_c) come to about 34
+        # bytes a step; lists as long as the horizon would add over 100
+        monkeypatch.setattr(recursion, "_CHUNK_STEPS", 256)
+        solve_chi(1.0, SeedSequence.linear(), 100)
+        tracemalloc.start()
+        try:
+            solve_chi(1.0, SeedSequence.linear(), 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 20_000 < 64
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,9 @@ give the same ``L`` and ``I`` bit for bit on explicit seeds whose values span
 the float64 range, which can let the seed term win for long stretches or put
 the maximizer far behind the current generation.  The solver scans a short
 window on Python floats and a wide one as NumPy arrays; each form alone, and
-the two mixed as the cutoff picks them, must give those bits.
+the two mixed as the cutoff picks them, must give those bits.  It walks the
+horizon in chunks and keeps only the window's columns between them; the bits
+must not depend on the chunk size either.
 
 From the linear and half seeds the recursion locks into its T-cycle after a
 transient of order T**2 steps, which ``detect_period`` finds within a horizon
@@ -56,6 +58,24 @@ def test_both_scan_forms_match_full_scan(full_scan_chi, alpha, seed, t_max):
             got = solve_chi(alpha, seed, t_max)
         assert got.L.tobytes() == L.tobytes(), cutoff
         assert got.I.tobytes() == I.tobytes(), cutoff
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=_ALPHA, seed=_SEED, t_max=st.integers(min_value=1, max_value=400))
+# the maximizer lags t by up to 79 steps, more than every chunk tried
+@example(alpha=20.0, seed=SeedSequence.linear(), t_max=300)
+# steps 2 .. t_max fill whole chunks of 1, 2, 3 and 64 steps, and one step less or more
+@example(alpha=12.0, seed=SeedSequence.half(), t_max=193)
+@example(alpha=12.0, seed=SeedSequence.half(), t_max=192)
+@example(alpha=12.0, seed=SeedSequence.half(), t_max=194)
+def test_chunked_scan_matches_full_scan(full_scan_chi, alpha, seed, t_max):
+    L, I = full_scan_chi(alpha, seed, t_max)
+    for chunk in (1, 2, 3, 64):
+        for cutoff in (0, recursion._SCALAR_WINDOW, t_max + 1):
+            with mock.patch.multiple(recursion, _CHUNK_STEPS=chunk, _SCALAR_WINDOW=cutoff):
+                got = solve_chi(alpha, seed, t_max)
+            assert got.L.tobytes() == L.tobytes(), (chunk, cutoff)
+            assert got.I.tobytes() == I.tobytes(), (chunk, cutoff)
 
 
 @settings(max_examples=40, deadline=None)

@@ -581,9 +581,10 @@ class TestRun:
 
 
 class TestRunReplicas:
-    """``run_replicas`` screens every run's attempts round by round, then runs
-    each; its records and its first error must be those of ``run`` on each
-    config alone, in order."""
+    """``run_replicas`` screens a block of runs' attempts round by round, then
+    runs each, block by block (``_WAITING_ATTEMPTS`` configs a block); its
+    records and its first error must be those of ``run`` on each config
+    alone, in order, whatever the block size."""
 
     _FMM = dict(tail=TailModel("pareto", 3.0), beta=0.9, log_f=math.log(1.2))
     CONFIGS = [
@@ -617,8 +618,12 @@ class TestRunReplicas:
             # replica 0 now runs out of attempts: both raise its error
             monkeypatch.setattr(simulate, "MAX_RESTARTS", max_restarts)
         want = self._outcome(lambda: [run(cfg) for cfg in self.CONFIGS])
-        got = self._outcome(lambda: simulate.run_replicas(self.CONFIGS))
-        assert got == want
+        # one block of every config, and blocks of 1 and 2 configs
+        for block in (simulate._WAITING_ATTEMPTS, 1, 2):
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "_WAITING_ATTEMPTS", block)
+                got = self._outcome(lambda: simulate.run_replicas(self.CONFIGS))
+            assert got == want, block
         if max_restarts is None:
             assert want[0][1] > simulate._BLOCK_ATTEMPTS and want[2][1] > 0
             assert want[1][0] == "extinct" and want[5][1] > 2
@@ -675,11 +680,17 @@ class TestRunReplicas:
         cfgs = [self.CONFIGS[0],
                 _cfg(t_max=16, seed=9, **{**self._FMM, "tail": TailModel("paretolog", 3.0, 1.0)})]
         outcomes = []
-        for fn in (lambda: [run(cfg) for cfg in cfgs], lambda: simulate.run_replicas(cfgs)):
-            with pytest.raises((TooManyRestarts, NonConvergence)) as exc:
-                fn()
+        for block in (None, simulate._WAITING_ATTEMPTS, 1, 2):
+            with monkeypatch.context() as m, \
+                    pytest.raises((TooManyRestarts, NonConvergence)) as exc:
+                if block is None:
+                    [run(cfg) for cfg in cfgs]
+                else:
+                    # screened as one block, or a block a config
+                    m.setattr(simulate, "_WAITING_ATTEMPTS", block)
+                    simulate.run_replicas(cfgs)
             outcomes.append((exc.type, str(exc.value)))
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[1:] == outcomes[:1] * 3
         assert outcomes[0][0] is (NonConvergence if max_restarts is None else TooManyRestarts)
 
 
