@@ -13,14 +13,18 @@ one column.
 
 Each step scans only the past indices from the last step's first near-tie
 on, on Python floats while that window is short and as NumPy arrays once it
-is wide; see :func:`_solve_pass` for why that is exact.
+is wide; once the cycle locks in, whole blocks of steps are predicted from
+one period back and confirmed in NumPy; see :func:`_solve_pass` for why
+that is exact.
 """
 from __future__ import annotations
 
 import math
+from itertools import cycle
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConstraintViolation, DomainError, NoPeriodDetected
 from .growth import growth_law, period_T
@@ -33,10 +37,13 @@ _TIE_RTOL = 1e-12
 # Horizon bound of solve_chi, the one solve behind recurse, seed-ctex, freq
 # --from recursion and collapse.  A solve holds five float64 or int64 columns
 # (seed, log t, L, I, log_c) and lists of one chunk, about 34 bytes a step at
-# its peak (tracemalloc, t_max 2e4, 256-step chunks), and takes about 5 us per
-# step; recurse --alpha 1 peaked 11 MB above the interpreter at t_max 2e5,
-# 38 MB at 8e5 and 48 MB at 1e6 with --detect-period, so this bound stays
-# near 0.5 GB and a minute.
+# its peak (tracemalloc, t_max 2e4, 256-step chunks).  It takes about 0.4 us a
+# step at alpha 1 and 1.1 us at alpha 20 once the cycle locks in, and about
+# 4 us a step at alpha 100, whose transient lasts about T**2 = 74,000 steps
+# (windows of about T columns, wider at larger alpha).  recurse --alpha 1
+# peaked 11 MB above the interpreter at t_max 2e5, 38 MB at 8e5 and 48 MB at
+# 1e6 with --detect-period, so this bound stays near 0.5 GB and, at 4 us a
+# step, under a minute.
 MAX_T_MAX = 10_000_000
 
 # _solve_pass scans windows of fewer columns than this on Python floats.
@@ -46,7 +53,9 @@ _SCALAR_WINDOW = 32
 # one chunk's seed values, I values and new L values, about 0.3 MB.
 _CHUNK_STEPS = 4096
 
-_max_of = np.maximum.reduce  # ndarray.max without its Python wrapper
+# _solve_pass confirms a predicted block of at most this many window cells
+# (steps times the widest window) at once, 256 KB per float64 temporary.
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -139,34 +148,69 @@ def _solve_pass(alpha, la, t_max):
     The two forms give the same bits: each column value is the same two
     IEEE double operations, (L_i + log(t-i)) - log alpha, in the same
     order, on the same log(t-i) (one ``np.log`` array read both ways), and
-    the max and the >= tests are exact.  A NumPy step pays about 8 us of
-    call overhead whatever its width, a scalar step about 2 us plus 0.2 us
-    a column, so they break even near 30 columns.  At t_max 4e4 (min of 5
-    runs, 2-vCPU x86-64 VM) a cutoff of 32 took alpha 1 from 0.30 to
-    0.12 s and alpha 8 from 0.34 to 0.25 s; 16 gained nothing at alpha 8,
-    and 64 made alpha 20, whose windows run 55 to 79 columns, 50% slower.
+    the max, argmax and >= tests are exact.  A NumPy step pays about 8 us
+    of call overhead whatever its width, a scalar step about 2 us plus
+    0.2 us a column, so they break even near 30 columns.  At t_max 4e4
+    (min of 5 runs, 2-vCPU x86-64 VM) a cutoff of 32 took alpha 1 from
+    0.30 to 0.12 s and alpha 8 from 0.34 to 0.25 s; 16 gained nothing at
+    alpha 8, and 64 made alpha 20, whose windows run 55 to 79 columns, 50%
+    slower.
 
     The horizon goes in chunks of ``_CHUNK_STEPS`` steps, so the Python
     state is window-sized, not horizon-sized.  A chunk reads its seed values
     as one list.  ``L`` is a list of the columns from j on, trimmed at each
-    chunk's end: no later step reads a column before j.  ``logm`` holds the
+    chunk's end: no later exact step reads a column before j (a predicted
+    block, whose columns may reach back to the start of its widest window,
+    first copies the missing ones back from ``L_arr``).  ``logm`` holds the
     ``_SCALAR_WINDOW`` values of log(t-i) that a scalar scan reads.  A
-    chunk's I values, and the L values no wide step has copied yet, go into
-    the arrays at its end; a wide step first copies into ``L_arr`` the
-    columns added since the last copy, so each column is copied once.  Only
-    where a value is kept changes: each column value is still the same two
-    operations on the same doubles, and the tolerance, written without the
-    ``max`` and ``abs`` calls, is the same double.  So the bits are those of
-    one pass over lists as long as the horizon, whatever the chunk size.
-    At t_max 4e4 (min of 5 runs, same VM) that pass took 55 ms at alpha 1
-    and the chunks 47 ms; alpha 8, 20 and 100 read within noise or faster
-    (0.12-0.16 s).  tracemalloc's peak over ``solve_chi`` went from 160 to
-    34 bytes a step (t_max 2e4, 256-step chunks; 54 with 4,096-step ones).
+    chunk's I values, and the L values no NumPy read has copied yet, go into
+    the arrays at its end; a wide step or a block first copies into
+    ``L_arr`` the columns added since the last copy.  Only where a value is
+    kept changes: each column value is still the same two operations on the
+    same doubles, and the tolerance, written without the ``max`` and ``abs``
+    calls, is the same double.  So the bits do not depend on the chunk size.
+
+    Once the cycle locks in (after up to about T**2 steps, T = period_T),
+    each step repeats the one a period back: the lag t - i of a column i
+    that reached the maximum, and the window width t - j.  Each step
+    records both; it keeps the lag of a period back whenever that column
+    reached the maximum again, so ties between columns do not break the
+    pattern.  Every ``max(T, 16)`` exact steps the scan compares the last T
+    records with the T before them.  If they repeat, it predicts a block of
+    steps at once: step t's value is (L[t - d] + log d) - log alpha for the
+    lag d of a period back, against a_t, one add and one compare of Python
+    floats a step.  ``_check_block`` then recomputes every rule of the scan
+    on the predicted windows in NumPy, from the first window, which starts
+    at the scan's own j.  A predicted step whose L_t bits and first near-tie
+    match is exact by induction: its inputs, the L values before it, and
+    its window, fixed by the step before it, are exact.  So the check's
+    values for the first step that fails are the scan's too, and that step
+    is accepted with them.  The exact scan then resumes and looks again
+    only after another ``max(T, 16)`` steps, so a run still in its
+    transient pays only the records and one list comparison per look
+    (alpha 100 stays in its transient until t is about T**2 = 74,000).  A
+    block ends at the chunk's end or at ``_BLOCK_CELLS`` window cells,
+    whichever comes first.  Blocks that start small and double after each
+    one that holds, or end at 256 or 1,024 steps, wasted less prediction at
+    alpha 1 but grew peak RSS over repeated solves by 0.5 to 1 MB more (200
+    passes of the recurse_nu benchmark's commands in one process), so
+    blocks stay chunk-long.  A block pays about 40 to 60 us of NumPy calls
+    whatever its length, so a one-step block in place of the wide step
+    measured 6 to 14 times slower at alpha 20 and 100.
+
+    Measured as process CPU, min of 9 alternating runs in one process on a
+    shared 2-vCPU x86-64 VM, against the scan without blocks: alpha 1 at
+    t_max 4e4 56 -> 15 ms, alpha 8 (half seed) 142 -> 22 ms and alpha 20
+    (half) 171 -> 49 ms; past lock-in a step takes about 0.4 us at alpha 1
+    and 1.1 us at alpha 20 (t_max 4e5 and 2e5).  Alpha 100 at 2e4 and alpha
+    20 (half) at 2e3, both before lock-in, read 98 -> 84 ms and 8.5 ->
+    7.5 ms, where the wide step reads its max with one argmax.
 
     The third value, always None, is kept because the benchmark's wrapper
     of this function unpacks three values.
     """
     log_alpha = math.log(alpha)
+    T = min(period_T(alpha), t_max)  # a longer period cannot repeat within the horizon
     logm_arr = np.empty(t_max + 1)
     logm_arr[0] = -np.inf
     logm_arr[1:] = np.log(np.arange(1, t_max + 1, dtype=float))
@@ -179,52 +223,157 @@ def _solve_pass(alpha, la, t_max):
     L_arr[1] = L[0]
     base = j = 1
     synced = 2
+    # lags[-k] and wids[-k] belong to step t - k: the lag t - i of a column i
+    # that reached vmax, and the window width t - j; steps before 2 read a lag
+    # no window reaches
+    lags, wids = [t_max + 1] * T, [0] * T
+    segment = max(T, 16)  # exact steps between two looks at the lags
+    wait, ahead = segment, False
     for c0 in range(2, t_max + 1, _CHUNK_STEPS):
         c1 = min(c0 + _CHUNK_STEPS, t_max + 1)
         I = [0] * (c1 - c0)
-        for t, a_t in zip(range(c0, c1), la[c0:c1].tolist()):
-            short = t - j < _SCALAR_WINDOW
-            if short:
-                tb = t - base
-                v = [L[i] + logm[tb - i] - log_alpha for i in range(j - base, tb)]
-                vmax = max(v)
-            else:
-                if synced < t:
-                    L_arr[synced:t] = L[synced - base:]
-                v = L_arr[j:t] + logm_arr[t - j : 0 : -1]
-                v -= log_alpha
-                vmax = float(_max_of(v))
-            L_t = a_t if a_t > vmax else vmax
-            # _TIE_RTOL * max(1.0, abs(L_t)), without the two calls
-            tol = _TIE_RTOL * (L_t if L_t > 1.0 else -L_t if L_t < -1.0 else 1.0)
-            # first: the first near-tie of the max; last: the largest near-tie of
-            # L_t, -1 when the seed term wins by more than tol
-            lo, hi = vmax - tol, L_t - tol
-            if short:
-                first = 0
-                while not v[first] >= lo:
-                    first += 1
-                last = len(v) - 1
-                while last >= 0 and not v[last] >= hi:
-                    last -= 1
-            else:
-                near = (v >= lo).nonzero()[0]
-                first = int(near[0])
-                if hi != lo:
-                    near = near[v[near] >= hi]
-                last = int(near[-1]) if near.size else -1
-                L_arr[t] = L_t
-                synced = t + 1
-            if last >= 0:
-                I[t - c0] = j + last
-            j += first
-            L.append(L_t)
+        a_chunk = la[c0:c1].tolist()
+        t = c0
+        while t < c1:
+            if ahead:
+                # predict a block from the last period, then confirm it
+                w0 = t - j
+                W = max(w0, max(wids[-T:]))
+                n = min(c1 - t, max(1, _BLOCK_CELLS // W))
+                if t - base < W:  # a predicted column may lie before base
+                    L[:0] = L_arr[t - W : base].tolist()
+                    base = t - W
+                d_T = lags[-T:]
+                g_T = logm_arr[d_T].tolist()
+                for i, d, g, a_t in zip(range(t - base, t - base + n), cycle(d_T), cycle(g_T),
+                                        a_chunk[t - c0 : t - c0 + n]):
+                    v = L[i - d] + g - log_alpha
+                    L.append(a_t if a_t > v else v)
+                phase = np.arange(n + 1) % T
+                d_b = np.array(d_T)[phase[:n]]
+                w_b = np.array(wids[-T:])[phase]  # widths of steps t .. t + n
+                w_b[0] = w0
+                L_arr[synced : t + n] = L[synced - base :]
+                m, I_b, L_f, j_f, d_f = _check_block(
+                    L_arr, la, logm_arr, log_alpha, t, W, np.arange(t, t + n + 1) - w_b)
+                I[t - c0 : t - c0 + m] = I_b
+                if L_f is None:
+                    j = t + n - int(w_b[n])
+                    synced = t + n
+                else:
+                    t_f = t + m - 1
+                    d_b[m - 1] = d_f
+                    L[t_f - base] = L_f
+                    del L[t_f + 1 - base :]
+                    L_arr[t_f] = L_f
+                    synced = t_f + 1
+                    j = j_f
+                    ahead, wait = False, segment
+                # only the last 2T records are read
+                lags += d_b[max(m - 2 * T, 0) : m].tolist()
+                wids += w_b[max(m - 2 * T, 0) : m].tolist()
+                t += m
+                continue
+            stop = min(t + wait, c1)
+            wait -= stop - t
+            for t, a_t in zip(range(t, stop), a_chunk[t - c0 : stop - c0]):
+                w = t - j
+                short = w < _SCALAR_WINDOW
+                if short:
+                    tb = t - base
+                    v = [L[i] + logm[tb - i] - log_alpha for i in range(j - base, tb)]
+                    vmax = max(v)
+                else:
+                    if synced < t:
+                        L_arr[synced:t] = L[synced - base:]
+                    v = L_arr[j:t] + logm_arr[w:0:-1]
+                    v -= log_alpha
+                    top = int(v.argmax())
+                    vmax = float(v[top])
+                L_t = a_t if a_t > vmax else vmax
+                # _TIE_RTOL * max(1.0, abs(L_t)), without the two calls
+                tol = _TIE_RTOL * (L_t if L_t > 1.0 else -L_t if L_t < -1.0 else 1.0)
+                # first: the first near-tie of the max; last: the largest near-tie of
+                # L_t, -1 when the seed term wins by more than tol
+                lo, hi = vmax - tol, L_t - tol
+                # d: the lag of a column that reached vmax, the one of a period
+                # back if it did
+                d = lags[-T]
+                if short:
+                    first = 0
+                    while not v[first] >= lo:
+                        first += 1
+                    last = len(v) - 1
+                    while last >= 0 and not v[last] >= hi:
+                        last -= 1
+                    if not (d <= w and v[w - d] == vmax):
+                        d = w - (first if v[first] == vmax else v.index(vmax))
+                else:
+                    near = (v >= lo).nonzero()[0]
+                    first = int(near[0])
+                    if hi != lo:
+                        near = near[v[near] >= hi]
+                    last = int(near[-1]) if near.size else -1
+                    L_arr[t] = L_t
+                    synced = t + 1
+                    if not (d <= w and v[w - d] == vmax):
+                        d = w - top
+                if last >= 0:
+                    I[t - c0] = j + last
+                lags.append(d)
+                wids.append(w)
+                j += first
+                L.append(L_t)
+            t = stop
+            if not wait:
+                ahead = lags[-T:] == lags[-2 * T : -T] and wids[-T:] == wids[-2 * T : -T]
+                wait = segment
         L_arr[synced:c1] = L[synced - base:]
         I_arr[c0:c1] = I
-        # the next step reads columns j .. c1 - 1 only
+        # the next step reads columns j .. c1 - 1 only, and the last 2T lags
         del L[:j - base]
+        del lags[: -2 * T], wids[: -2 * T]
         base, synced = j, c1
     return L_arr, I_arr, None
+
+
+def _check_block(L_arr, la, logm_arr, log_alpha, t, W, jp):
+    """Confirm a predicted block of steps t .. t + n - 1 with the scan's rules.
+
+    Column r of the W x n matrix ``V`` holds the values at step t + r of
+    the columns from t + r - W on, and ``jp[r]`` is the window start the
+    prediction gives step t + r (``jp[0]`` the scan's own, ``jp[n]`` the one
+    after the block).  Values before ``jp[r]`` are masked to -inf, so each
+    step reads the scan's window: its max, L_t, tolerance, first near-tie (which must equal
+    ``jp[r + 1]``) and largest near-tie of L_t.  L_t is compared with the
+    predicted ``L_arr[t + r]`` in its bits, which tell -0.0 from +0.0.
+
+    Returns (m, I, L_t, j, d): the first m rows hold, or m - 1 rows hold and
+    row m - 1 fails; I holds the m rows' I_t.  For a failed row, L_t, the
+    next window start j and the lag d of the first column that reached the
+    max are its checked values, else all three are None.
+    """
+    n = len(jp) - 1
+    k = np.arange(W, dtype=np.int32)[:, None]
+    col0 = np.arange(t - W, t - W + n)
+    # V[k, r] is column col0[r] + k at step t + r, whose lag is W - k
+    L_w = L_arr[t - W : t + n - 1]
+    V = as_strided(L_w, (W, n), L_w.strides * 2) + logm_arr[W:0:-1, None]
+    V -= log_alpha
+    np.putmask(V, k < jp[:n] - col0, -np.inf)  # columns before each window
+    vmax = V.max(0)
+    a = la[t : t + n]
+    L_c = np.where(a > vmax, a, vmax)
+    tol = np.maximum(np.abs(L_c), 1.0) * _TIE_RTOL
+    first = np.where(V >= vmax - tol, k, W).min(0) + col0
+    ok = (L_c.view(np.int64) == L_arr[t : t + n].view(np.int64)) & (first == jp[1:])
+    m = n if ok.all() else int(ok.argmin()) + 1
+    last = np.where(V[:, :m] >= L_c[:m] - tol[:m], k, -1).max(0)
+    I_b = np.where(last >= 0, col0[:m] + last, 0).tolist()
+    if ok[m - 1]:
+        return m, I_b, None, None, None
+    r = m - 1
+    return m, I_b, float(L_c[r]), int(first[r]), W - int(V[:, r].argmax())
 
 
 def solve_chi(alpha: float, seed: SeedSequence, t_max: int) -> ChiSeries:

@@ -13,6 +13,7 @@ of generations.  Scalar inputs give scalar outputs; arrays work elementwise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,8 @@ class TailModel:
     """A Frechet-type mutant fitness distribution.
 
     ``gamma`` is the slowly-varying exponent and is only meaningful for the
-    ``paretolog`` family; it must satisfy |gamma| <= alpha.
+    ``paretolog`` family; it must satisfy |gamma| <= alpha.  Alpha must be
+    finite; the checks are written so that NaN fails them.
     """
 
     family: str
@@ -41,11 +43,11 @@ class TailModel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown tail family {self.family!r}")
-        if not self.alpha > 0:
-            raise DomainError("tail index alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise DomainError("tail index alpha must be positive and finite")
         if self.family == "pareto" and self.gamma != 0.0:
             raise DomainError("gamma is only meaningful for paretolog")
-        if self.family == "paretolog" and abs(self.gamma) > self.alpha:
+        if self.family == "paretolog" and not abs(self.gamma) <= self.alpha:
             raise DomainError("paretolog requires |gamma| <= alpha")
 
 

@@ -471,10 +471,19 @@ class TestEntryPoint:
         (["nu", "--alpha-min", "1", "--alpha-max", "1e300", "--points", "5", "--log-grid"],
          "alpha"),
         (["freq", "--alpha", "1e300", "--t", "3"], "alpha"),
+        # NaN gamma used to pass the tail checks: fmm ran as pareto:alpha=1, and
+        # mmm dropped its NaN bin masses; an infinite alpha gave log-fitness 0
+        (["simulate", "--model", "fmm", "--tail", "paretolog:alpha=1,gamma=nan",
+          "--log-f", "1", "--t-max", "8", "--seed", "1"], "gamma"),
+        (["simulate", "--model", "mmm", "--tail", "paretolog:alpha=1,gamma=nan",
+          "--log-f", "20", "--t-max", "8", "--seed", "1"], "gamma"),
+        (["simulate", "--model", "fmm", "--tail", "pareto:alpha=inf",
+          "--log-f", "1", "--t-max", "8", "--seed", "1"], "alpha"),
     ], ids=["seed_ctex_overflow", "mmm_event_cap", "fmm_event_cap",
             "mmm_poisson_threshold_1e30", "mmm_poisson_threshold_inf", "mmm_bins_per_decade_1e30",
             "seed_ctex_nan_phi", "recurse_ctex_nan_phi", "nu_alpha_1e308",
-            "recurse_alpha_1e300", "nu_sweep_past_bound", "freq_alpha_1e300"])
+            "recurse_alpha_1e300", "nu_sweep_past_bound", "freq_alpha_1e300",
+            "fmm_gamma_nan", "mmm_gamma_nan", "fmm_alpha_inf"])
     def test_out_of_range_input_is_a_typed_error(self, argv, named):
         _assert_failed(_cli([*argv, "--out", "{out}"]), 1, named=named)
 

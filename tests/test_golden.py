@@ -35,7 +35,13 @@ count and some survivor counts from Poisson means above 1e9, where
 dominant index up to about T behind t, so each step of the solver compares
 up to about T past indices and drops the rest; at alpha 100 the cycle
 has not locked in to 1e-9 by t = 3000, which
-``test_alpha100_period_not_detected`` pins.  ``test_recurse_file_seed_digest``
+``test_alpha100_period_not_detected`` pins.  ``recurse_half_alpha12_locked``
+(T = 33, lock-in at t1 = 864, windows of 33 to 35 columns after it, just
+past the 32-column scalar cutoff) and ``recurse_half_alpha20_locked``
+(t1 = 2532, windows of 55 and 56 columns) run well past lock-in, where the
+solver predicts blocks of steps from one period back and confirms them in
+NumPy; their digests were recorded with the solver that scans every
+step.  ``test_recurse_file_seed_digest``
 reads a seed file whose values span 1e-304 to 1e304 and outgrow the
 recursion for 305 steps, so the seed term wins most steps of a long
 transient.  ``recurse_csv_blocks`` writes 2051 = 2 * 1024 + 3 rows, so a
@@ -170,6 +176,14 @@ CASES = {
     "recurse_half_alpha20": (
         ["recurse", "--alpha", "20", "--seed", "half", "--t-max", "2000"],
         ["5367b2278857f3703baeed0648aa4cde0e1a04fbac63ea1d53653f2939303f5d"],
+    ),
+    "recurse_half_alpha12_locked": (
+        ["recurse", "--alpha", "12", "--seed", "half", "--t-max", "3000"],
+        ["cc5326addd9885779a0d43cc732013b46430273011b5d31b24fcb163e640f4c3"],
+    ),
+    "recurse_half_alpha20_locked": (
+        ["recurse", "--alpha", "20", "--seed", "half", "--t-max", "6000"],
+        ["0b148681250d6211001bd17e382776c85bb6ca3d02bc98e4ea123dc108233d4c"],
     ),
     "seed_ctex": (
         ["seed-ctex", "--alpha", "1", "--phis", "1.3333333333333333,1.5,1.5"],

@@ -109,6 +109,17 @@ class TestSolveChi:
             tracemalloc.stop()
         assert peak / 20_000 < 64
 
+    def test_period_past_the_horizon_keeps_horizon_sized_records(self):
+        # the solver records a period of lags; T = 271,828 at alpha 1e5 must
+        # not size them past the 50 steps of this horizon
+        tracemalloc.start()
+        try:
+            solve_chi(1e5, SeedSequence.linear(), 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             solve_chi(0.0, SeedSequence.linear(), 10)

@@ -10,11 +10,17 @@ the two mixed as the cutoff picks them, must give those bits.  It walks the
 horizon in chunks and keeps only the window's columns between them; the bits
 must not depend on the chunk size either.
 
+Once the last period of steps repeats the one before it, the solver predicts
+a block of steps from one period back and confirms it with the scan's rules
+on NumPy arrays; those bits must not depend on the block or chunk size
+either, on seeds that lock in and on a seed built to tell -0.0 from +0.0.
+
 From the linear and half seeds the recursion locks into its T-cycle after a
 transient of order T**2 steps, which ``detect_period`` finds within a horizon
 of T**2 + 3T.
 """
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -76,6 +82,113 @@ def test_chunked_scan_matches_full_scan(full_scan_chi, alpha, seed, t_max):
                 got = solve_chi(alpha, seed, t_max)
             assert got.L.tobytes() == L.tobytes(), (chunk, cutoff)
             assert got.I.tobytes() == I.tobytes(), (chunk, cutoff)
+
+
+@dataclass(frozen=True)
+class _LogSeed:
+    """A seed given by its log values, log_a_array(t_max)[t] = logs[t - 1]."""
+
+    logs: tuple
+
+    def log_a_array(self, t_max):
+        return np.array((math.nan,) + self.logs[:t_max])
+
+
+def _signed_zero_seed():
+    """Seed terms that win every step, each log 2 and one ulp above the last,
+    so column t - 1 reaches vmax and column t - 2 is a near-tie: lags and
+    widths repeat, and the last step falls in a predicted block.  There the
+    column the last period predicts reads -1e-15, below the seed term -0.0,
+    but column t - 2 reads -log 2 + log 2 = +0.0, so the scan keeps +0.0,
+    which equals the prediction -0.0 under ``==`` but not in its bits."""
+    logs = [-math.log(2.0)]
+    for _ in range(40):
+        logs.insert(0, math.nextafter(logs[0] - math.log(2.0), -math.inf))
+    return _LogSeed(tuple(logs) + (-1e-15, -0.0))
+
+
+def _anchor_seed():
+    """Seed terms that win every step, each 1 above the last, so column t - 1
+    alone reaches vmax and the window holds two columns.  Step 16's term is
+    only log 2 above step 15's, so at step 17 column 15 ties column 16: lags
+    and widths still repeat, but step 18's window starts a column early.  The
+    solver first looks at the lags after 16 exact steps, so its first
+    predicted block starts at step 18, from that window."""
+    logs = [float(s) for s in range(1, 16)] + [15.0 + math.log(2.0)]
+    return _LogSeed(tuple(logs + [logs[-1] + k for k in range(1, 25)]))
+
+
+def _window_starts(alpha, L):
+    """j[t], the first column the scan compares at step t: 1 at t = 2, then
+    the first column from j[t] on within the tie tolerance of L_t of the
+    column maximum at t."""
+    t_max = len(L) - 1
+    log_k = np.log(np.arange(1, t_max + 1, dtype=float))  # log_k[k - 1] = log k
+    j = [1] * (t_max + 2)
+    for t in range(2, t_max + 1):
+        v = L[j[t] : t] + log_k[t - j[t] - 1 :: -1] - math.log(alpha)
+        tol = 1e-12 * max(1.0, abs(L[t]))
+        j[t + 1] = j[t] + int(np.argmax(v >= v.max() - tol))
+    return j
+
+
+@st.composite
+def _locking_case(draw):
+    """(alpha, seed, t_max) with t_max past the cycle's lock-in: linear, half
+    and explicit seeds run T**2 + 3T steps or up to 300 more (alpha
+    log-uniform in [0.03, 4] or within 3 floats of alpha_critical(T), T <= 8),
+    constructive seeds, which start in their cycle, 4T or up to 300 more."""
+    kind = draw(st.sampled_from(["linear", "half", "ctex", "explicit"]))
+    if kind == "ctex":
+        alpha, phi = draw(_admissible())
+        T = period_T(alpha)
+        return alpha, build_ctex_seed(alpha, phi), draw(st.integers(4 * T, 4 * T + 300))
+    alpha = draw(st.one_of(
+        st.floats(-1.5, math.log10(4.0)).map(lambda e: 10.0**e),
+        st.builds(lambda T, k: _ulps(alpha_critical(T), k),
+                  st.integers(min_value=1, max_value=8), st.integers(min_value=-3, max_value=3))))
+    seed = draw(_SEED) if kind == "explicit" else getattr(SeedSequence, kind)()
+    T = period_T(alpha)
+    return alpha, seed, draw(st.integers(T * T + 3 * T, T * T + 3 * T + 300))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_locking_case(), must_predict=st.just(False))
+# windows of 4 or 5 columns, blocks of up to a chunk
+@example(case=(1.0, SeedSequence.linear(), 3005), must_predict=True)
+# windows of 23 and 24 columns after lock-in
+@example(case=(8.0, SeedSequence.half(), 1000), must_predict=True)
+# windows of 33 to 35 columns after lock-in, just past _SCALAR_WINDOW
+@example(case=(12.0, SeedSequence.half(), 1200), must_predict=True)
+@example(case=(1.0, _signed_zero_seed(), 43), must_predict=True)
+@example(case=(1.0, _anchor_seed(), 40), must_predict=True)
+def test_predicted_blocks_match_full_scan(full_scan_chi, case, must_predict):
+    alpha, seed, t_max = case
+    L, I = full_scan_chi(alpha, seed, t_max)
+    T = period_T(alpha)
+    j = _window_starts(alpha, L)
+    check = recursion._check_block
+    starts = []
+
+    def spy(L_arr, la, logm_arr, log_alpha, t, W, jp):
+        # a window start at or before the column maximum gives the same L_t
+        # and I_t, so these two are checked here: the block's first window
+        # is the scan's, and its rows are wide enough to hold it
+        assert jp[0] == j[t] and W >= t - j[t]
+        starts.append(t)
+        return check(L_arr, la, logm_arr, log_alpha, t, W, jp)
+
+    # cell caps of 1, 2, T and 64 give blocks of one step or a few, and
+    # chunks of 1, 2, T and 64 steps end blocks at that length
+    runs = [{}] + [{name: size} for name in ("_BLOCK_CELLS", "_CHUNK_STEPS")
+                   for size in (1, 2, T, 64)]
+    for patch in runs:
+        starts.clear()
+        with mock.patch.multiple(recursion, _check_block=spy, **patch):
+            got = solve_chi(alpha, seed, t_max)
+        assert got.L.tobytes() == L.tobytes(), patch
+        assert got.I.tobytes() == I.tobytes(), patch
+        assert starts or not must_predict, patch
 
 
 @settings(max_examples=40, deadline=None)

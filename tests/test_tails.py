@@ -201,3 +201,26 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             TailModel("paretolog", 1.0, 1.5)  # |gamma| > alpha
         assert TailModel("paretolog", 1.0, 1.0).gamma == 1.0  # |gamma| = alpha is allowed
+
+    # NaN passes comparisons written the other way round: abs(nan) > alpha and
+    # not inf > 0 are both False
+    @pytest.mark.parametrize("family, alpha, gamma, named", [
+        ("paretolog", 1.0, math.nan, "gamma"),
+        ("paretolog", math.nan, 0.5, "alpha"),
+        ("paretolog", math.inf, 0.5, "alpha"),
+        ("paretolog", 1.0, math.inf, "gamma"),
+        ("pareto", math.inf, 0.0, "alpha"),
+        ("pareto", math.nan, 0.0, "alpha"),
+        ("pareto", 1.0, math.nan, "gamma"),
+    ])
+    def test_constructor_rejects_nan_and_infinite_parameters(self, family, alpha, gamma, named):
+        with pytest.raises(DomainError, match=named):
+            TailModel(family, alpha, gamma)
+
+    @pytest.mark.parametrize("text", [
+        "paretolog:alpha=1,gamma=nan", "pareto:alpha=inf", "pareto:alpha=nan",
+        "paretolog:alpha=inf,gamma=0",
+    ])
+    def test_parse_rejects_nan_and_infinite_parameters(self, text):
+        with pytest.raises(DomainError):
+            parse_tail_model(text)
